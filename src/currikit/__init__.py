@@ -21,13 +21,13 @@ from .difficulty import (
     rarity_metric,
 )
 from .dynamics import DynamicsTrace, TDStats, compute_all
-from .trainer import EpochProbe, ModelParams, RunLog, TrainConfig, evaluate, train
+from .trainer import ModelParams, Probes, RunLog, TrainConfig, evaluate, train
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Corpus", "Example", "SynthSpec", "tokenize", "featurize", "generate_synthetic",
-    "TrainConfig", "ModelParams", "EpochProbe", "RunLog", "train", "evaluate",
+    "TrainConfig", "ModelParams", "Probes", "RunLog", "train", "evaluate",
     "DynamicsTrace", "TDStats", "compute_all",
     "DifficultyScores", "CrossReviewConfig", "from_td", "cross_review",
     "length_metric", "rarity_metric", "perplexity_metric",

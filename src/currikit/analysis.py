@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import NOISY_SUFFIX
 from .dynamics import TDStats
 from .trainer import RunLog
 
@@ -214,7 +215,7 @@ def datamap_export(
             variability=td_stats[eid].variability,
             confidence=td_stats[eid].confidence,
             correctness=td_stats[eid].correctness,
-            noisy=eid.endswith("#noisy"),
+            noisy=eid.endswith(NOISY_SUFFIX),
         )
         for eid in sorted(td_stats)
     ]

@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from . import analysis, curricula, difficulty, dynamics, trainer
 from .corpus import (
@@ -33,22 +34,30 @@ from .corpus import (
     save_label_map,
 )
 
-SCHEDULERS = (
-    "random",
-    "cr_anneal",
-    "corr_anneal",
-    "conf_comp",
-    "corr+var_anneal",
-    "conf+var_comp",
-    "length",
-    "rarity",
-    "ppl",
-)
-TD_SCHEDULERS = {"corr_anneal", "conf_comp", "corr+var_anneal", "conf+var_comp"}
-ANNEAL_SCHEDULERS = {"cr_anneal", "corr_anneal", "corr+var_anneal"}
 HEURISTICS = ("length", "rarity", "ppl")
 
 TEACHER_METRICS = ("dynamics", "cross-review", "length", "rarity", "ppl")
+
+
+class _Scheduler(NamedTuple):
+    teacher: str | None  # the TEACHER_METRICS entry whose artifact it reads
+    family: str | None   # "annealing" or "competence" plan
+    score: str | None    # the dynamics statistic or scores-file metric_name it orders by
+    weighted: bool       # samples in proportion to variability
+
+
+_SCHEDULER_TABLE = {
+    "random": _Scheduler(None, None, None, False),
+    "cr_anneal": _Scheduler("cross-review", "annealing", "cross_review", False),
+    "corr_anneal": _Scheduler("dynamics", "annealing", "correctness", False),
+    "conf_comp": _Scheduler("dynamics", "competence", "confidence", False),
+    "corr+var_anneal": _Scheduler("dynamics", "annealing", "correctness", True),
+    "conf+var_comp": _Scheduler("dynamics", "competence", "confidence", True),
+    "length": _Scheduler("length", "competence", "length", False),
+    "rarity": _Scheduler("rarity", "competence", "rarity", False),
+    "ppl": _Scheduler("ppl", "competence", "ppl", False),
+}
+SCHEDULERS = tuple(_SCHEDULER_TABLE)
 
 EVAL_SPLITS = ("validation", "test_id", "test_ood", "test_transfer")
 
@@ -106,12 +115,23 @@ def validate_config(config: dict) -> None:
         raise ValidationError("model.hidden_size must be a nonnegative integer")
     curr = config.get("curriculum", {})
     c0 = curr.get("c0", 0.01)
-    if not 0.0 < c0 <= 1.0:
-        raise ValidationError("curriculum.c0 must be in (0, 1]")
+    if not isinstance(c0, (int, float)):
+        raise ValidationError("curriculum.c0 must be a number")
+    try:
+        curricula.CompetencePlan(ordering=[], c0=c0,
+                                 duration=int(curr.get("duration") or 1),
+                                 form=curr.get("competence_form", "sqrt"))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"curriculum: {exc}") from None
     if curr.get("ngram_order", 2) not in (1, 2):
         raise ValidationError("curriculum.ngram_order must be 1 or 2")
     if curr.get("add_k", 1.0) <= 0:
         raise ValidationError("curriculum.add_k must be > 0")
+    try:
+        difficulty.CrossReviewConfig(
+            num_subsets=int(config.get("cross_review", {}).get("num_subsets", 10)))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"cross_review: {exc}") from None
 
 
 def _train_config(config: dict, seed: int, epochs_override: int | None = None):
@@ -188,7 +208,8 @@ def cmd_teacher(config: dict, out_dir: Path, metric: str = "dynamics",
         raise ValidationError(f"unknown metric {metric!r}; choose from {TEACHER_METRICS}")
     snapshot_config(config, out_dir)
     corpora = resolve_corpora(config)
-    teacher_dir = out_dir / "teacher"
+    out_path = _teacher_artifact(out_dir, metric)
+    teacher_dir = out_path.parent
     teacher_dir.mkdir(parents=True, exist_ok=True)
     train_corpus = corpora["train"]
 
@@ -202,9 +223,7 @@ def cmd_teacher(config: dict, out_dir: Path, metric: str = "dynamics",
         )
         trainer.write_runlog(runlog, teacher_dir / "runlog.jsonl")
         trainer.write_probes(probes, teacher_dir / "probes.jsonl")
-        stats = dynamics.compute_all(probes)
-        out_path = teacher_dir / "td_stats.jsonl"
-        dynamics.write_td_stats(stats, out_path)
+        dynamics.write_td_stats(dynamics.compute_all(probes), out_path)
         _write_json(teacher_dir / "meta.json",
                     {"metric": "dynamics", "epochs": cfg.epochs, "seed": cfg.seed,
                      "hidden_size": _hidden_size(config)})
@@ -219,7 +238,6 @@ def cmd_teacher(config: dict, out_dir: Path, metric: str = "dynamics",
                                 epochs_override=teacher_epochs),
         )
         scores = difficulty.cross_review(train_corpus, cr_cfg)
-        out_path = teacher_dir / "scores_cross_review.jsonl"
         difficulty.write_scores(scores, out_path,
                                 extra_header={"num_subsets": cr_cfg.num_subsets})
         return out_path
@@ -235,38 +253,80 @@ def cmd_teacher(config: dict, out_dir: Path, metric: str = "dynamics",
             order=int(curr.get("ngram_order", 2)),
             add_k=float(curr.get("add_k", 1.0)),
         )
-    out_path = teacher_dir / f"scores_{metric}.jsonl"
     difficulty.write_scores(scores, out_path)
     return out_path
+
+
+def _teacher_artifact(out_dir: Path, metric: str) -> Path:
+    """The difficulty file cmd_teacher writes for ``metric``."""
+    if metric == "dynamics":
+        return out_dir / "teacher" / "td_stats.jsonl"
+    return out_dir / "teacher" / f"scores_{metric.replace('-', '_')}.jsonl"
 
 
 # --- stage 2: student ---------------------------------------------------------
 
 
-def _default_scores_path(out_dir: Path, scheduler: str) -> Path | None:
-    if scheduler == "random":
-        return None
-    if scheduler in TD_SCHEDULERS:
-        return out_dir / "teacher" / "td_stats.jsonl"
-    if scheduler == "cr_anneal":
-        return out_dir / "teacher" / "scores_cross_review.jsonl"
-    return out_dir / "teacher" / f"scores_{scheduler}.jsonl"
-
-
-def _read_scoring_input(path: Path):
-    """Returns ("td", stats_dict) or ("scores", DifficultyScores, header)."""
+def _first_record(path: Path) -> dict:
+    """First line of a teacher artifact: a scores header or a stats row."""
     if not path.exists():
         raise ValidationError(f"scores file not found: {path} (run the teacher first)")
     with path.open("r", encoding="utf-8") as fh:
-        first = json.loads(fh.readline())
+        line = fh.readline()
+    try:
+        first = json.loads(line)
+    except json.JSONDecodeError:
+        raise ValidationError(f"{path}: empty, or its first line is not JSON") from None
+    if not isinstance(first, dict):
+        raise ValidationError(f"{path}: neither a dynamics-stats nor a scores file")
+    return first
+
+
+def _read_scores(path: Path, scheduler: str,
+                 ids: list[str]) -> difficulty.DifficultyScores:
+    """The scores ``scheduler`` orders by, for exactly ``ids`` in that order,
+    from a dynamics-stats file or a scores file."""
+    spec = _SCHEDULER_TABLE[scheduler]
+    first = _first_record(path)
     if "confidence" in first:
-        return ("td", dynamics.read_td_stats(path), None)
-    if "metric_name" in first:
-        return ("scores", difficulty.read_scores(path), first)
-    raise ValidationError(f"{path}: neither a dynamics-stats nor a scores file")
+        if spec.teacher != "dynamics":
+            raise ValidationError(
+                f"scheduler {scheduler!r} needs a {spec.teacher!r} scores file, "
+                "not dynamics stats"
+            )
+        return difficulty.from_td(dynamics.read_td_stats(path), spec.score,
+                                  expected_ids=ids)
+    if "metric_name" not in first:
+        raise ValidationError(f"{path}: neither a dynamics-stats nor a scores file")
+    scores = difficulty.read_scores(path)
+    if spec.teacher != "dynamics" and scores.metric_name != spec.score:
+        print(
+            f"warning: scheduler {scheduler!r} usually reads "
+            f"{spec.score!r} scores, got {scores.metric_name!r}",
+            file=sys.stderr,
+        )
+    missing = [eid for eid in ids if eid not in scores.scores]
+    if missing:
+        raise ValidationError(f"scores file lacks example {missing[0]!r}")
+    if spec.weighted:
+        raise ValidationError(
+            f"scheduler {scheduler} needs variability from dynamics stats; "
+            f"got a plain {scores.metric_name!r} scores file"
+        )
+    return difficulty.DifficultyScores(
+        metric_name=scores.metric_name,
+        scores={eid: scores.scores[eid] for eid in ids},
+        higher_is_easier=scores.higher_is_easier,
+    )
 
 
-def _teacher_epochs_hint(out_dir: Path, scores: difficulty.DifficultyScores) -> int:
+def _annealing_epochs(path: Path, out_dir: Path,
+                      scores: difficulty.DifficultyScores) -> int:
+    """E of the annealing carryover fraction 1/(E+1): cross-review votes lie
+    in [0, num_subsets - 1], correctness in [0, teacher epochs]."""
+    header = _first_record(path)
+    if "num_subsets" in header:
+        return int(header["num_subsets"]) - 1
     meta = out_dir / "teacher" / "meta.json"
     if meta.exists():
         with meta.open("r", encoding="utf-8") as fh:
@@ -293,77 +353,44 @@ def _competence_duration(config: dict, seed: int, total_steps: int) -> int:
     return max(1, round(0.9 * total_steps))
 
 
-def _build_sampler(scheduler: str, scoring, config: dict, seed: int,
+def _build_sampler(scheduler: str, scores: difficulty.DifficultyScores | None,
+                   annealing_epochs: int | None, config: dict, seed: int,
                    train_corpus: Corpus, batch_size: int, steps_per_epoch: int,
-                   total_steps: int, out_dir: Path):
+                   total_steps: int):
     """Sampler plus its auditable plan for one student run."""
-    ids = train_corpus.ids()
-    if scheduler == "random":
+    spec = _SCHEDULER_TABLE[scheduler]
+    if spec.family is None:
         return curricula.RandomSampler(train_corpus, batch_size, seed=seed), None
-
-    kind = scoring[0]
-    weighted = scheduler in ("corr+var_anneal", "conf+var_comp")
-    variability = None
-
-    if kind == "td":
-        stats = scoring[1]
-        base_metric = "correctness" if scheduler in ANNEAL_SCHEDULERS else "confidence"
-        if scheduler == "cr_anneal":
-            raise ValidationError(
-                "cr_anneal needs a cross-review scores file, not dynamics stats"
-            )
-        scores = difficulty.from_td(stats, base_metric, expected_ids=ids)
-        variability = {eid: stats[eid].variability for eid in scores.scores}
-    else:
-        scores, header = scoring[1], scoring[2]
-        missing = [eid for eid in ids if eid not in scores.scores]
-        if missing:
-            raise ValidationError(f"scores file lacks example {missing[0]!r}")
-        scores = difficulty.DifficultyScores(
-            metric_name=scores.metric_name,
-            scores={eid: scores.scores[eid] for eid in ids},
-            higher_is_easier=scores.higher_is_easier,
-        )
-        if weighted:
-            raise ValidationError(
-                f"scheduler {scheduler} needs variability from dynamics stats; "
-                f"got a plain {scores.metric_name!r} scores file"
-            )
-
-    if scheduler in ANNEAL_SCHEDULERS:
-        if kind == "scores" and scoring[2] and "num_subsets" in scoring[2]:
-            carry_epochs = int(scoring[2]["num_subsets"]) - 1  # votes in [0, N-1]
-        else:
-            carry_epochs = _teacher_epochs_hint(out_dir, scores)
+    if spec.family == "annealing":
         plan = curricula.build_annealing_plan(
-            scores, carry_epochs,
-            variability=variability, variability_weighted=weighted,
+            scores, annealing_epochs,
+            variability=scores.variability, variability_weighted=spec.weighted,
         )
-        sampler = curricula.AnnealingSampler(plan, batch_size, seed=seed)
-        return sampler, plan
+        return curricula.AnnealingSampler(plan, batch_size, seed=seed), plan
 
-    duration = _competence_duration(config, seed, total_steps)
+    curr = config.get("curriculum", {})
     plan = curricula.build_competence_plan(
         scores,
-        c0=float(config.get("curriculum", {}).get("c0", 0.01)),
-        duration=duration,
-        variability=variability,
-        variability_weighted=weighted,
-        form=str(config.get("curriculum", {}).get("competence_form", "sqrt")),
+        c0=float(curr.get("c0", 0.01)),
+        duration=_competence_duration(config, seed, total_steps),
+        variability=scores.variability,
+        variability_weighted=spec.weighted,
+        form=str(curr.get("competence_form", "sqrt")),
     )
     sampler = curricula.CompetenceSampler(plan, batch_size, steps_per_epoch, seed=seed)
     return sampler, plan
 
 
 def _run_student_seed(config: dict, corpora: dict[str, Corpus], scheduler: str,
-                      scoring, seed: int, out_dir: Path, seed_dir: Path) -> dict:
+                      scores: difficulty.DifficultyScores | None,
+                      annealing_epochs: int | None, seed: int, seed_dir: Path) -> dict:
     train_corpus = corpora["train"]
     cfg = _train_config(config, seed=seed)
     steps_per_epoch = math.ceil(train_corpus.size / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
     sampler, plan = _build_sampler(
-        scheduler, scoring, config, seed, train_corpus, cfg.batch_size,
-        steps_per_epoch, total_steps, out_dir,
+        scheduler, scores, annealing_epochs, config, seed, train_corpus,
+        cfg.batch_size, steps_per_epoch, total_steps,
     )
     params, runlog, _ = trainer.train(
         train_corpus, corpora["validation"], cfg, sampler,
@@ -409,35 +436,24 @@ def cmd_student(config: dict, out_dir: Path, scheduler: str,
     if corpora is None:
         corpora = resolve_corpora(config)
 
-    if scheduler == "random":
+    spec = _SCHEDULER_TABLE[scheduler]
+    scores = annealing_epochs = None
+    if spec.teacher is None:
         if scores_path is not None:
-            print("warning: scheduler 'random' ignores the scores file",
+            print(f"warning: scheduler {scheduler!r} ignores the scores file",
                   file=sys.stderr)
-        scoring = None
     else:
-        path = scores_path or _default_scores_path(out_dir, scheduler)
-        scoring = _read_scoring_input(path)
-        if scoring[0] == "td" and scheduler in HEURISTICS:
-            raise ValidationError(
-                f"scheduler {scheduler!r} needs a {scheduler!r} scores file, "
-                "not dynamics stats"
-            )
-        if scoring[0] == "scores":
-            expected = {"cr_anneal": "cross_review", "length": "length",
-                        "rarity": "rarity", "ppl": "ppl"}.get(scheduler)
-            if expected and scoring[1].metric_name != expected:
-                print(
-                    f"warning: scheduler {scheduler!r} usually reads "
-                    f"{expected!r} scores, got {scoring[1].metric_name!r}",
-                    file=sys.stderr,
-                )
+        path = scores_path or _teacher_artifact(out_dir, spec.teacher)
+        scores = _read_scores(path, scheduler, corpora["train"].ids())
+        if spec.family == "annealing":
+            annealing_epochs = _annealing_epochs(path, out_dir, scores)
 
     sched_dir = out_dir / "students" / scheduler
     per_seed = {}
     for seed in _seeds(config):
         per_seed[seed] = _run_student_seed(
-            config, corpora, scheduler, scoring, seed,
-            out_dir, sched_dir / f"seed_{seed}",
+            config, corpora, scheduler, scores, annealing_epochs, seed,
+            sched_dir / f"seed_{seed}",
         )
     summary = _summarize_student(scheduler, per_seed)
     _write_json(sched_dir / "summary.json", summary)
@@ -572,15 +588,10 @@ def cmd_sweep(config: dict, out_dir: Path, schedulers: list[str],
     for corpus in corpora.values():
         corpus.feature_matrix()  # prebuild: shared read-only across workers
 
-    if TD_SCHEDULERS & set(schedulers):
-        if not (out_dir / "teacher" / "td_stats.jsonl").exists():
-            cmd_teacher(config, out_dir, metric="dynamics")
-    if "cr_anneal" in schedulers:
-        if not (out_dir / "teacher" / "scores_cross_review.jsonl").exists():
-            cmd_teacher(config, out_dir, metric="cross-review")
-    for h in HEURISTICS:
-        if h in schedulers and not (out_dir / "teacher" / f"scores_{h}.jsonl").exists():
-            cmd_teacher(config, out_dir, metric=h)
+    for metric in TEACHER_METRICS:
+        needed = any(_SCHEDULER_TABLE[s].teacher == metric for s in schedulers)
+        if needed and not _teacher_artifact(out_dir, metric).exists():
+            cmd_teacher(config, out_dir, metric=metric)
 
     todo = [s for s in schedulers
             if not (out_dir / "students" / s / "summary.json").exists()]
@@ -659,7 +670,7 @@ def cmd_synth(config: dict, out_dir: Path) -> list[Path]:
 
 
 def cmd_datamap(out_dir: Path, stats_path: Path | None = None) -> tuple[Path, Path]:
-    path = stats_path or out_dir / "teacher" / "td_stats.jsonl"
+    path = stats_path or _teacher_artifact(out_dir, "dynamics")
     if not path.exists():
         raise ValidationError(f"dynamics stats not found: {path} (run the teacher first)")
     stats = dynamics.read_td_stats(path)
@@ -671,7 +682,7 @@ def cmd_correlate(config: dict, out_dir: Path) -> analysis.CorrelationMatrix:
     dynamics statistics, the heuristics (computed on the fly) and
     cross-review votes when present in the run directory."""
     snapshot_config(config, out_dir)
-    stats_path = out_dir / "teacher" / "td_stats.jsonl"
+    stats_path = _teacher_artifact(out_dir, "dynamics")
     if not stats_path.exists():
         raise ValidationError(
             f"dynamics stats not found: {stats_path} (run the teacher first)"
@@ -692,7 +703,7 @@ def cmd_correlate(config: dict, out_dir: Path) -> analysis.CorrelationMatrix:
             add_k=float(curr.get("add_k", 1.0)),
         ).scores,
     }
-    cr_path = out_dir / "teacher" / "scores_cross_review.jsonl"
+    cr_path = _teacher_artifact(out_dir, "cross-review")
     if cr_path.exists():
         metric_scores["cross_review"] = difficulty.read_scores(cr_path).scores
     matrix = analysis.correlation_matrix(metric_scores)

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:
-    from .corpus import Corpus
     from .difficulty import DifficultyScores
 
 VARIABILITY_EPS = 1e-6

@@ -27,6 +27,7 @@ class DifficultyScores:
     metric_name: str
     scores: dict[str, float]
     higher_is_easier: bool
+    variability: dict[str, float] | None = None  # only scores from dynamics stats
 
     def order_easiest_first(self) -> list[str]:
         sign = -1.0 if self.higher_is_easier else 1.0
@@ -49,10 +50,12 @@ def from_td(
     which: str,
     expected_ids: list[str] | None = None,
 ) -> DifficultyScores:
-    """One of the three dynamics statistics as a difficulty metric.
+    """One of the three dynamics statistics as a difficulty metric, with
+    every example's variability alongside.
 
     Confidence and correctness order easiest-first by high value;
     variability is the auxiliary uncertainty signal (higher = harder).
+    With ``expected_ids`` the result holds exactly those ids, in that order.
     """
     if which not in TD_METRICS:
         raise ValueError(f"unknown dynamics metric {which!r}; pick one of {TD_METRICS}")
@@ -60,14 +63,12 @@ def from_td(
         for eid in expected_ids:
             if eid not in stats:
                 raise ValueError(f"no dynamics statistics for example {eid!r}")
-        wanted = set(expected_ids)
-        items = {eid: stats[eid] for eid in stats if eid in wanted}
-    else:
-        items = stats
+        stats = {eid: stats[eid] for eid in expected_ids}
     return DifficultyScores(
         metric_name=which,
-        scores={eid: float(getattr(s, which)) for eid, s in items.items()},
+        scores={eid: float(getattr(s, which)) for eid, s in stats.items()},
         higher_is_easier=which in ("confidence", "correctness"),
+        variability={eid: s.variability for eid, s in stats.items()},
     )
 
 

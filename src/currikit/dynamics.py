@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .trainer import EpochProbe
+from .trainer import Probes
 
 
 @dataclass
@@ -65,27 +65,17 @@ def stats_for(trace: DynamicsTrace) -> TDStats:
     )
 
 
-def compute_all(probes: list[EpochProbe]) -> dict[str, TDStats]:
-    """One TDStats per example; every probe must cover the identical id set."""
-    if not probes:
+def compute_all(probes: Probes) -> dict[str, TDStats]:
+    """One TDStats per example (probe column), in probe id order."""
+    if probes.gold_prob.shape[0] == 0:
         raise ValueError("no probes given")
-    base_ids = set(probes[0].gold_prob)
-    for probe in probes[1:]:
-        diff = base_ids.symmetric_difference(probe.gold_prob)
-        if diff:
-            raise ValueError(
-                f"probe for epoch {probe.epoch} disagrees on example id "
-                f"{min(diff)!r}"
-            )
-    out: dict[str, TDStats] = {}
-    for eid in probes[0].gold_prob:
-        trace = DynamicsTrace(
-            example_id=eid,
-            probs=[p.gold_prob[eid] for p in probes],
-            corrects=[p.correct[eid] for p in probes],
+    return {
+        eid: stats_for(DynamicsTrace(example_id=eid, probs=probs, corrects=corrects))
+        for eid, probs, corrects in zip(
+            probes.ids, probes.gold_prob.T.tolist(), probes.correct.T.tolist(),
+            strict=True,
         )
-        out[eid] = stats_for(trace)
-    return out
+    }
 
 
 def write_td_stats(stats: dict[str, TDStats], path: str | Path) -> None:

@@ -4,20 +4,20 @@ deterministic mini-batch SGD.
 Batches come from a pluggable sampler so curricula control data order;
 the trainer itself never inspects difficulty. Validation accuracy is
 logged on a fixed step grid, the best checkpoint is kept in memory, and
-an end-of-epoch inference pass over the whole train set records the
-gold-label probability and correctness of every example.
+an end-of-epoch inference pass over the whole train set fills one row of
+the (epochs, N) gold-label probability and correctness arrays of a Probes
+record, columns in corpus row order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import Corpus
 
@@ -70,13 +70,13 @@ class TrainConfig:
 
 
 @dataclass
-class EpochProbe:
-    """Per-epoch snapshot over the entire train set: gold-label probability
-    and correct-prediction flag per example id."""
+class Probes:
+    """End-of-epoch snapshots over the entire train set: row e is epoch
+    e + 1, column i is example ``ids[i]``."""
 
-    epoch: int
-    gold_prob: dict[str, float]
-    correct: dict[str, bool]
+    ids: list[str]
+    gold_prob: np.ndarray  # (epochs, N) gold-label probability
+    correct: np.ndarray    # (epochs, N) bool, prediction equals the gold label
 
 
 @dataclass
@@ -121,20 +121,6 @@ def _forward_matrix(params: ModelParams, X) -> tuple[np.ndarray, np.ndarray | No
         return _softmax(logits), hidden
     logits = np.asarray(X @ params.weights[0]) + params.biases[0]
     return _softmax(logits), None
-
-
-def forward(params: ModelParams, features: dict[int, float]) -> np.ndarray:
-    """Class probability vector for a single sparse feature map."""
-    dim = params.weights[0].shape[0]
-    if features and max(features) >= dim:
-        raise ValueError(
-            f"feature index {max(features)} out of range for input dim {dim}"
-        )
-    row = np.zeros((1, dim))
-    for idx, val in features.items():
-        row[0, idx] = val
-    probs, _ = _forward_matrix(params, row)
-    return probs[0]
 
 
 def loss_and_grad(
@@ -217,20 +203,19 @@ def train(
     sampler: Sampler,
     hidden_size: int = 0,
     collect_probes: bool = True,
-) -> tuple[ModelParams, RunLog, list[EpochProbe]]:
+) -> tuple[ModelParams, RunLog, Probes | None]:
     """Run ``config.epochs`` epochs of batches drawn from ``sampler``.
 
     Optimizer is SGD with momentum 0.9, global-norm gradient clipping and
     decoupled weight decay. Returns the parameters of the best validation
     checkpoint (final parameters when ``val_corpus`` is None), the run log,
-    and one EpochProbe per epoch (empty when ``collect_probes`` is False).
-    Probes always cover the entire train corpus, whatever the sampler
-    admitted.
+    and the probes, one row per epoch (None when ``collect_probes`` is
+    False). Probes always cover the entire train corpus, whatever the
+    sampler admitted.
     """
     X = corpus.feature_matrix()
     y = corpus.labels()
     row_of = {ex.id: i for i, ex in enumerate(corpus.examples)}
-    ids = corpus.ids()
 
     params = init_params(corpus.feature_dim, corpus.num_classes, hidden_size, config.seed)
     vel_w = [np.zeros_like(w) for w in params.weights]
@@ -242,7 +227,11 @@ def train(
     eval_offsets = set(_eval_offsets(epoch_len, config.eval_per_epoch))
 
     records: list[tuple[int, str, str, float]] = []
-    probes: list[EpochProbe] = []
+    probes = None
+    if collect_probes:
+        shape = (config.epochs, corpus.size)
+        probes = Probes(ids=corpus.ids(), gold_prob=np.empty(shape),
+                        correct=np.empty(shape, dtype=bool))
     best_params = params.copy()
     best_acc = -math.inf
     best_step = 0
@@ -281,17 +270,10 @@ def train(
                     best_step = step
                     best_params = params.copy()
 
-        if collect_probes:
+        if probes is not None:
             probs, _ = _forward_matrix(params, X)
-            gold = probs[np.arange(corpus.size), y]
-            pred = probs.argmax(axis=1)
-            probes.append(
-                EpochProbe(
-                    epoch=epoch,
-                    gold_prob={ids[i]: float(gold[i]) for i in range(corpus.size)},
-                    correct={ids[i]: bool(pred[i] == y[i]) for i in range(corpus.size)},
-                )
-            )
+            probes.gold_prob[epoch - 1] = probs[np.arange(corpus.size), y]
+            probes.correct[epoch - 1] = probs.argmax(axis=1) == y
 
     if val_corpus is None:
         best_params = params.copy()
@@ -338,30 +320,40 @@ def read_runlog(path: str | Path) -> RunLog:
     return RunLog(records=records, best_step=best_step, best_val_metric=best_val)
 
 
-def write_probes(probes: list[EpochProbe], path: str | Path) -> None:
+def write_probes(probes: Probes, path: str | Path) -> None:
     """JSONL with one {epoch, example_id, gold_prob, correct} line per
     (epoch, example)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
-        for probe in probes:
-            for eid in probe.gold_prob:
+        rows = zip(probes.gold_prob.tolist(), probes.correct.tolist())
+        for epoch, (golds, corrects) in enumerate(rows, start=1):
+            for eid, gold, correct in zip(probes.ids, golds, corrects, strict=True):
                 fh.write(json.dumps(
-                    {"epoch": probe.epoch, "example_id": eid,
-                     "gold_prob": probe.gold_prob[eid],
-                     "correct": probe.correct[eid]}
+                    {"epoch": epoch, "example_id": eid,
+                     "gold_prob": gold, "correct": correct}
                 ) + "\n")
 
 
-def read_probes(path: str | Path) -> list[EpochProbe]:
-    by_epoch: dict[int, EpochProbe] = {}
+def read_probes(path: str | Path) -> Probes:
+    """Inverse of write_probes; every epoch must cover the same example ids."""
+    by_epoch: dict[int, dict[str, dict]] = {}
     with Path(path).open("r", encoding="utf-8") as fh:
         for line in fh:
             rec = json.loads(line)
-            probe = by_epoch.setdefault(
-                int(rec["epoch"]),
-                EpochProbe(epoch=int(rec["epoch"]), gold_prob={}, correct={}),
+            by_epoch.setdefault(int(rec["epoch"]), {})[rec["example_id"]] = rec
+    epochs = sorted(by_epoch)
+    ids = list(by_epoch[epochs[0]]) if epochs else []
+    for epoch in epochs[1:]:
+        diff = set(ids).symmetric_difference(by_epoch[epoch])
+        if diff:
+            raise ValueError(
+                f"{path}: probes for epoch {epoch} disagree on example id {min(diff)!r}"
             )
-            probe.gold_prob[rec["example_id"]] = float(rec["gold_prob"])
-            probe.correct[rec["example_id"]] = bool(rec["correct"])
-    return [by_epoch[e] for e in sorted(by_epoch)]
+
+    def array(field: str, dtype) -> np.ndarray:
+        values = [[by_epoch[e][eid][field] for eid in ids] for e in epochs]
+        return np.array(values, dtype=dtype).reshape(len(epochs), len(ids))
+
+    return Probes(ids=ids, gold_prob=array("gold_prob", float),
+                  correct=array("correct", bool))

@@ -359,6 +359,35 @@ class TestCliEntryPoint:
         assert code == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("curriculum", "competence_form", "cubic"),
+        ("curriculum", "duration", -5),
+        ("curriculum", "c0", "0.1"),
+        ("cross_review", "num_subsets", 1),
+    ])
+    def test_bad_field_rejected_before_any_artifact(self, tmp_path, capsys,
+                                                    section, field, value):
+        bad = json.loads(json.dumps(BASE_CONFIG))
+        bad.setdefault(section, {})[field] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        out = tmp_path / "o"
+        code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--schedulers", "random,conf_comp,cr_anneal"])
+        assert code == 1
+        assert section in capsys.readouterr().err
+        assert not list(out.rglob("*.jsonl"))
+
+    @pytest.mark.parametrize("content", ["", "not json\n"], ids=["empty", "not-json"])
+    def test_unreadable_scores_file_named(self, run_dir, config_path, tmp_path,
+                                          capsys, content):
+        scores = tmp_path / "bad_scores.jsonl"
+        scores.write_text(content)
+        code = main(["student", "--config", str(config_path), "--out", str(run_dir),
+                     "--scheduler", "conf_comp", "--scores", str(scores)])
+        assert code == 1
+        assert str(scores) in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["teacher", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "o")])

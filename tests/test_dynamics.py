@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +12,11 @@ from currikit.dynamics import (
     confidence,
     correctness,
     read_td_stats,
+    stats_for,
     variability,
     write_td_stats,
 )
-from currikit.trainer import EpochProbe
+from currikit.trainer import Probes
 
 
 def trace(probs, corrects=None):
@@ -122,28 +124,28 @@ class TestAgainstOracle:
         assert variability(trace([0.3, 0.30001])) > 0.0
 
 
-def probe(epoch, entries):
-    return EpochProbe(
-        epoch=epoch,
-        gold_prob={eid: p for eid, p, _ in entries},
-        correct={eid: c for eid, _, c in entries},
+def probes(*epochs):
+    """Probes from per-epoch lists of (id, gold_prob, correct), each epoch
+    listing the same ids in the same order."""
+    return Probes(
+        ids=[eid for eid, _, _ in epochs[0]],
+        gold_prob=np.array([[p for _, p, _ in entries] for entries in epochs]),
+        correct=np.array([[c for _, _, c in entries] for entries in epochs], dtype=bool),
     )
 
 
 class TestComputeAll:
     def test_single_epoch(self):
-        stats = compute_all([probe(1, [("a", 0.4, False)])])
+        stats = compute_all(probes([("a", 0.4, False)]))
         assert stats["a"].confidence == 0.4
         assert stats["a"].correctness == 0
         assert stats["a"].variability == 0.0
 
-    def test_mismatched_epochs_names_id(self):
-        probes = [
-            probe(1, [("a", 0.5, True), ("b", 0.5, True)]),
-            probe(2, [("a", 0.5, True)]),
-        ]
-        with pytest.raises(ValueError, match="'b'"):
-            compute_all(probes)
+    def test_zero_epochs_rejected(self):
+        empty = Probes(ids=["a"], gold_prob=np.empty((0, 1)),
+                       correct=np.empty((0, 1), dtype=bool))
+        with pytest.raises(ValueError):
+            compute_all(empty)
 
     def test_matches_oracle_on_multi_epoch_probes(self):
         rng = random.Random(77)
@@ -151,21 +153,36 @@ class TestComputeAll:
         epochs = 7
         probs = {eid: [rng.random() for _ in range(epochs)] for eid in ids}
         flags = {eid: [rng.random() < 0.5 for _ in range(epochs)] for eid in ids}
-        probes = [
-            probe(e + 1, [(eid, probs[eid][e], flags[eid][e]) for eid in ids])
+        stats = compute_all(probes(*(
+            [(eid, probs[eid][e], flags[eid][e]) for eid in ids]
             for e in range(epochs)
-        ]
-        stats = compute_all(probes)
+        )))
         for eid in ids:
             assert abs(stats[eid].confidence - oracle_confidence(probs[eid])) < 1e-12
             assert stats[eid].correctness == oracle_correctness(flags[eid])
             assert abs(stats[eid].variability - oracle_variability(probs[eid])) < 1e-12
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_stats_for_on_every_column(self, seed):
+        rng = np.random.default_rng(seed)
+        epochs, n = int(rng.integers(1, 13)), 40
+        gold = rng.random((epochs, n))
+        gold[:, :5] = gold[0, :5]  # constant traces
+        correct = rng.random((epochs, n)) < 0.5
+        ids = [f"e{i}" for i in range(n)]
+        stats = compute_all(Probes(ids=ids, gold_prob=gold, correct=correct))
+        assert list(stats) == ids
+        for i, eid in enumerate(ids):
+            trace = DynamicsTrace(example_id=eid, probs=gold[:, i].tolist(),
+                                  corrects=correct[:, i].tolist())
+            assert stats[eid] == stats_for(trace)
+        assert all(stats[eid].variability == 0.0 for eid in ids[:5])
+
     def test_round_trip(self, tmp_path):
-        stats = compute_all([
-            probe(1, [("a", 0.5, True), ("b", 0.25, False)]),
-            probe(2, [("a", 0.75, True), ("b", 0.5, True)]),
-        ])
+        stats = compute_all(probes(
+            [("a", 0.5, True), ("b", 0.25, False)],
+            [("a", 0.75, True), ("b", 0.5, True)],
+        ))
         write_td_stats(stats, tmp_path / "stats.jsonl")
         back = read_td_stats(tmp_path / "stats.jsonl")
         assert back == stats
