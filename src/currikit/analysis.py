@@ -235,21 +235,21 @@ def datamap_export(
 # --- time ratios and learning curves ----------------------------------------
 
 
-def time_ratio(log_a: RunLog, log_baseline: RunLog) -> float:
+def time_ratio(best_a: int, best_baseline: int) -> float:
     """Steps system A needed to reach its best checkpoint, relative to the
     baseline's."""
-    if log_baseline.best_step == 0:
-        raise ValueError("baseline log has best_step 0; no ratio defined")
-    return log_a.best_step / log_baseline.best_step
+    if best_baseline == 0:
+        raise ValueError("baseline has best_step 0; no ratio defined")
+    return best_a / best_baseline
 
 
 def aggregate_time_ratios(
-    logs_a: list[RunLog], logs_baseline: list[RunLog]
+    best_a: list[int], best_baseline: list[int]
 ) -> dict[str, float]:
-    """Per-seed ratios (paired by position) reduced to mean and min."""
-    if len(logs_a) != len(logs_baseline) or not logs_a:
-        raise ValueError("need the same nonzero number of logs per system")
-    ratios = [time_ratio(a, b) for a, b in zip(logs_a, logs_baseline)]
+    """Per-seed best-step ratios (paired by position) reduced to mean and min."""
+    if len(best_a) != len(best_baseline) or not best_a:
+        raise ValueError("need the same nonzero number of best steps per system")
+    ratios = [time_ratio(a, b) for a, b in zip(best_a, best_baseline)]
     return {"mean": float(np.mean(ratios)), "min": float(min(ratios))}
 
 

@@ -22,6 +22,8 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from . import analysis, curricula, difficulty, dynamics, trainer
 from .corpus import (
     DEFAULT_HASH_DIM,
@@ -118,7 +120,7 @@ def validate_config(config: dict) -> None:
     if not isinstance(c0, (int, float)):
         raise ValidationError("curriculum.c0 must be a number")
     try:
-        curricula.CompetencePlan(ordering=[], c0=c0,
+        curricula.CompetencePlan(ordering=[], ids=[], c0=c0,
                                  duration=int(curr.get("duration") or 1),
                                  form=curr.get("competence_form", "sqrt"))
     except (TypeError, ValueError) as exc:
@@ -198,16 +200,19 @@ def snapshot_config(config: dict, out_dir: Path) -> None:
 
 
 def cmd_teacher(config: dict, out_dir: Path, metric: str = "dynamics",
-                teacher_epochs: int | None = None) -> Path:
+                teacher_epochs: int | None = None,
+                corpora: dict[str, Corpus] | None = None) -> Path:
     """Produce a difficulty artifact under <out>/teacher/.
 
     dynamics -> probes + td_stats; cross-review -> fold-vote scores;
     length/rarity/ppl -> heuristic scores. Returns the artifact path.
+    ``corpora`` lets callers (sweep) share already-resolved splits.
     """
     if metric not in TEACHER_METRICS:
         raise ValidationError(f"unknown metric {metric!r}; choose from {TEACHER_METRICS}")
     snapshot_config(config, out_dir)
-    corpora = resolve_corpora(config)
+    if corpora is None:
+        corpora = resolve_corpora(config)
     out_path = _teacher_artifact(out_dir, metric)
     teacher_dir = out_path.parent
     teacher_dir.mkdir(parents=True, exist_ok=True)
@@ -216,7 +221,8 @@ def cmd_teacher(config: dict, out_dir: Path, metric: str = "dynamics",
     if metric == "dynamics":
         cfg = _train_config(config, seed=_teacher_seed(config),
                             epochs_override=teacher_epochs)
-        sampler = curricula.RandomSampler(train_corpus, cfg.batch_size, seed=cfg.seed)
+        sampler = curricula.RandomSampler(np.arange(train_corpus.size), cfg.batch_size,
+                                          seed=cfg.seed)
         params, runlog, probes = trainer.train(
             train_corpus, corpora["validation"], cfg, sampler,
             hidden_size=_hidden_size(config), collect_probes=True,
@@ -285,7 +291,8 @@ def _first_record(path: Path) -> dict:
 def _read_scores(path: Path, scheduler: str,
                  ids: list[str]) -> difficulty.DifficultyScores:
     """The scores ``scheduler`` orders by, for exactly ``ids`` in that order,
-    from a dynamics-stats file or a scores file."""
+    from a dynamics-stats file or a scores file; every score and variability
+    must be finite."""
     spec = _SCHEDULER_TABLE[scheduler]
     first = _first_record(path)
     if "confidence" in first:
@@ -294,30 +301,37 @@ def _read_scores(path: Path, scheduler: str,
                 f"scheduler {scheduler!r} needs a {spec.teacher!r} scores file, "
                 "not dynamics stats"
             )
-        return difficulty.from_td(dynamics.read_td_stats(path), spec.score,
-                                  expected_ids=ids)
-    if "metric_name" not in first:
+        scores = difficulty.from_td(dynamics.read_td_stats(path), spec.score,
+                                    expected_ids=ids)
+    elif "metric_name" not in first:
         raise ValidationError(f"{path}: neither a dynamics-stats nor a scores file")
-    scores = difficulty.read_scores(path)
-    if spec.teacher != "dynamics" and scores.metric_name != spec.score:
-        print(
-            f"warning: scheduler {scheduler!r} usually reads "
-            f"{spec.score!r} scores, got {scores.metric_name!r}",
-            file=sys.stderr,
+    else:
+        scores = difficulty.read_scores(path)
+        if spec.teacher != "dynamics" and scores.metric_name != spec.score:
+            print(
+                f"warning: scheduler {scheduler!r} usually reads "
+                f"{spec.score!r} scores, got {scores.metric_name!r}",
+                file=sys.stderr,
+            )
+        missing = [eid for eid in ids if eid not in scores.scores]
+        if missing:
+            raise ValidationError(f"scores file lacks example {missing[0]!r}")
+        if spec.weighted:
+            raise ValidationError(
+                f"scheduler {scheduler} needs variability from dynamics stats; "
+                f"got a plain {scores.metric_name!r} scores file"
+            )
+        scores = difficulty.DifficultyScores(
+            metric_name=scores.metric_name,
+            scores={eid: scores.scores[eid] for eid in ids},
+            higher_is_easier=scores.higher_is_easier,
         )
-    missing = [eid for eid in ids if eid not in scores.scores]
-    if missing:
-        raise ValidationError(f"scores file lacks example {missing[0]!r}")
-    if spec.weighted:
-        raise ValidationError(
-            f"scheduler {scheduler} needs variability from dynamics stats; "
-            f"got a plain {scores.metric_name!r} scores file"
-        )
-    return difficulty.DifficultyScores(
-        metric_name=scores.metric_name,
-        scores={eid: scores.scores[eid] for eid in ids},
-        higher_is_easier=scores.higher_is_easier,
-    )
+    for values in (scores.scores, scores.variability or {}):
+        for eid, value in values.items():
+            if not math.isfinite(value):
+                raise ValidationError(
+                    f"{path}: non-finite value {value} for example {eid!r}")
+    return scores
 
 
 def _annealing_epochs(path: Path, out_dir: Path,
@@ -360,7 +374,8 @@ def _build_sampler(scheduler: str, scores: difficulty.DifficultyScores | None,
     """Sampler plus its auditable plan for one student run."""
     spec = _SCHEDULER_TABLE[scheduler]
     if spec.family is None:
-        return curricula.RandomSampler(train_corpus, batch_size, seed=seed), None
+        rows = np.arange(train_corpus.size)
+        return curricula.RandomSampler(rows, batch_size, seed=seed), None
     if spec.family == "annealing":
         plan = curricula.build_annealing_plan(
             scores, annealing_epochs,
@@ -522,8 +537,8 @@ def cmd_compare(dir_a: Path, dir_b: Path, rounds: int = 10000,
         )
     seeds = sum_a["seeds"]
     ratios = analysis.aggregate_time_ratios(
-        [trainer.RunLog([], sum_a["best_steps"][str(s)], 0.0) for s in seeds],
-        [trainer.RunLog([], sum_b["best_steps"][str(s)], 0.0) for s in seeds],
+        [sum_a["best_steps"][str(s)] for s in seeds],
+        [sum_b["best_steps"][str(s)] for s in seeds],
     )
     report = {
         "a": {"path": str(dir_a), "scheduler": sum_a["scheduler"]},
@@ -591,7 +606,7 @@ def cmd_sweep(config: dict, out_dir: Path, schedulers: list[str],
     for metric in TEACHER_METRICS:
         needed = any(_SCHEDULER_TABLE[s].teacher == metric for s in schedulers)
         if needed and not _teacher_artifact(out_dir, metric).exists():
-            cmd_teacher(config, out_dir, metric=metric)
+            cmd_teacher(config, out_dir, metric=metric, corpora=corpora)
 
     todo = [s for s in schedulers
             if not (out_dir / "students" / s / "summary.json").exists()]

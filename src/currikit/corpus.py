@@ -131,17 +131,6 @@ class Corpus:
             )
         return self._matrix
 
-    def subset(self, ids: set[str], split_name: str | None = None) -> "Corpus":
-        """New corpus restricted to ``ids``, preserving example order."""
-        kept = [ex for ex in self.examples if ex.id in ids]
-        return Corpus(
-            examples=kept,
-            num_classes=self.num_classes,
-            split_name=split_name or self.split_name,
-            feature_dim=self.feature_dim,
-            label_names=list(self.label_names),
-        )
-
 
 @dataclass
 class SynthSpec:

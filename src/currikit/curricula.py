@@ -11,6 +11,9 @@ Two families plus the random baseline:
 
 Every scheduler falls back to plain seeded-shuffle epochs over the full
 train set once its curriculum phase ends.
+
+Samplers serve int64 row indices, numbered as DifficultyScores documents;
+plans keep example ids only for their ordering digest.
 """
 
 from __future__ import annotations
@@ -53,43 +56,47 @@ def linear_competence(t: float, c0: float, duration: float) -> float:
 _COMPETENCE_FORMS = {"sqrt": competence, "linear": linear_competence}
 
 
-def _weighted_order(rng: np.random.Generator, ids: list[str],
-                    weights: np.ndarray) -> list[str]:
+def _weighted_order(rng: np.random.Generator, rows: np.ndarray,
+                    weights: np.ndarray) -> np.ndarray:
     # Weighted shuffle (Efraimidis-Spirakis): sorting by log(u)/w descending
     # is equivalent to sequential weighted draws without replacement.
-    u = rng.random(len(ids))
+    u = rng.random(len(rows))
     keys = np.log(u) / weights
-    return [ids[i] for i in np.argsort(-keys, kind="stable")]
+    return rows[np.argsort(-keys, kind="stable")]
+
+
+def _row_values(ids: list[str], values: dict[str, float] | None) -> np.ndarray | None:
+    """Per-id values as one array in row order."""
+    return None if values is None else np.array([values[eid] for eid in ids])
 
 
 class _EpochShuffler:
     """Fresh seeded shuffle per epoch, consumed without replacement."""
 
-    def __init__(self, ids: list[str], batch_size: int, rng: np.random.Generator):
-        self.ids = list(ids)
+    def __init__(self, rows: np.ndarray, batch_size: int, rng: np.random.Generator):
+        self.rows = rows
         self.batch_size = batch_size
         self.rng = rng
-        self._queue: list[str] = []
+        self._queue = rows[:0]
 
-    def next_batch(self) -> list[str]:
-        if not self._queue:
-            perm = self.rng.permutation(len(self.ids))
-            self._queue = [self.ids[i] for i in perm]
+    def next_batch(self) -> np.ndarray:
+        if not len(self._queue):
+            self._queue = self.rows[self.rng.permutation(len(self.rows))]
         batch = self._queue[: self.batch_size]
-        del self._queue[: self.batch_size]
+        self._queue = self._queue[self.batch_size:]
         return batch
 
 
 class RandomSampler:
-    """Baseline: shuffle-epochs over the whole train set."""
+    """Baseline: shuffle-epochs over the given train rows."""
 
-    def __init__(self, corpus_or_ids, batch_size: int, seed: int = 0):
-        ids = corpus_or_ids.ids() if hasattr(corpus_or_ids, "ids") else list(corpus_or_ids)
-        if not ids:
+    def __init__(self, rows: np.ndarray, batch_size: int, seed: int = 0):
+        rows = np.asarray(rows, dtype=np.int64)
+        if not len(rows):
             raise ValueError("no examples to sample from")
         self.batch_size = batch_size
-        self._shuffler = _EpochShuffler(ids, batch_size, np.random.default_rng(seed))
-        self._n = len(ids)
+        self._shuffler = _EpochShuffler(rows, batch_size, np.random.default_rng(seed))
+        self._n = len(rows)
 
     @property
     def phase(self) -> str:
@@ -98,16 +105,17 @@ class RandomSampler:
     def epoch_length(self) -> int:
         return math.ceil(self._n / self.batch_size)
 
-    def next_batch(self, step: int) -> list[str]:
+    def next_batch(self, step: int) -> np.ndarray:
         return self._shuffler.next_batch()
 
 
 @dataclass
 class AnnealingPlan:
-    buckets: list[list[str]]  # easiest-first; each bucket sorted by id
-    num_epochs: int           # carryover fraction is 1/(num_epochs + 1)
+    buckets: list[np.ndarray]  # rows, easiest-first; each bucket sorted by id
+    num_epochs: int            # carryover fraction is 1/(num_epochs + 1)
+    ids: list[str]             # example id of each row
     variability_weighted: bool = False
-    weights: dict[str, float] | None = None
+    weights: np.ndarray | None = None  # variability per row
 
     @property
     def num_buckets(self) -> int:
@@ -126,24 +134,26 @@ def build_annealing_plan(
     bucketed this way; continuous metrics belong to the competence
     scheduler.
     """
-    for eid, s in scores.scores.items():
+    ids = list(scores.scores)
+    by_value: dict[int, list[int]] = {}
+    for row, (eid, s) in enumerate(scores.scores.items()):
         if not float(s).is_integer():
             raise ValueError(
                 f"score {s} for {eid!r} is not an integer; use the "
                 "competence scheduler for continuous metrics"
             )
-    by_value: dict[int, list[str]] = {}
-    for eid, s in scores.scores.items():
-        by_value.setdefault(int(s), []).append(eid)
+        by_value.setdefault(int(s), []).append(row)
     values = sorted(by_value, reverse=scores.higher_is_easier)
-    buckets = [sorted(by_value[v]) for v in values]
+    buckets = [np.array(sorted(by_value[v], key=ids.__getitem__), dtype=np.int64)
+               for v in values]
     if variability_weighted and variability is None:
         raise ValueError("variability weights required for weighted annealing")
     return AnnealingPlan(
         buckets=buckets,
         num_epochs=num_epochs,
+        ids=ids,
         variability_weighted=variability_weighted,
-        weights=dict(variability) if variability else None,
+        weights=_row_values(ids, variability),
     )
 
 
@@ -161,7 +171,7 @@ def annealing_stage_pool_sizes(plan: AnnealingPlan) -> list[int]:
 
 class AnnealingSampler:
     """Stage k serves bucket d_k plus a fresh uniform carryover sample of
-    floor(|d_j|/(E+1)) ids from each earlier bucket, shuffled once and
+    floor(|d_j|/(E+1)) rows from each earlier bucket, shuffled once and
     consumed without replacement (weighted by variability when asked);
     after the last stage, plain shuffle-epochs over everything.
     """
@@ -178,63 +188,60 @@ class AnnealingSampler:
         self.plan = plan
         self.batch_size = batch_size
         self.rng = np.random.default_rng(seed)
-        self._all_ids = [eid for bucket in plan.buckets for eid in bucket]
+        self._all_rows = np.concatenate(plan.buckets)
         self._stage = 0
-        self._queue: list[str] = []
+        self._queue = self._all_rows[:0]
         self._post: _EpochShuffler | None = None
-        self.stage_log: list[list[str]] = []  # pool actually built per stage
+        self.stage_log: list[np.ndarray] = []  # pool actually built per stage
 
     @property
     def phase(self) -> str:
         return "post-curriculum" if self._post is not None else "curriculum"
 
     def epoch_length(self) -> int:
-        return math.ceil(len(self._all_ids) / self.batch_size)
+        return math.ceil(len(self._all_rows) / self.batch_size)
 
     def _enter_next_stage(self) -> None:
         k = self._stage  # 0-based index of the stage being entered
         denom = self.plan.num_epochs + 1
-        pool = list(self.plan.buckets[k])
-        for j in range(k):
-            take = len(self.plan.buckets[j]) // denom
+        parts = [self.plan.buckets[k]]
+        for bucket in self.plan.buckets[:k]:
+            take = len(bucket) // denom
             if take > 0:
-                picks = self.rng.choice(len(self.plan.buckets[j]), size=take,
-                                        replace=False)
-                pool.extend(self.plan.buckets[j][i] for i in sorted(int(p) for p in picks))
+                picks = self.rng.choice(len(bucket), size=take, replace=False)
+                parts.append(bucket[np.sort(picks)])
+        pool = np.concatenate(parts)
         if self.plan.variability_weighted:
-            weights = np.array(
-                [self.plan.weights.get(eid, 0.0) + VARIABILITY_EPS for eid in pool]
-            )
-            ordered = _weighted_order(self.rng, pool, weights)
+            weights = self.plan.weights[pool] + VARIABILITY_EPS
+            self._queue = _weighted_order(self.rng, pool, weights)
         else:
-            perm = self.rng.permutation(len(pool))
-            ordered = [pool[i] for i in perm]
-        self.stage_log.append(list(pool))
-        self._queue = ordered
+            self._queue = pool[self.rng.permutation(len(pool))]
+        self.stage_log.append(pool)
         self._stage += 1
 
-    def next_batch(self, step: int) -> list[str]:
+    def next_batch(self, step: int) -> np.ndarray:
         if self._post is not None:
             return self._post.next_batch()
-        if not self._queue:
+        if not len(self._queue):
             if self._stage < self.plan.num_buckets:
                 self._enter_next_stage()
             else:
-                self._post = _EpochShuffler(self._all_ids, self.batch_size, self.rng)
+                self._post = _EpochShuffler(self._all_rows, self.batch_size, self.rng)
                 return self._post.next_batch()
         batch = self._queue[: self.batch_size]
-        del self._queue[: self.batch_size]
+        self._queue = self._queue[self.batch_size:]
         return batch
 
 
 @dataclass
 class CompetencePlan:
-    # ordering is easiest-first; ties broken by ascending variability, then id
-    ordering: list[str]
+    # ordering is rows, easiest-first; ties broken by ascending variability, then id
+    ordering: np.ndarray
+    ids: list[str]  # example id of each row
     c0: float = 0.01
     duration: int = 1
     variability_weighted: bool = False
-    weights: dict[str, float] | None = None
+    weights: np.ndarray | None = None  # variability per row
     form: str = "sqrt"
 
     def __post_init__(self):
@@ -254,26 +261,27 @@ def build_competence_plan(
     variability_weighted: bool = False,
     form: str = "sqrt",
 ) -> CompetencePlan:
-    sign = -1.0 if scores.higher_is_easier else 1.0
-    var = variability or {}
-    ordering = sorted(
-        scores.scores,
-        key=lambda eid: (sign * scores.scores[eid], var.get(eid, 0.0), eid),
-    )
     if variability_weighted and variability is None:
         raise ValueError("variability weights required for weighted competence")
+    ids = list(scores.scores)
+    sign = -1.0 if scores.higher_is_easier else 1.0
+    keyed = [sign * s for s in scores.scores.values()]
+    weights = _row_values(ids, variability)
+    tie = [0.0] * len(ids) if weights is None else weights.tolist()
+    ordering = sorted(range(len(ids)), key=lambda i: (keyed[i], tie[i], ids[i]))
     return CompetencePlan(
-        ordering=ordering,
+        ordering=np.array(ordering, dtype=np.int64),
+        ids=ids,
         c0=c0,
         duration=duration,
         variability_weighted=variability_weighted,
-        weights=dict(variability) if variability else None,
+        weights=weights,
         form=form,
     )
 
 
 class CompetenceSampler:
-    """At step t the first ceil(c(t) * N) ids of the easiest-first ordering
+    """At step t the first ceil(c(t) * N) rows of the easiest-first ordering
     are available; batches are drawn from them with replacement (uniformly,
     or proportionally to variability + eps). Past the duration, uniform
     shuffle-epochs over the full set."""
@@ -290,12 +298,8 @@ class CompetenceSampler:
         self.rng = np.random.default_rng(seed)
         self._n = len(plan.ordering)
         self._pacing = _COMPETENCE_FORMS[plan.form]
-        if plan.variability_weighted:
-            self._weights = np.array(
-                [plan.weights.get(eid, 0.0) + VARIABILITY_EPS for eid in plan.ordering]
-            )
-        else:
-            self._weights = None
+        self._weights = (plan.weights[plan.ordering] + VARIABILITY_EPS
+                         if plan.variability_weighted else None)
         self._post: _EpochShuffler | None = None
 
     @property
@@ -309,12 +313,10 @@ class CompetenceSampler:
         c = self._pacing(step, self.plan.c0, self.plan.duration)
         return min(self._n, max(1, math.ceil(c * self._n)))
 
-    def next_batch(self, step: int) -> list[str]:
+    def next_batch(self, step: int) -> np.ndarray:
         if step > self.plan.duration:
             if self._post is None:
-                self._post = _EpochShuffler(
-                    list(self.plan.ordering), self.batch_size, self.rng
-                )
+                self._post = _EpochShuffler(self.plan.ordering, self.batch_size, self.rng)
             return self._post.next_batch()
         m = self.available_count(step)
         if self._weights is not None:
@@ -322,7 +324,7 @@ class CompetenceSampler:
             picks = self.rng.choice(m, size=self.batch_size, replace=True, p=p)
         else:
             picks = self.rng.integers(0, m, size=self.batch_size)
-        return [self.plan.ordering[int(i)] for i in picks]
+        return self.plan.ordering[picks]
 
 
 def plan_summary(plan) -> dict:
@@ -331,13 +333,12 @@ def plan_summary(plan) -> dict:
     if plan is None:
         return {"scheduler": "random"}
     if isinstance(plan, AnnealingPlan):
-        ids = [eid for bucket in plan.buckets for eid in bucket]
         return {
             "scheduler": "annealing",
             "bucket_sizes": [len(b) for b in plan.buckets],
             "carryover_denominator": plan.num_epochs + 1,
             "variability_weighted": plan.variability_weighted,
-            "ordering_digest": _digest(ids),
+            "ordering_digest": _digest(plan.ids, np.concatenate(plan.buckets)),
         }
     if isinstance(plan, CompetencePlan):
         return {
@@ -347,14 +348,14 @@ def plan_summary(plan) -> dict:
             "duration": plan.duration,
             "form": plan.form,
             "variability_weighted": plan.variability_weighted,
-            "ordering_digest": _digest(plan.ordering),
+            "ordering_digest": _digest(plan.ids, plan.ordering),
         }
     raise TypeError(f"not a plan: {type(plan).__name__}")
 
 
-def _digest(ids: list[str]) -> str:
+def _digest(ids: list[str], rows: np.ndarray) -> str:
     h = hashlib.sha256()
-    for eid in ids:
-        h.update(eid.encode("utf-8"))
+    for row in rows:
+        h.update(ids[row].encode("utf-8"))
         h.update(b"\n")
     return h.hexdigest()

@@ -24,14 +24,15 @@ TD_METRICS = ("confidence", "correctness", "variability")
 
 @dataclass
 class DifficultyScores:
+    """Per-example difficulty keyed by example id. The key order numbers the
+    rows that curriculum plans and samplers index; the student stage reads
+    scores for exactly the train corpus's ids in corpus order, so there row
+    i is train example i."""
+
     metric_name: str
     scores: dict[str, float]
     higher_is_easier: bool
     variability: dict[str, float] | None = None  # only scores from dynamics stats
-
-    def order_easiest_first(self) -> list[str]:
-        sign = -1.0 if self.higher_is_easier else 1.0
-        return sorted(self.scores, key=lambda eid: (sign * self.scores[eid], eid))
 
 
 @dataclass
@@ -72,33 +73,21 @@ def from_td(
     )
 
 
-def partition_subsets(ids: list[str], num_subsets: int, seed: int) -> list[list[str]]:
-    """Seeded random partition into near-equal subsets; sizes differ by at
-    most one, remainder going to the lowest-indexed subsets."""
-    rng = np.random.default_rng(seed)
-    order = [ids[i] for i in rng.permutation(len(ids))]
-    base, extra = divmod(len(ids), num_subsets)
-    folds, start = [], 0
-    for k in range(num_subsets):
-        size = base + (1 if k < extra else 0)
-        folds.append(order[start:start + size])
-        start += size
-    return folds
+def partition_subsets(n: int, num_subsets: int, seed: int) -> list[np.ndarray]:
+    """Seeded random partition of rows 0..n-1 into near-equal subsets; sizes
+    differ by at most one, remainder going to the lowest-indexed subsets."""
+    return np.array_split(np.random.default_rng(seed).permutation(n), num_subsets)
 
 
-def cross_review(
-    corpus: Corpus, config: CrossReviewConfig, return_folds: bool = False
-):
+def cross_review(corpus: Corpus, config: CrossReviewConfig) -> DifficultyScores:
     """Fold-teacher difficulty: train one teacher per subset on that subset
     only, then score every example by the number of correct classifications
-    among the teachers from the N-1 *other* subsets.
-
-    With ``return_folds`` the fold partition is returned too (leakage
-    audits).
+    among the teachers from the N-1 *other* subsets. The subsets are
+    ``partition_subsets(corpus.size, config.num_subsets, config.seed)``.
     """
     if config.num_subsets > corpus.size:
         raise ValueError("num_subsets exceeds the train set size")
-    folds = partition_subsets(corpus.ids(), config.num_subsets, config.seed)
+    folds = partition_subsets(corpus.size, config.num_subsets, config.seed)
     min_fold = min(len(f) for f in folds)
     if min_fold < config.train.batch_size:
         raise ValueError(
@@ -108,23 +97,19 @@ def cross_review(
 
     from .curricula import RandomSampler  # runtime import avoids a cycle
 
-    fold_of = {eid: k for k, fold in enumerate(folds) for eid in fold}
-    counts = Counter()
     labels = corpus.labels()
+    votes = np.zeros(corpus.size, dtype=np.int64)
     for k, fold in enumerate(folds):
-        fold_corpus = corpus.subset(set(fold))
         cfg = replace(config.train, seed=config.train.seed + k)
-        sampler = RandomSampler(fold_corpus.ids(), cfg.batch_size, seed=cfg.seed)
-        params, _, _ = train(fold_corpus, None, cfg, sampler, collect_probes=False)
-        pred = predict(params, corpus)
-        for i, ex in enumerate(corpus.examples):
-            if fold_of[ex.id] != k and pred[i] == labels[i]:
-                counts[ex.id] += 1
+        sampler = RandomSampler(np.sort(fold), cfg.batch_size, seed=cfg.seed)
+        params, _, _ = train(corpus, None, cfg, sampler, collect_probes=False)
+        outside_fold = np.ones(corpus.size, dtype=bool)
+        outside_fold[fold] = False
+        votes += (predict(params, corpus) == labels) & outside_fold
 
-    scores = {eid: float(counts.get(eid, 0)) for eid in corpus.ids()}
-    result = DifficultyScores(metric_name="cross_review", scores=scores,
-                              higher_is_easier=True)
-    return (result, folds) if return_folds else result
+    scores = {eid: float(v) for eid, v in zip(corpus.ids(), votes)}
+    return DifficultyScores(metric_name="cross_review", scores=scores,
+                            higher_is_easier=True)
 
 
 # --- task-agnostic heuristics ----------------------------------------------

@@ -23,9 +23,9 @@ from .corpus import Corpus
 
 
 class Sampler(Protocol):
-    """Contract consumed by train(): ids per batch, batches per epoch."""
+    """Contract consumed by train(): train-corpus rows per batch, batches per epoch."""
 
-    def next_batch(self, step: int) -> list[str]: ...
+    def next_batch(self, step: int) -> np.ndarray: ...
 
     def epoch_length(self) -> int: ...
 
@@ -215,7 +215,6 @@ def train(
     """
     X = corpus.feature_matrix()
     y = corpus.labels()
-    row_of = {ex.id: i for i, ex in enumerate(corpus.examples)}
 
     params = init_params(corpus.feature_dim, corpus.num_classes, hidden_size, config.seed)
     vel_w = [np.zeros_like(w) for w in params.weights]
@@ -240,15 +239,11 @@ def train(
     momentum = 0.9
     for epoch in range(1, config.epochs + 1):
         for offset in range(1, epoch_len + 1):
-            batch_ids = sampler.next_batch(step)
-            if not batch_ids:
+            rows = sampler.next_batch(step)
+            if not len(rows):
                 raise RuntimeError(
                     f"sampler exhausted mid-epoch at step {step} (contract violation)"
                 )
-            try:
-                rows = [row_of[i] for i in batch_ids]
-            except KeyError as exc:
-                raise RuntimeError(f"sampler emitted unknown example id {exc}") from None
             loss, (wgrads, bgrads) = loss_and_grad(params, X[rows], y[rows])
             clip_gradients(wgrads, bgrads, config.grad_clip)
             for i in range(len(params.weights)):

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from currikit import cli
 from currikit.cli import (
+    SCHEDULERS,
     ValidationError,
     cmd_compare,
     cmd_student,
@@ -16,7 +18,7 @@ from currikit.cli import (
 )
 from currikit.corpus import load_jsonl
 from currikit.difficulty import read_scores, read_scores_header
-from currikit.dynamics import read_td_stats
+from currikit.dynamics import read_td_stats, write_td_stats
 
 BASE_CONFIG = {
     "synth": {
@@ -337,6 +339,20 @@ class TestSweepCommand:
         for rel in sorted(p.relative_to(seq) for p in seq.rglob("*.jsonl")):
             assert (seq / rel).read_bytes() == (par / rel).read_bytes(), rel
 
+    def test_sweep_resolves_corpora_once(self, tmp_path, config_path, capsys,
+                                         monkeypatch):
+        calls = []
+
+        def counting(config):
+            calls.append(config)
+            return resolve_corpora(config)
+
+        monkeypatch.setattr(cli, "resolve_corpora", counting)
+        cmd_sweep(load_config(config_path), tmp_path / "sweep", list(SCHEDULERS),
+                  rounds=300)
+        capsys.readouterr()
+        assert len(calls) == 1
+
 
 class TestCliEntryPoint:
     def test_exit_zero_on_success(self, tmp_path, config_path):
@@ -387,6 +403,34 @@ class TestCliEntryPoint:
                      "--scheduler", "conf_comp", "--scores", str(scores)])
         assert code == 1
         assert str(scores) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, scheduler, field, bad", [
+        ("scores", "length", "score", float("nan")),
+        ("scores", "length", "score", float("inf")),
+        ("stats", "conf_comp", "confidence", float("nan")),
+        ("stats", "corr_anneal", "variability", float("-inf")),
+    ], ids=["scores-nan", "scores-inf", "stats-nan-confidence", "stats-inf-variability"])
+    def test_non_finite_scores_rejected(self, run_dir, config_path, tmp_path, capsys,
+                                        kind, scheduler, field, bad):
+        stats = read_td_stats(run_dir / "teacher" / "td_stats.jsonl")
+        victim = list(stats)[7]
+        path = tmp_path / f"{kind}.jsonl"
+        if kind == "scores":
+            lines = [{"metric_name": "length", "higher_is_easier": False}] + [
+                {"example_id": eid, "score": bad if eid == victim else float(i)}
+                for i, eid in enumerate(stats)
+            ]
+            path.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+        else:
+            setattr(stats[victim], field, bad)
+            write_td_stats(stats, path)
+        out = tmp_path / "o"
+        code = main(["student", "--config", str(config_path), "--out", str(out),
+                     "--scheduler", scheduler, "--scores", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and repr(victim) in err
+        assert not (out / "students").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["teacher", "--config", str(tmp_path / "none.json"),

@@ -27,6 +27,11 @@ def int_scores(value_to_count, higher_is_easier=True):
                             higher_is_easier=higher_is_easier)
 
 
+def served_ids(plan, batches):
+    """Example ids of the rows in ``batches``, in serving order."""
+    return [plan.ids[row] for batch in batches for row in batch]
+
+
 class TestCompetenceFunction:
     def test_endpoints_exact(self):
         assert competence(0, 0.01, 100) == 0.01
@@ -78,8 +83,15 @@ class TestAnnealingPlan:
     def test_buckets_partition_the_ids(self):
         scores = int_scores({0: 7, 1: 7, 2: 7})
         plan = build_annealing_plan(scores, num_epochs=2)
-        flat = [eid for b in plan.buckets for eid in b]
-        assert sorted(flat) == sorted(scores.scores)
+        assert plan.ids == list(scores.scores)
+        assert sorted(served_ids(plan, plan.buckets)) == sorted(scores.scores)
+
+    def test_buckets_are_sorted_by_id(self):
+        scores = int_scores({0: 7, 1: 7})
+        scores.scores = dict(reversed(scores.scores.items()))
+        plan = build_annealing_plan(scores, num_epochs=1)
+        for bucket in plan.buckets:
+            assert served_ids(plan, [bucket]) == sorted(served_ids(plan, [bucket]))
 
 
 class TestAnnealingSampler:
@@ -140,8 +152,7 @@ class TestAnnealingSampler:
         plan = build_annealing_plan(scores, num_epochs=3)
         sampler = AnnealingSampler(plan, batch_size=10, seed=5)
         first_epoch = [sampler.next_batch(i) for i in range(5)]
-        served = sorted(eid for b in first_epoch for eid in b)
-        assert served == sorted(scores.scores)
+        assert sorted(served_ids(plan, first_epoch)) == sorted(scores.scores)
         assert sampler.phase == "curriculum"
         sampler.next_batch(5)
         assert sampler.phase == "post-curriculum"
@@ -153,7 +164,7 @@ class TestAnnealingSampler:
         for i in range(3):  # curriculum stage: 30 ids
             sampler.next_batch(i)
         epoch = [sampler.next_batch(3 + i) for i in range(3)]
-        assert sorted(eid for b in epoch for eid in b) == sorted(scores.scores)
+        assert sorted(served_ids(plan, epoch)) == sorted(scores.scores)
 
     def test_batch_larger_than_pool_rejected(self):
         scores = int_scores({2: 4, 1: 40})
@@ -184,7 +195,7 @@ def confidence_scores(n):
 class TestCompetencePlan:
     def test_ordering_is_easiest_first(self):
         plan = build_competence_plan(confidence_scores(10), c0=0.1, duration=50)
-        assert plan.ordering == [f"e{i:04d}" for i in range(10)]
+        assert served_ids(plan, [plan.ordering]) == [f"e{i:04d}" for i in range(10)]
 
     def test_tie_break_by_variability_then_id(self):
         scores = DifficultyScores(
@@ -194,14 +205,14 @@ class TestCompetencePlan:
         )
         plan = build_competence_plan(scores, c0=0.1, duration=10,
                                      variability={"a": 0.3, "b": 0.1, "c": 0.3})
-        assert plan.ordering == ["b", "a", "c"]
+        assert served_ids(plan, [plan.ordering]) == ["b", "a", "c"]
 
     def test_heuristic_orientation(self):
         scores = DifficultyScores(metric_name="length",
                                   scores={"a": 9.0, "b": 2.0},
                                   higher_is_easier=False)
         plan = build_competence_plan(scores, c0=0.5, duration=10)
-        assert plan.ordering == ["b", "a"]
+        assert served_ids(plan, [plan.ordering]) == ["b", "a"]
 
     def test_invalid_c0(self):
         with pytest.raises(ValueError):
@@ -243,9 +254,7 @@ class TestCompetenceSampler:
         assert sampler.phase == "curriculum"
         epoch = [sampler.next_batch(6 + i) for i in range(3)]
         assert sampler.phase == "post-curriculum"
-        assert sorted(eid for b in epoch for eid in b) == sorted(
-            s for s in plan.ordering
-        )
+        assert sorted(served_ids(plan, epoch)) == sorted(served_ids(plan, [plan.ordering]))
 
     def test_equal_weights_draw_is_uniform(self):
         # weighted sampling with constant variability must match uniform:
@@ -258,7 +267,7 @@ class TestCompetenceSampler:
         sampler = CompetenceSampler(plan, batch_size=100, steps_per_epoch=10, seed=11)
         counts = {eid: 0 for eid in scores.scores}
         for t in range(1000):
-            for eid in sampler.next_batch(t):
+            for eid in served_ids(plan, [sampler.next_batch(t)]):
                 counts[eid] += 1
         observed = np.array([counts[eid] for eid in sorted(counts)])
         _, p = scipy_stats.chisquare(observed)
@@ -274,7 +283,7 @@ class TestCompetenceSampler:
         sampler = CompetenceSampler(plan, batch_size=100, steps_per_epoch=10, seed=2)
         counts = {eid: 0 for eid in scores.scores}
         for t in range(200):
-            for eid in sampler.next_batch(t):
+            for eid in served_ids(plan, [sampler.next_batch(t)]):
                 counts[eid] += 1
         heavy = sum(counts[eid] for eid in sorted(counts)[:5])
         light = sum(counts[eid] for eid in sorted(counts)[5:])
@@ -283,26 +292,48 @@ class TestCompetenceSampler:
 
 class TestRandomSampler:
     def test_epoch_serves_every_id_once(self):
-        ids = [f"e{i}" for i in range(47)]
-        sampler = RandomSampler(ids, batch_size=10, seed=0)
+        rows = np.arange(47)
+        sampler = RandomSampler(rows, batch_size=10, seed=0)
         assert sampler.epoch_length() == 5
-        epoch = [sampler.next_batch(i) for i in range(5)]
-        assert sorted(eid for b in epoch for eid in b) == sorted(ids)
+        epoch = np.concatenate([sampler.next_batch(i) for i in range(5)])
+        assert sorted(epoch) == list(rows)
 
     def test_same_seed_same_batches(self):
-        ids = [f"e{i}" for i in range(30)]
-        s1 = RandomSampler(ids, 8, seed=5)
-        s2 = RandomSampler(ids, 8, seed=5)
+        s1 = RandomSampler(np.arange(30), 8, seed=5)
+        s2 = RandomSampler(np.arange(30), 8, seed=5)
         for t in range(12):
-            assert s1.next_batch(t) == s2.next_batch(t)
+            assert np.array_equal(s1.next_batch(t), s2.next_batch(t))
 
     def test_epochs_differ(self):
-        ids = [f"e{i}" for i in range(64)]
-        sampler = RandomSampler(ids, 64, seed=1)
+        sampler = RandomSampler(np.arange(64), 64, seed=1)
         first = sampler.next_batch(0)
         second = sampler.next_batch(1)
-        assert first != second
+        assert not np.array_equal(first, second)
         assert sorted(first) == sorted(second)
+
+    def test_serves_only_the_given_rows(self):
+        rows = np.array([3, 8, 9, 20, 21])
+        sampler = RandomSampler(rows, 2, seed=0)
+        epoch = np.concatenate([sampler.next_batch(t) for t in range(3)])
+        assert sorted(epoch) == list(rows)
+
+
+class TestSamplerContract:
+    @pytest.mark.parametrize("kind", ["random", "annealing", "competence"])
+    def test_batches_are_int64_rows(self, kind):
+        scores = int_scores({2: 12, 1: 8})
+        if kind == "random":
+            sampler = RandomSampler(np.arange(20), 4, seed=0)
+        elif kind == "annealing":
+            plan = build_annealing_plan(scores, num_epochs=2)
+            sampler = AnnealingSampler(plan, batch_size=4, seed=0)
+        else:
+            plan = build_competence_plan(scores, c0=0.1, duration=5)
+            sampler = CompetenceSampler(plan, batch_size=4, steps_per_epoch=5, seed=0)
+        for t in range(15):  # curriculum and post-curriculum phases
+            batch = sampler.next_batch(t)
+            assert batch.dtype == np.int64 and batch.ndim == 1
+            assert len(batch) and 0 <= batch.min() and batch.max() < 20
 
 
 class TestPlanSummary:

@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from currikit.corpus import Corpus, Example, SynthSpec, generate_synthetic
+from currikit.curricula import RandomSampler, build_competence_plan
 from currikit.difficulty import (
     CrossReviewConfig,
     cross_review,
@@ -16,7 +19,7 @@ from currikit.difficulty import (
     write_scores,
 )
 from currikit.dynamics import TDStats
-from currikit.trainer import TrainConfig
+from currikit.trainer import TrainConfig, predict, train
 
 
 def text_corpus(texts, labels=None, num_classes=2, split="train"):
@@ -46,7 +49,8 @@ class TestFromTD:
     def test_confidence_orientation(self):
         scores = from_td(self.stats, "confidence")
         assert scores.higher_is_easier
-        assert scores.order_easiest_first() == ["a", "b"]
+        # a is the more confident example
+        assert scores.scores["a"] > scores.scores["b"]
 
     def test_correctness_tie(self):
         scores = from_td(self.stats, "correctness")
@@ -69,23 +73,22 @@ class TestFromTD:
 
 class TestPartition:
     def test_near_equal_99_by_3(self):
-        folds = partition_subsets([f"e{i}" for i in range(99)], 3, seed=0)
+        folds = partition_subsets(99, 3, seed=0)
         assert [len(f) for f in folds] == [33, 33, 33]
 
     def test_remainder_to_lowest_indices(self):
-        folds = partition_subsets([f"e{i}" for i in range(10)], 4, seed=0)
+        folds = partition_subsets(10, 4, seed=0)
         assert [len(f) for f in folds] == [3, 3, 2, 2]
 
     def test_is_a_partition(self):
-        ids = [f"e{i}" for i in range(57)]
-        folds = partition_subsets(ids, 5, seed=3)
-        flat = [eid for fold in folds for eid in fold]
-        assert sorted(flat) == sorted(ids)
+        folds = partition_subsets(57, 5, seed=3)
+        assert sorted(np.concatenate(folds)) == list(range(57))
 
     def test_seeded(self):
-        ids = [f"e{i}" for i in range(30)]
-        assert partition_subsets(ids, 3, seed=1) == partition_subsets(ids, 3, seed=1)
-        assert partition_subsets(ids, 3, seed=1) != partition_subsets(ids, 3, seed=2)
+        one, again, other = (np.concatenate(partition_subsets(30, 3, seed=s))
+                             for s in (1, 1, 2))
+        assert np.array_equal(one, again)
+        assert not np.array_equal(one, other)
 
 
 @pytest.fixture(scope="module")
@@ -104,9 +107,10 @@ class TestCrossReview:
         )
 
     def test_two_folds_scores_binary(self, easy_synth):
-        scores, folds = cross_review(easy_synth, self.config(2), return_folds=True)
+        # each example is voted on by the one teacher that did not train on it
+        scores = cross_review(easy_synth, self.config(2))
         assert set(scores.scores.values()) <= {0.0, 1.0}
-        assert len(folds) == 2
+        assert len(partition_subsets(easy_synth.size, 2, seed=9)) == 2
 
     def test_separable_data_mostly_max_votes(self, easy_synth):
         scores = cross_review(easy_synth, self.config(3))
@@ -121,12 +125,22 @@ class TestCrossReview:
     def test_no_fold_scores_itself(self, easy_synth):
         # structural leakage check: score bound is N-1, and the fold
         # partition covers the corpus exactly once
-        scores, folds = cross_review(easy_synth, self.config(4), return_folds=True)
-        flat = [eid for fold in folds for eid in fold]
-        assert sorted(flat) == sorted(easy_synth.ids())
+        config = self.config(4)
+        scores = cross_review(easy_synth, config)
+        folds = partition_subsets(easy_synth.size, 4, seed=9)
+        assert sorted(np.concatenate(folds)) == list(range(easy_synth.size))
         assert max(scores.scores.values()) <= 3.0
-        # folds come from the seeded partition helper, reproducibly
-        assert folds == partition_subsets(easy_synth.ids(), 4, seed=9)
+        # reference loop: fold k's teacher votes only on rows outside fold k
+        votes = [0.0] * easy_synth.size
+        for k, fold in enumerate(folds):
+            cfg = replace(config.train, seed=config.train.seed + k)
+            sampler = RandomSampler(np.sort(fold), cfg.batch_size, seed=cfg.seed)
+            params, _, _ = train(easy_synth, None, cfg, sampler, collect_probes=False)
+            pred = predict(params, easy_synth)
+            for row, ex in enumerate(easy_synth.examples):
+                if row not in fold and pred[row] == ex.label:
+                    votes[row] += 1
+        assert list(scores.scores.values()) == votes
 
     def test_subset_smaller_than_batch(self, easy_synth):
         cfg = CrossReviewConfig(
@@ -239,10 +253,13 @@ class TestScoresFormat:
             metric_name="m", higher_is_easier=True,
             scores={"a": 3.0, "b": 1.0, "c": 2.0},
         )
-        easiest = scores.order_easiest_first()
         flipped = DifficultyScores(metric_name="m", higher_is_easier=False,
                                    scores=scores.scores)
-        assert easiest == list(reversed(flipped.order_easiest_first()))
+        easiest, flipped_easiest = (
+            build_competence_plan(s, c0=1.0, duration=1).ordering for s in (scores, flipped)
+        )
+        assert easiest.tolist() == [0, 2, 1]
+        assert easiest.tolist() == flipped_easiest[::-1].tolist()
 
     def test_file_round_trip(self, tmp_path):
         from currikit.difficulty import DifficultyScores

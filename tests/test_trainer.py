@@ -119,6 +119,10 @@ class TestEvaluate:
             evaluate(params, corpus)
 
 
+def random_sampler(corpus, batch_size, seed):
+    return RandomSampler(np.arange(corpus.size), batch_size, seed=seed)
+
+
 @pytest.fixture(scope="module")
 def separable():
     spec = SynthSpec(num_classes=2, train_size=200, val_size=50, test_size=50,
@@ -131,21 +135,21 @@ class TestTrain:
     def test_one_epoch_learns_separable_data(self, separable):
         train_c, val_c, _, _ = separable
         cfg = TrainConfig(epochs=1, batch_size=16, learning_rate=1.0, seed=3)
-        params, _, _ = train(train_c, val_c, cfg, RandomSampler(train_c, 16, seed=3))
+        params, _, _ = train(train_c, val_c, cfg, random_sampler(train_c, 16, seed=3))
         assert evaluate(params, train_c) >= 0.95
 
     def test_probes_disabled(self, separable):
         train_c, val_c, _, _ = separable
         cfg = TrainConfig(epochs=1, batch_size=16, learning_rate=1.0, seed=3)
         _, _, probes = train(train_c, val_c, cfg,
-                             RandomSampler(train_c, 16, seed=3),
+                             random_sampler(train_c, 16, seed=3),
                              collect_probes=False)
         assert probes is None
 
     def test_probe_coverage_every_epoch(self, separable):
         train_c, val_c, _, _ = separable
         cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=1.0, seed=3)
-        _, _, probes = train(train_c, val_c, cfg, RandomSampler(train_c, 16, seed=3))
+        _, _, probes = train(train_c, val_c, cfg, random_sampler(train_c, 16, seed=3))
         assert probes.ids == train_c.ids()
         assert probes.gold_prob.shape == probes.correct.shape == (3, train_c.size)
         assert probes.correct.dtype == bool
@@ -154,14 +158,14 @@ class TestTrain:
         train_c, val_c, _, _ = separable
         for name in ("a", "b"):
             cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=1.0, seed=5)
-            _, log, _ = train(train_c, val_c, cfg, RandomSampler(train_c, 16, seed=5))
+            _, log, _ = train(train_c, val_c, cfg, random_sampler(train_c, 16, seed=5))
             write_runlog(log, tmp_path / f"{name}.jsonl")
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
     def test_best_val_is_max_of_validation_records(self, separable):
         train_c, val_c, _, _ = separable
         cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=1.0, seed=5)
-        _, log, _ = train(train_c, val_c, cfg, RandomSampler(train_c, 16, seed=5))
+        _, log, _ = train(train_c, val_c, cfg, random_sampler(train_c, 16, seed=5))
         val_accs = [(s, v) for (s, sp, m, v) in log.records
                     if sp == "validation" and m == "accuracy"]
         assert log.best_val_metric == max(v for _, v in val_accs)
@@ -176,7 +180,7 @@ class TestTrain:
                          label_noise_fraction=0.0, ood_shift=0.5, seed=17)
         train_c, val_c, _, _ = generate_synthetic(spec)
         cfg = TrainConfig(epochs=1, batch_size=32, learning_rate=0.5, seed=9)
-        _, log, _ = train(train_c, val_c, cfg, RandomSampler(train_c, 32, seed=9))
+        _, log, _ = train(train_c, val_c, cfg, random_sampler(train_c, 32, seed=9))
         losses = [v for (_, sp, m, v) in log.records if m == "loss"]
         window = 10
         smoothed = [sum(losses[i:i + window]) / window
@@ -187,23 +191,23 @@ class TestTrain:
         train_c, val_c, _, _ = separable
 
         class Exhausting:
-            def __init__(self, ids):
-                self.ids = ids
+            def __init__(self, rows):
+                self.rows = rows
 
             def epoch_length(self):
                 return 5
 
             def next_batch(self, step):
-                return self.ids[:4] if step < 2 else []
+                return self.rows[:4] if step < 2 else self.rows[:0]
 
         cfg = TrainConfig(epochs=1, batch_size=4, learning_rate=0.1, seed=0)
         with pytest.raises(RuntimeError, match="exhausted"):
-            train(train_c, val_c, cfg, Exhausting(train_c.ids()))
+            train(train_c, val_c, cfg, Exhausting(np.arange(train_c.size)))
 
     def test_no_validation_returns_final_params(self, separable):
         train_c, _, _, _ = separable
         cfg = TrainConfig(epochs=1, batch_size=16, learning_rate=1.0, seed=3)
-        params, log, _ = train(train_c, None, cfg, RandomSampler(train_c, 16, seed=3))
+        params, log, _ = train(train_c, None, cfg, random_sampler(train_c, 16, seed=3))
         assert log.best_step == cfg.epochs * math.ceil(train_c.size / 16)
         assert not any(sp == "validation" for (_, sp, _, _) in log.records)
         assert evaluate(params, train_c) >= 0.95
@@ -213,7 +217,7 @@ class TestIO:
     def test_runlog_round_trip(self, tmp_path, separable):
         train_c, val_c, _, _ = separable
         cfg = TrainConfig(epochs=1, batch_size=16, learning_rate=1.0, seed=3)
-        _, log, _ = train(train_c, val_c, cfg, RandomSampler(train_c, 16, seed=3))
+        _, log, _ = train(train_c, val_c, cfg, random_sampler(train_c, 16, seed=3))
         write_runlog(log, tmp_path / "log.jsonl")
         back = read_runlog(tmp_path / "log.jsonl")
         assert back.records == log.records
@@ -223,7 +227,7 @@ class TestIO:
     def test_probes_round_trip(self, tmp_path, separable):
         train_c, val_c, _, _ = separable
         cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=1.0, seed=3)
-        _, _, probes = train(train_c, val_c, cfg, RandomSampler(train_c, 16, seed=3))
+        _, _, probes = train(train_c, val_c, cfg, random_sampler(train_c, 16, seed=3))
         write_probes(probes, tmp_path / "probes.jsonl")
         back = read_probes(tmp_path / "probes.jsonl")
         assert back.ids == probes.ids
