@@ -9,13 +9,13 @@ Plots are small hand-written SVG documents; no plotting dependency.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import atomic_open, write_json, write_text
 from .corpus import NOISY_SUFFIX
 from .dynamics import TDStats
 from .trainer import RunLog
@@ -208,7 +208,6 @@ def datamap_export(
     """Write <stem>.csv and a static <stem>.svg scatter (x = variability,
     y = confidence, color = correctness). Rows sorted by example id."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     points = [
         DataMapPoint(
             example_id=eid,
@@ -220,15 +219,14 @@ def datamap_export(
         for eid in sorted(td_stats)
     ]
     csv_path = out_dir / f"{stem}.csv"
-    with csv_path.open("w", encoding="utf-8", newline="") as fh:
+    with atomic_open(csv_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["example_id", "variability", "confidence",
                          "correctness", "noisy"])
-        for p in points:
-            writer.writerow([p.example_id, repr(p.variability), repr(p.confidence),
-                             p.correctness, str(p.noisy).lower()])
+        writer.writerows([p.example_id, repr(p.variability), repr(p.confidence),
+                          p.correctness, str(p.noisy).lower()] for p in points)
     svg_path = out_dir / f"{stem}.svg"
-    svg_path.write_text(_scatter_svg(points), encoding="utf-8")
+    write_text(svg_path, _scatter_svg(points))
     return csv_path, svg_path
 
 
@@ -293,17 +291,12 @@ def learning_curve(
         for i in range(len(grid))
     ]
     if out_csv is not None:
-        out_csv = Path(out_csv)
-        out_csv.parent.mkdir(parents=True, exist_ok=True)
-        with out_csv.open("w", encoding="utf-8", newline="") as fh:
+        with atomic_open(out_csv, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "mean", "std"])
-            for step, mean, std in rows:
-                writer.writerow([step, repr(mean), repr(std)])
+            writer.writerows([step, repr(mean), repr(std)] for step, mean, std in rows)
     if out_svg is not None:
-        out_svg = Path(out_svg)
-        out_svg.parent.mkdir(parents=True, exist_ok=True)
-        out_svg.write_text(_curve_svg(rows, f"{split} {metric}"), encoding="utf-8")
+        write_text(out_svg, _curve_svg(rows, f"{split} {metric}"))
     return rows
 
 
@@ -367,8 +360,4 @@ def _curve_svg(rows: list[tuple[int, float, float]], label: str) -> str:
 
 
 def write_correlations(matrix: CorrelationMatrix, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(matrix.to_json(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, matrix.to_json())

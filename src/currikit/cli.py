@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import analysis, curricula, difficulty, dynamics, trainer
+from . import analysis, artifacts, curricula, difficulty, dynamics, trainer
 from .corpus import (
     DEFAULT_HASH_DIM,
     Corpus,
@@ -103,7 +103,7 @@ def validate_config(config: dict) -> None:
             raise ValidationError(f"synth: {exc}") from None
     try:
         _train_config(config, seed=0)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"train: {exc}") from None
     seeds = config.get("seeds", [1, 2, 3])
     if not isinstance(seeds, list) or not seeds or not all(
@@ -127,8 +127,9 @@ def validate_config(config: dict) -> None:
         raise ValidationError(f"curriculum: {exc}") from None
     if curr.get("ngram_order", 2) not in (1, 2):
         raise ValidationError("curriculum.ngram_order must be 1 or 2")
-    if curr.get("add_k", 1.0) <= 0:
-        raise ValidationError("curriculum.add_k must be > 0")
+    add_k = curr.get("add_k", 1.0)
+    if not isinstance(add_k, (int, float)) or add_k <= 0:
+        raise ValidationError("curriculum.add_k must be a number > 0")
     try:
         difficulty.CrossReviewConfig(
             num_subsets=int(config.get("cross_review", {}).get("num_subsets", 10)))
@@ -184,16 +185,14 @@ def resolve_corpora(config: dict) -> dict[str, Corpus]:
 
 
 def snapshot_config(config: dict, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     snap = out_dir / "config.json"
     text = json.dumps(config, indent=2, sort_keys=True) + "\n"
-    if snap.exists():
-        if snap.read_text(encoding="utf-8") != text:
-            raise ValidationError(
-                f"{snap} already holds a different config; use a fresh --out directory"
-            )
-        return  # identical snapshot already in place; don't rewrite
-    snap.write_text(text, encoding="utf-8")
+    if not snap.exists():
+        artifacts.write_text(snap, text)
+    elif snap.read_text(encoding="utf-8") != text:  # an identical one is not rewritten
+        raise ValidationError(
+            f"{snap} already holds a different config; use a fresh --out directory"
+        )
 
 
 # --- stage 1: teacher / scoring ----------------------------------------------
@@ -215,7 +214,6 @@ def cmd_teacher(config: dict, out_dir: Path, metric: str = "dynamics",
         corpora = resolve_corpora(config)
     out_path = _teacher_artifact(out_dir, metric)
     teacher_dir = out_path.parent
-    teacher_dir.mkdir(parents=True, exist_ok=True)
     train_corpus = corpora["train"]
 
     if metric == "dynamics":
@@ -229,10 +227,11 @@ def cmd_teacher(config: dict, out_dir: Path, metric: str = "dynamics",
         )
         trainer.write_runlog(runlog, teacher_dir / "runlog.jsonl")
         trainer.write_probes(probes, teacher_dir / "probes.jsonl")
+        # td_stats.jsonl marks the teacher done for a resumed sweep: write it last.
+        artifacts.write_json(teacher_dir / "meta.json",
+                             {"metric": "dynamics", "epochs": cfg.epochs,
+                              "seed": cfg.seed, "hidden_size": _hidden_size(config)})
         dynamics.write_td_stats(dynamics.compute_all(probes), out_path)
-        _write_json(teacher_dir / "meta.json",
-                    {"metric": "dynamics", "epochs": cfg.epochs, "seed": cfg.seed,
-                     "hidden_size": _hidden_size(config)})
         return out_path
 
     if metric == "cross-review":
@@ -277,22 +276,16 @@ def _first_record(path: Path) -> dict:
     """First line of a teacher artifact: a scores header or a stats row."""
     if not path.exists():
         raise ValidationError(f"scores file not found: {path} (run the teacher first)")
-    with path.open("r", encoding="utf-8") as fh:
-        line = fh.readline()
-    try:
-        first = json.loads(line)
-    except json.JSONDecodeError:
-        raise ValidationError(f"{path}: empty, or its first line is not JSON") from None
+    first = next(artifacts.read_jsonl(path), None)
     if not isinstance(first, dict):
-        raise ValidationError(f"{path}: neither a dynamics-stats nor a scores file")
+        raise ValidationError(f"{path}: not a dynamics-stats or scores file")
     return first
 
 
 def _read_scores(path: Path, scheduler: str,
                  ids: list[str]) -> difficulty.DifficultyScores:
     """The scores ``scheduler`` orders by, for exactly ``ids`` in that order,
-    from a dynamics-stats file or a scores file; every score and variability
-    must be finite."""
+    from a dynamics-stats file or a scores file."""
     spec = _SCHEDULER_TABLE[scheduler]
     first = _first_record(path)
     if "confidence" in first:
@@ -326,11 +319,6 @@ def _read_scores(path: Path, scheduler: str,
             scores={eid: scores.scores[eid] for eid in ids},
             higher_is_easier=scores.higher_is_easier,
         )
-    for values in (scores.scores, scores.variability or {}):
-        for eid, value in values.items():
-            if not math.isfinite(value):
-                raise ValidationError(
-                    f"{path}: non-finite value {value} for example {eid!r}")
     return scores
 
 
@@ -343,8 +331,7 @@ def _annealing_epochs(path: Path, out_dir: Path,
         return int(header["num_subsets"]) - 1
     meta = out_dir / "teacher" / "meta.json"
     if meta.exists():
-        with meta.open("r", encoding="utf-8") as fh:
-            return int(json.load(fh)["epochs"])
+        return int(artifacts.read_json(meta)["epochs"])
     return max(1, int(max(scores.scores.values())))
 
 
@@ -356,9 +343,7 @@ def _competence_duration(config: dict, seed: int, total_steps: int) -> int:
         summary_path = Path(curr["baseline_dir"]) / "summary.json"
         if not summary_path.exists():
             raise ValidationError(f"curriculum.baseline_dir: {summary_path} not found")
-        with summary_path.open("r", encoding="utf-8") as fh:
-            summary = json.load(fh)
-        best_steps = summary.get("best_steps", {})
+        best_steps = artifacts.read_json(summary_path).get("best_steps", {})
         if str(seed) not in best_steps:
             raise ValidationError(
                 f"curriculum.baseline_dir has no run for seed {seed}"
@@ -411,11 +396,10 @@ def _run_student_seed(config: dict, corpora: dict[str, Corpus], scheduler: str,
         train_corpus, corpora["validation"], cfg, sampler,
         hidden_size=_hidden_size(config), collect_probes=False,
     )
-    seed_dir.mkdir(parents=True, exist_ok=True)
     trainer.write_runlog(runlog, seed_dir / "runlog.jsonl")
     summary = curricula.plan_summary(plan)
     summary.update({"scheduler_name": scheduler, "seed": seed})
-    _write_json(seed_dir / "plan.json", summary)
+    artifacts.write_json(seed_dir / "plan.json", summary)
 
     metrics = {"scheduler": scheduler, "seed": seed,
                "best_step": runlog.best_step, "total_steps": total_steps,
@@ -427,12 +411,11 @@ def _run_student_seed(config: dict, corpora: dict[str, Corpus], scheduler: str,
         pred = trainer.predict(params, corpus)
         labels = corpus.labels()
         metrics["accuracy"][split] = float((pred == labels).mean())
-        with (seed_dir / f"outcomes_{split}.jsonl").open("w", encoding="utf-8") as fh:
-            for i, ex in enumerate(corpus.examples):
-                fh.write(json.dumps(
-                    {"example_id": ex.id, "correct": bool(pred[i] == labels[i])}
-                ) + "\n")
-    _write_json(seed_dir / "metrics.json", metrics)
+        artifacts.write_jsonl(seed_dir / f"outcomes_{split}.jsonl", (
+            {"example_id": ex.id, "correct": bool(p == t)}
+            for ex, p, t in zip(corpus.examples, pred, labels)
+        ))
+    artifacts.write_json(seed_dir / "metrics.json", metrics)
     return metrics
 
 
@@ -471,7 +454,7 @@ def cmd_student(config: dict, out_dir: Path, scheduler: str,
             sched_dir / f"seed_{seed}",
         )
     summary = _summarize_student(scheduler, per_seed)
-    _write_json(sched_dir / "summary.json", summary)
+    artifacts.write_json(sched_dir / "summary.json", summary)
     return summary
 
 
@@ -505,18 +488,15 @@ def _load_student_dir(path: Path) -> dict:
     summary_path = path / "summary.json"
     if not summary_path.exists():
         raise ValidationError(f"{path} is not a completed student run directory")
-    with summary_path.open("r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return artifacts.read_json(summary_path)
 
 
 def _pooled_outcomes(path: Path, seeds: list[int], split: str) -> dict:
     pooled = {}
     for seed in seeds:
-        f = path / f"seed_{seed}" / f"outcomes_{split}.jsonl"
-        with f.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                rec = json.loads(line)
-                pooled[(rec["example_id"], seed)] = bool(rec["correct"])
+        outcomes = path / f"seed_{seed}" / f"outcomes_{split}.jsonl"
+        for rec in artifacts.read_jsonl(outcomes):
+            pooled[(rec["example_id"], seed)] = bool(rec["correct"])
     return pooled
 
 
@@ -560,8 +540,8 @@ def cmd_compare(dir_a: Path, dir_b: Path, rounds: int = 10000,
     table = _compare_table(report)
     print(table)
     if out_prefix is not None:
-        _write_json(Path(str(out_prefix) + ".json"), report)
-        Path(str(out_prefix) + ".txt").write_text(table + "\n", encoding="utf-8")
+        artifacts.write_json(Path(str(out_prefix) + ".json"), report)
+        artifacts.write_text(Path(str(out_prefix) + ".txt"), table + "\n")
     return report
 
 
@@ -643,9 +623,8 @@ def cmd_sweep(config: dict, out_dir: Path, schedulers: list[str],
             }
         rows.append(row)
     matrix = {"schedulers": schedulers, "rows": rows}
-    _write_json(out_dir / "sweep_summary.json", matrix)
-    (out_dir / "sweep_summary.txt").write_text(_sweep_table(matrix) + "\n",
-                                               encoding="utf-8")
+    artifacts.write_json(out_dir / "sweep_summary.json", matrix)
+    artifacts.write_text(out_dir / "sweep_summary.txt", _sweep_table(matrix) + "\n")
     return matrix
 
 
@@ -684,11 +663,14 @@ def cmd_synth(config: dict, out_dir: Path) -> list[Path]:
     return written
 
 
-def cmd_datamap(out_dir: Path, stats_path: Path | None = None) -> tuple[Path, Path]:
-    path = stats_path or _teacher_artifact(out_dir, "dynamics")
+def _read_td_stats(path: Path) -> dict[str, dynamics.TDStats]:
     if not path.exists():
         raise ValidationError(f"dynamics stats not found: {path} (run the teacher first)")
-    stats = dynamics.read_td_stats(path)
+    return dynamics.read_td_stats(path)
+
+
+def cmd_datamap(out_dir: Path, stats_path: Path | None = None) -> tuple[Path, Path]:
+    stats = _read_td_stats(stats_path or _teacher_artifact(out_dir, "dynamics"))
     return analysis.datamap_export(stats, out_dir)
 
 
@@ -697,12 +679,7 @@ def cmd_correlate(config: dict, out_dir: Path) -> analysis.CorrelationMatrix:
     dynamics statistics, the heuristics (computed on the fly) and
     cross-review votes when present in the run directory."""
     snapshot_config(config, out_dir)
-    stats_path = _teacher_artifact(out_dir, "dynamics")
-    if not stats_path.exists():
-        raise ValidationError(
-            f"dynamics stats not found: {stats_path} (run the teacher first)"
-        )
-    stats = dynamics.read_td_stats(stats_path)
+    stats = _read_td_stats(_teacher_artifact(out_dir, "dynamics"))
     corpora = resolve_corpora(config)
     train_corpus = corpora["train"]
     curr = config.get("curriculum", {})
@@ -724,13 +701,6 @@ def cmd_correlate(config: dict, out_dir: Path) -> analysis.CorrelationMatrix:
     matrix = analysis.correlation_matrix(metric_scores)
     analysis.write_correlations(matrix, out_dir / "correlations.json")
     return matrix
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
 
 # --- entry point -----------------------------------------------------------------

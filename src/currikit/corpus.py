@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
+from .artifacts import read_json, write_json, write_jsonl
+
 DEFAULT_HASH_DIM = 2 ** 18
 
 SPLIT_NAMES = ("train", "validation", "test_id", "test_ood", "test_transfer")
@@ -257,33 +259,21 @@ def load_jsonl(
 def save_jsonl(corpus: Corpus, path: str | Path, include_features: bool = False) -> None:
     """Write a corpus back to JSONL. ``include_features`` preserves feature
     vectors that are not derivable from the text (synthetic corpora)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for ex in corpus.examples:
-            rec = {
-                "id": ex.id,
-                "text_a": ex.text_a,
-                "text_b": ex.text_b,
-                "label": corpus.label_names[ex.label],
-            }
-            if include_features:
-                rec["features"] = {str(k): ex.features[k] for k in sorted(ex.features)}
-            fh.write(json.dumps(rec) + "\n")
+    write_jsonl(path, (
+        {"id": ex.id, "text_a": ex.text_a, "text_b": ex.text_b,
+         "label": corpus.label_names[ex.label],
+         **({"features": {str(k): ex.features[k] for k in sorted(ex.features)}}
+            if include_features else {})}
+        for ex in corpus.examples
+    ))
 
 
 def save_label_map(corpus: Corpus, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump({name: i for i, name in enumerate(corpus.label_names)}, fh, indent=2)
-        fh.write("\n")
+    write_json(path, {name: i for i, name in enumerate(corpus.label_names)})
 
 
 def load_label_map(path: str | Path) -> dict[str, int]:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return {str(k): int(v) for k, v in raw.items()}
+    return {str(k): int(v) for k, v in read_json(path).items()}
 
 
 # --- synthetic data -------------------------------------------------------

@@ -7,14 +7,15 @@ task-agnostic heuristics (length, word rarity, n-gram perplexity).
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_jsonl, write_jsonl
 from .corpus import Corpus, tokenize
 from .dynamics import TDStats
 from .trainer import TrainConfig, predict, train
@@ -233,34 +234,31 @@ def write_scores(
 ) -> None:
     """Header record {metric_name, higher_is_easier, ...} followed by one
     {example_id, score} record per example."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header = {"metric_name": scores.metric_name,
               "higher_is_easier": scores.higher_is_easier}
     if extra_header:
         header.update(extra_header)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for eid in scores.scores:
-            fh.write(json.dumps({"example_id": eid, "score": scores.scores[eid]}) + "\n")
+    write_jsonl(path, chain([header], (
+        {"example_id": eid, "score": score} for eid, score in scores.scores.items()
+    )))
 
 
 def read_scores_header(path: str | Path) -> dict:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-    if "metric_name" not in header:
+    header = next(read_jsonl(path), None)
+    if not isinstance(header, dict) or "metric_name" not in header:
         raise ValueError(f"{path}: not a difficulty-scores file (missing header)")
     return header
 
 
 def read_scores(path: str | Path) -> DifficultyScores:
+    """Inverse of write_scores; rejects a non-finite score."""
     header = read_scores_header(path)
     scores: dict[str, float] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        fh.readline()
-        for line in fh:
-            rec = json.loads(line)
-            scores[rec["example_id"]] = float(rec["score"])
+    for rec in islice(read_jsonl(path), 1, None):
+        eid, score = rec["example_id"], float(rec["score"])
+        if not math.isfinite(score):
+            raise ValueError(f"{path}: non-finite value {score} for example {eid!r}")
+        scores[eid] = score
     return DifficultyScores(
         metric_name=str(header["metric_name"]),
         scores=scores,

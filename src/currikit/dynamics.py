@@ -8,11 +8,11 @@ standard deviation of the gold-label probability).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .artifacts import read_jsonl, write_jsonl
 from .trainer import Probes
 
 
@@ -81,26 +81,24 @@ def compute_all(probes: Probes) -> dict[str, TDStats]:
 def write_td_stats(stats: dict[str, TDStats], path: str | Path) -> None:
     """JSONL {example_id, confidence, correctness, variability}; the Stage-1
     to Stage-2 hand-off artifact."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for eid in stats:
-            s = stats[eid]
-            fh.write(json.dumps(
-                {"example_id": s.example_id, "confidence": s.confidence,
-                 "correctness": s.correctness, "variability": s.variability}
-            ) + "\n")
+    write_jsonl(path, (
+        {"example_id": s.example_id, "confidence": s.confidence,
+         "correctness": s.correctness, "variability": s.variability}
+        for s in stats.values()
+    ))
 
 
 def read_td_stats(path: str | Path) -> dict[str, TDStats]:
+    """Inverse of write_td_stats; rejects a non-finite confidence or variability."""
     out: dict[str, TDStats] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            out[rec["example_id"]] = TDStats(
-                example_id=rec["example_id"],
-                confidence=float(rec["confidence"]),
-                correctness=int(rec["correctness"]),
-                variability=float(rec["variability"]),
-            )
+    for rec in read_jsonl(path):
+        s = TDStats(
+            example_id=rec["example_id"],
+            confidence=float(rec["confidence"]),
+            correctness=int(rec["correctness"]),
+            variability=float(rec["variability"]),
+        )
+        if not all(map(math.isfinite, (s.confidence, s.variability))):
+            raise ValueError(f"{path}: non-finite value for example {s.example_id!r}")
+        out[s.example_id] = s
     return out

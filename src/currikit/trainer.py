@@ -11,7 +11,6 @@ record, columns in corpus row order.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +18,7 @@ from typing import Protocol
 
 import numpy as np
 
+from .artifacts import read_jsonl, write_jsonl
 from .corpus import Corpus
 
 
@@ -286,57 +286,44 @@ _BEST_MARKER = "best_accuracy"
 def write_runlog(log: RunLog, path: str | Path) -> None:
     """JSONL of {step, split, metric, value} records; a final marker record
     carries the best checkpoint (metric "best_accuracy")."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for step, split, metric, value in log.records:
-            fh.write(json.dumps(
-                {"step": step, "split": split, "metric": metric, "value": value}
-            ) + "\n")
-        fh.write(json.dumps(
-            {"step": log.best_step, "split": "validation",
-             "metric": _BEST_MARKER, "value": log.best_val_metric}
-        ) + "\n")
+    write_jsonl(path, [
+        *({"step": step, "split": split, "metric": metric, "value": value}
+          for step, split, metric, value in log.records),
+        {"step": log.best_step, "split": "validation",
+         "metric": _BEST_MARKER, "value": log.best_val_metric},
+    ])
 
 
 def read_runlog(path: str | Path) -> RunLog:
     records: list[tuple[int, str, str, float]] = []
     best_step, best_val = 0, -math.inf
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            if rec["metric"] == _BEST_MARKER:
-                best_step = int(rec["step"])
-                best_val = float(rec["value"])
-            else:
-                records.append(
-                    (int(rec["step"]), rec["split"], rec["metric"], float(rec["value"]))
-                )
+    for rec in read_jsonl(path):
+        if rec["metric"] == _BEST_MARKER:
+            best_step = int(rec["step"])
+            best_val = float(rec["value"])
+        else:
+            records.append(
+                (int(rec["step"]), rec["split"], rec["metric"], float(rec["value"]))
+            )
     return RunLog(records=records, best_step=best_step, best_val_metric=best_val)
 
 
 def write_probes(probes: Probes, path: str | Path) -> None:
     """JSONL with one {epoch, example_id, gold_prob, correct} line per
     (epoch, example)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        rows = zip(probes.gold_prob.tolist(), probes.correct.tolist())
-        for epoch, (golds, corrects) in enumerate(rows, start=1):
-            for eid, gold, correct in zip(probes.ids, golds, corrects, strict=True):
-                fh.write(json.dumps(
-                    {"epoch": epoch, "example_id": eid,
-                     "gold_prob": gold, "correct": correct}
-                ) + "\n")
+    rows = zip(probes.gold_prob.tolist(), probes.correct.tolist())
+    write_jsonl(path, (
+        {"epoch": epoch, "example_id": eid, "gold_prob": gold, "correct": correct}
+        for epoch, (golds, corrects) in enumerate(rows, start=1)
+        for eid, gold, correct in zip(probes.ids, golds, corrects, strict=True)
+    ))
 
 
 def read_probes(path: str | Path) -> Probes:
     """Inverse of write_probes; every epoch must cover the same example ids."""
     by_epoch: dict[int, dict[str, dict]] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            by_epoch.setdefault(int(rec["epoch"]), {})[rec["example_id"]] = rec
+    for rec in read_jsonl(path):
+        by_epoch.setdefault(int(rec["epoch"]), {})[rec["example_id"]] = rec
     epochs = sorted(by_epoch)
     ids = list(by_epoch[epochs[0]]) if epochs else []
     for epoch in epochs[1:]:

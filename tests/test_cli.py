@@ -353,6 +353,27 @@ class TestSweepCommand:
         capsys.readouterr()
         assert len(calls) == 1
 
+    def test_failed_teacher_write_is_not_resumed(self, tmp_path, config_path, capsys,
+                                                 monkeypatch):
+        real = cli.dynamics.compute_all
+
+        def unserializable_101st(probes):
+            stats = real(probes)
+            list(stats.values())[100].confidence = object()
+            return stats
+
+        monkeypatch.setattr(cli.dynamics, "compute_all", unserializable_101st)
+        config = load_config(config_path)
+        out = tmp_path / "sweep"
+        with pytest.raises(TypeError):
+            cmd_sweep(config, out, ["random", "corr_anneal"], rounds=300)
+        assert not (out / "teacher" / "td_stats.jsonl").exists()
+        assert not list(out.rglob(".*.tmp"))
+        monkeypatch.undo()
+        cmd_sweep(config, out, ["random", "corr_anneal"], rounds=300)
+        capsys.readouterr()
+        assert len(read_td_stats(out / "teacher" / "td_stats.jsonl")) == 120
+
 
 class TestCliEntryPoint:
     def test_exit_zero_on_success(self, tmp_path, config_path):
@@ -380,6 +401,8 @@ class TestCliEntryPoint:
         ("curriculum", "duration", -5),
         ("curriculum", "c0", "0.1"),
         ("cross_review", "num_subsets", 1),
+        ("train", "epochs", "2"),
+        ("curriculum", "add_k", "1"),
     ])
     def test_bad_field_rejected_before_any_artifact(self, tmp_path, capsys,
                                                     section, field, value):
@@ -404,17 +427,33 @@ class TestCliEntryPoint:
         assert code == 1
         assert str(scores) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind, scheduler, field, bad", [
-        ("scores", "length", "score", float("nan")),
-        ("scores", "length", "score", float("inf")),
-        ("stats", "conf_comp", "confidence", float("nan")),
-        ("stats", "corr_anneal", "variability", float("-inf")),
-    ], ids=["scores-nan", "scores-inf", "stats-nan-confidence", "stats-inf-variability"])
+    def test_truncated_stats_file_named(self, run_dir, config_path, tmp_path, capsys):
+        lines = (run_dir / "teacher" / "td_stats.jsonl").read_text().splitlines(True)
+        stats = tmp_path / "td_stats.jsonl"
+        stats.write_text("".join(lines[:50]) + lines[50][:15])
+        code = main(["student", "--config", str(config_path),
+                     "--out", str(tmp_path / "o"),
+                     "--scheduler", "conf_comp", "--scores", str(stats)])
+        assert code == 1
+        assert f"{stats}:51:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, kind, scheduler, field, bad", [
+        ("student", "scores", "length", "score", float("nan")),
+        ("student", "scores", "length", "score", float("inf")),
+        ("student", "stats", "conf_comp", "confidence", float("nan")),
+        ("student", "stats", "corr_anneal", "variability", float("-inf")),
+        ("datamap", "stats", None, "confidence", float("nan")),
+        ("correlate", "stats", None, "variability", float("inf")),
+    ], ids=["scores-nan", "scores-inf", "stats-nan-confidence", "stats-inf-variability",
+            "datamap-stats-nan-confidence", "correlate-stats-inf-variability"])
     def test_non_finite_scores_rejected(self, run_dir, config_path, tmp_path, capsys,
-                                        kind, scheduler, field, bad):
+                                        command, kind, scheduler, field, bad):
         stats = read_td_stats(run_dir / "teacher" / "td_stats.jsonl")
         victim = list(stats)[7]
+        out = tmp_path / "o"
         path = tmp_path / f"{kind}.jsonl"
+        if command == "correlate":  # reads the run directory's own stats
+            path = out / "teacher" / "td_stats.jsonl"
         if kind == "scores":
             lines = [{"metric_name": "length", "higher_is_easier": False}] + [
                 {"example_id": eid, "score": bad if eid == victim else float(i)}
@@ -424,13 +463,18 @@ class TestCliEntryPoint:
         else:
             setattr(stats[victim], field, bad)
             write_td_stats(stats, path)
-        out = tmp_path / "o"
-        code = main(["student", "--config", str(config_path), "--out", str(out),
-                     "--scheduler", scheduler, "--scores", str(path)])
-        assert code == 1
+        argv = {
+            "student": ["student", "--config", str(config_path), "--out", str(out),
+                        "--scheduler", scheduler, "--scores", str(path)],
+            "datamap": ["datamap", "--out", str(out), "--stats", str(path)],
+            "correlate": ["correlate", "--config", str(config_path), "--out", str(out)],
+        }[command]
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert str(path) in err and repr(victim) in err
         assert not (out / "students").exists()
+        assert not list(out.glob("datamap.*"))
+        assert not (out / "correlations.json").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["teacher", "--config", str(tmp_path / "none.json"),
