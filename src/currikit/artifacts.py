@@ -13,6 +13,7 @@ import contextlib
 import json
 import os
 from collections.abc import Iterable, Iterator
+from itertools import islice
 from pathlib import Path
 
 
@@ -55,13 +56,20 @@ def read_json(path: str | Path):
         raise ValueError(f"{path}: not JSON ({exc})") from None
 
 
-def read_jsonl(path: str | Path) -> Iterator:
-    """The record on each line; a line that is not JSON (a truncated file,
-    say) raises ValueError naming ``path:line``."""
+def read_jsonl(path: str | Path, required: tuple[str, ...] = (),
+               skip: int = 0) -> Iterator:
+    """The record on each line after the first ``skip``; a line that is not
+    JSON (a truncated file, say), or not an object holding every
+    ``required`` field, raises ValueError naming ``path:line``."""
     with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(islice(fh, skip, None), start=skip + 1):
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: not JSON ({exc})") from None
+            if required and not isinstance(rec, dict):
+                raise ValueError(f"{path}:{lineno}: not a JSON object")
+            for name in required:
+                if name not in rec:
+                    raise ValueError(f"{path}:{lineno}: missing field '{name}'")
             yield rec

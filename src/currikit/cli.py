@@ -19,6 +19,7 @@ import concurrent.futures
 import json
 import math
 import sys
+from collections.abc import Callable
 from pathlib import Path
 from typing import NamedTuple
 
@@ -62,6 +63,8 @@ _SCHEDULER_TABLE = {
 SCHEDULERS = tuple(_SCHEDULER_TABLE)
 
 EVAL_SPLITS = ("validation", "test_id", "test_ood", "test_transfer")
+
+_BASELINES = ("random", "cr_anneal")  # what sweep compares every scheduler against
 
 
 class ValidationError(Exception):
@@ -495,16 +498,21 @@ def _pooled_outcomes(path: Path, seeds: list[int], split: str) -> dict:
     pooled = {}
     for seed in seeds:
         outcomes = path / f"seed_{seed}" / f"outcomes_{split}.jsonl"
-        for rec in artifacts.read_jsonl(outcomes):
+        for rec in artifacts.read_jsonl(outcomes, required=("example_id", "correct")):
             pooled[(rec["example_id"], seed)] = bool(rec["correct"])
     return pooled
 
 
-def cmd_compare(dir_a: Path, dir_b: Path, rounds: int = 10000,
-                seed: int = 0, out_prefix: Path | None = None) -> dict:
+def cmd_compare(
+    dir_a: Path, dir_b: Path, rounds: int = 10000, seed: int = 0,
+    out_prefix: Path | None = None,
+    pooled_outcomes: Callable[[Path, list[int], str], dict] | None = None,
+) -> dict:
     """Per split: accuracies, AR-test p-value over pooled (example, seed)
     units, plus the time ratio best_step(a)/best_step(b) aggregated over
-    seeds. Emits JSON and a plain-text table."""
+    seeds. Emits JSON and a plain-text table. ``pooled_outcomes`` replaces
+    ``_pooled_outcomes`` (sweep passes one that reads each file once)."""
+    pooled_outcomes = pooled_outcomes or _pooled_outcomes
     sum_a = _load_student_dir(dir_a)
     sum_b = _load_student_dir(dir_b)
     if sum_a["seeds"] != sum_b["seeds"]:
@@ -528,8 +536,8 @@ def cmd_compare(dir_a: Path, dir_b: Path, rounds: int = 10000,
         "splits": {},
     }
     for split in sum_a["splits"]:
-        pooled_a = _pooled_outcomes(dir_a, seeds, split)
-        pooled_b = _pooled_outcomes(dir_b, seeds, split)
+        pooled_a = pooled_outcomes(dir_a, seeds, split)
+        pooled_b = pooled_outcomes(dir_b, seeds, split)
         p = analysis.approx_randomization(pooled_a, pooled_b, rounds=rounds, seed=seed)
         report["splits"][split] = {
             "acc_a": sum_a["accuracy"][split],
@@ -574,53 +582,66 @@ def cmd_sweep(config: dict, out_dir: Path, schedulers: list[str],
               workers: int = 1, rounds: int = 10000) -> dict:
     """Teacher once, every scheduler per seed, then compare all against the
     random and cr_anneal baselines (when listed). Completed cells found in
-    the run directory are skipped."""
+    the run directory are skipped, and when every cell is complete no
+    corpus is built."""
     for s in schedulers:
         if s not in SCHEDULERS:
             raise ValidationError(f"unknown scheduler {s!r} in sweep list")
     snapshot_config(config, out_dir)
-    corpora = resolve_corpora(config)
-    for corpus in corpora.values():
-        corpus.feature_matrix()  # prebuild: shared read-only across workers
-
-    for metric in TEACHER_METRICS:
-        needed = any(_SCHEDULER_TABLE[s].teacher == metric for s in schedulers)
-        if needed and not _teacher_artifact(out_dir, metric).exists():
-            cmd_teacher(config, out_dir, metric=metric, corpora=corpora)
-
+    teachers = [m for m in TEACHER_METRICS
+                if any(_SCHEDULER_TABLE[s].teacher == m for s in schedulers)
+                and not _teacher_artifact(out_dir, m).exists()]
     todo = [s for s in schedulers
             if not (out_dir / "students" / s / "summary.json").exists()]
-    if workers > 1 and len(todo) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(cmd_student, config, out_dir, s, None, corpora): s
-                for s in todo
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                fut.result()
-    else:
-        for s in todo:
-            cmd_student(config, out_dir, s, corpora=corpora)
+    if teachers or todo:
+        corpora = resolve_corpora(config)
+        for corpus in corpora.values():
+            corpus.feature_matrix()  # prebuild: shared read-only across workers
+        for metric in teachers:
+            cmd_teacher(config, out_dir, metric=metric, corpora=corpora)
+        if workers > 1 and len(todo) > 1:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = {
+                    pool.submit(cmd_student, config, out_dir, s, None, corpora): s
+                    for s in todo
+                }
+                for fut in concurrent.futures.as_completed(futures):
+                    fut.result()
+        else:
+            for s in todo:
+                cmd_student(config, out_dir, s, corpora=corpora)
 
-    baselines = [b for b in ("random", "cr_anneal") if b in schedulers]
+    baselines = [b for b in _BASELINES if b in schedulers]
+    outcomes: dict[Path, dict[str, dict]] = {}  # student dir -> split -> pooled
+
+    def pooled_once(path: Path, seeds: list[int], split: str) -> dict:
+        by_split = outcomes.setdefault(path, {})
+        if split not in by_split:
+            by_split[split] = _pooled_outcomes(path, seeds, split)
+        return by_split[split]
+
     compare_dir = out_dir / "compare"
     rows = []
     for s in schedulers:
-        summary = _load_student_dir(out_dir / "students" / s)
+        student_dir = out_dir / "students" / s
+        summary = _load_student_dir(student_dir)
         row = {"scheduler": s, "accuracy": summary["accuracy"]}
         for b in baselines:
             if b == s:
                 continue
             report = cmd_compare(
-                out_dir / "students" / s, out_dir / "students" / b,
+                student_dir, out_dir / "students" / b,
                 rounds=rounds,
                 out_prefix=compare_dir / f"{s}_vs_{b}",
+                pooled_outcomes=pooled_once,
             )
             row[f"vs_{b}"] = {
                 "time_ratio": report["time_ratio"],
                 "p_values": {split: r["p_value"]
                              for split, r in report["splits"].items()},
             }
+        if s not in baselines:
+            outcomes.pop(student_dir, None)  # no later compare reads it
         rows.append(row)
     matrix = {"schedulers": schedulers, "rows": rows}
     artifacts.write_json(out_dir / "sweep_summary.json", matrix)
@@ -629,18 +650,33 @@ def cmd_sweep(config: dict, out_dir: Path, schedulers: list[str],
 
 
 def _sweep_table(matrix: dict) -> str:
+    """Accuracy per scheduler and split; then, per baseline, each
+    scheduler's p-value per split and mean time ratio against it."""
     rows = matrix["rows"]
     splits = sorted({s for row in rows for s in row["accuracy"]})
-    header = f"{'scheduler':<18}" + "".join(f"{s:>22}" for s in splits)
+
+    def line(name: str, cells: list[str]) -> str:
+        return f"{name:<18}" + "".join(f"{c:>22}" for c in cells)
+
+    header = line("scheduler", splits)
     lines = [header, "-" * len(header)]
     for row in rows:
-        cells = []
-        for s in splits:
-            acc = row["accuracy"].get(s)
-            cells.append(
-                f"{acc['mean']:.4f}±{acc['std']:.4f}" if acc else "-"
-            )
-        lines.append(f"{row['scheduler']:<18}" + "".join(f"{c:>22}" for c in cells))
+        accs = [row["accuracy"].get(s) for s in splits]
+        lines.append(line(row["scheduler"], [
+            f"{acc['mean']:.4f}±{acc['std']:.4f}" if acc else "-" for acc in accs
+        ]))
+    for b in _BASELINES:
+        if b not in matrix["schedulers"]:
+            continue
+        header = line(f"vs {b}", [f"p {s}" for s in splits] + ["time_ratio_mean"])
+        lines += ["", header, "-" * len(header)]
+        for row in rows:
+            vs = row.get(f"vs_{b}")
+            cells = ["-"] * (len(splits) + 1) if vs is None else [
+                *(f"{vs['p_values'][s]:.4f}" for s in splits),
+                f"{vs['time_ratio']['mean']:.2f}",
+            ]
+            lines.append(line(row["scheduler"], cells))
     return "\n".join(lines)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +247,8 @@ def read_scores_header(path: str | Path) -> dict:
     header = next(read_jsonl(path), None)
     if not isinstance(header, dict) or "metric_name" not in header:
         raise ValueError(f"{path}: not a difficulty-scores file (missing header)")
+    if "higher_is_easier" not in header:
+        raise ValueError(f"{path}:1: missing field 'higher_is_easier'")
     return header
 
 
@@ -254,7 +256,7 @@ def read_scores(path: str | Path) -> DifficultyScores:
     """Inverse of write_scores; rejects a non-finite score."""
     header = read_scores_header(path)
     scores: dict[str, float] = {}
-    for rec in islice(read_jsonl(path), 1, None):
+    for rec in read_jsonl(path, required=("example_id", "score"), skip=1):
         eid, score = rec["example_id"], float(rec["score"])
         if not math.isfinite(score):
             raise ValueError(f"{path}: non-finite value {score} for example {eid!r}")

@@ -78,6 +78,9 @@ def compute_all(probes: Probes) -> dict[str, TDStats]:
     }
 
 
+_TD_FIELDS = ("example_id", "confidence", "correctness", "variability")
+
+
 def write_td_stats(stats: dict[str, TDStats], path: str | Path) -> None:
     """JSONL {example_id, confidence, correctness, variability}; the Stage-1
     to Stage-2 hand-off artifact."""
@@ -91,7 +94,7 @@ def write_td_stats(stats: dict[str, TDStats], path: str | Path) -> None:
 def read_td_stats(path: str | Path) -> dict[str, TDStats]:
     """Inverse of write_td_stats; rejects a non-finite confidence or variability."""
     out: dict[str, TDStats] = {}
-    for rec in read_jsonl(path):
+    for rec in read_jsonl(path, required=_TD_FIELDS):
         s = TDStats(
             example_id=rec["example_id"],
             confidence=float(rec["confidence"]),

@@ -245,6 +245,10 @@ def train(
                     f"sampler exhausted mid-epoch at step {step} (contract violation)"
                 )
             loss, (wgrads, bgrads) = loss_and_grad(params, X[rows], y[rows])
+            if not math.isfinite(loss):
+                raise FloatingPointError(
+                    f"non-finite training loss {loss} at step {step + 1}"
+                )
             clip_gradients(wgrads, bgrads, config.grad_clip)
             for i in range(len(params.weights)):
                 vel_w[i] = momentum * vel_w[i] + wgrads[i]

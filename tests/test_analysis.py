@@ -111,6 +111,36 @@ class TestApproxRandomization:
         p = approx_randomization(a, b, rounds=2000, seed=0)
         assert 0.0 < p <= 1.0
 
+    @pytest.mark.parametrize("k", [20, 27, 34, 41, 48, 54, 60])
+    def test_matches_exact_binomial_tail(self, k):
+        # past enumeration: 2^k sign patterns; swapping the k discordant units
+        # gives |2 * Binomial(k, 1/2) - k|, whose tail scipy computes exactly
+        rng = np.random.default_rng(k)
+        a_only = int(rng.integers(0, k + 1))
+        a, b = {}, {}
+        for i in range(k):
+            a[f"d{i}"], b[f"d{i}"] = i < a_only, i >= a_only
+        for i in range(int(rng.integers(0, 50))):
+            a[f"c{i}"] = b[f"c{i}"] = bool(rng.integers(2))
+        rounds = 20000
+        observed = abs(a_only - (k - a_only))
+        swapped = np.arange(k + 1)
+        exact = float(scipy_stats.binom.pmf(swapped, k, 0.5)[
+            np.abs(2 * swapped - k) >= observed].sum())
+        estimate = approx_randomization(a, b, rounds=rounds, seed=k)
+        expected = (rounds * exact + 1) / (rounds + 1)
+        se = math.sqrt(max(exact * (1 - exact), 1e-12) / rounds)
+        assert abs(estimate - expected) <= 3 * se + 1e-9
+
+    def test_concordant_units_leave_p_unchanged(self):
+        rng = np.random.default_rng(12)
+        a = {f"u{i}": bool(rng.integers(2)) for i in range(40)}
+        b = {f"u{i}": bool(rng.integers(2)) for i in range(40)}
+        p = approx_randomization(a, b, rounds=5000, seed=3)
+        for i in range(10 ** 5):
+            a[f"c{i}"] = b[f"c{i}"] = i % 3 == 0
+        assert approx_randomization(a, b, rounds=5000, seed=3) == p
+
 
 class TestDatamap:
     def stats(self):

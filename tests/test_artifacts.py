@@ -44,6 +44,18 @@ def test_truncated_jsonl_names_path_and_line(tmp_path):
         list(read_jsonl(path))
 
 
+def test_missing_field_names_path_and_line(tmp_path):
+    path = tmp_path / "a.jsonl"
+    path.write_text('{"h": 0}\n{"k": 1}\n{"v": 2}\n')
+    records = read_jsonl(path, required=("k",), skip=1)  # the header lacks "k"
+    assert next(records) == {"k": 1}
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: missing field 'k'")):
+        next(records)
+    path.write_text('{"h": 0}\n3\n')
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: not a JSON object")):
+        list(read_jsonl(path, required=("k",), skip=1))
+
+
 def test_only_artifacts_writes_files():
     for write in ('path.open("w", encoding="utf-8")', "open(path, 'a')",
                   'out.write_text(text, encoding="utf-8")', "json.dump(obj, fh)"):

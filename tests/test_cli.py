@@ -49,6 +49,26 @@ def run_dir(tmp_path_factory, config_path):
     return out
 
 
+def build_student_dir(path, correct_fraction):
+    """A hand-built completed student directory over 60 test_id examples
+    and seeds 1-3: the first correct_fraction of them answered correctly."""
+    for seed in (1, 2, 3):
+        seed_dir = path / f"seed_{seed}"
+        seed_dir.mkdir(parents=True)
+        with (seed_dir / "outcomes_test_id.jsonl").open("w") as fh:
+            for i in range(60):
+                ok = i < int(60 * correct_fraction)
+                fh.write(json.dumps({"example_id": f"t{i}", "correct": ok}) + "\n")
+    accs = {str(s): correct_fraction for s in (1, 2, 3)}
+    (path / "summary.json").write_text(json.dumps({
+        "scheduler": "x", "seeds": [1, 2, 3], "splits": ["test_id"],
+        "accuracy": {"test_id": {"mean": correct_fraction, "std": 0.0,
+                                 "per_seed": accs}},
+        "best_steps": {"1": 10, "2": 10, "3": 10},
+        "total_steps": {"1": 16, "2": 16, "3": 16},
+    }))
+
+
 class TestSynthCommand:
     def test_writes_all_splits_and_label_map(self, tmp_path, config_path):
         out = tmp_path / "run"
@@ -269,26 +289,8 @@ class TestCompareCommand:
 
     def test_degraded_run_is_detected(self, tmp_path, capsys):
         # two hand-built student directories: B gets most test answers wrong
-        def build(path, correct_fraction):
-            for seed in (1, 2, 3):
-                seed_dir = path / f"seed_{seed}"
-                seed_dir.mkdir(parents=True)
-                with (seed_dir / "outcomes_test_id.jsonl").open("w") as fh:
-                    for i in range(60):
-                        ok = i < int(60 * correct_fraction)
-                        fh.write(json.dumps(
-                            {"example_id": f"t{i}", "correct": ok}) + "\n")
-            accs = {str(s): correct_fraction for s in (1, 2, 3)}
-            (path / "summary.json").write_text(json.dumps({
-                "scheduler": "x", "seeds": [1, 2, 3], "splits": ["test_id"],
-                "accuracy": {"test_id": {"mean": correct_fraction, "std": 0.0,
-                                         "per_seed": accs}},
-                "best_steps": {"1": 10, "2": 10, "3": 10},
-                "total_steps": {"1": 16, "2": 16, "3": 16},
-            }))
-
-        build(tmp_path / "good", 0.95)
-        build(tmp_path / "bad", 0.55)
+        build_student_dir(tmp_path / "good", 0.95)
+        build_student_dir(tmp_path / "bad", 0.55)
         report = cmd_compare(tmp_path / "good", tmp_path / "bad", rounds=2000)
         assert report["splits"]["test_id"]["p_value"] <= 0.05
         capsys.readouterr()
@@ -373,6 +375,66 @@ class TestSweepCommand:
         cmd_sweep(config, out, ["random", "corr_anneal"], rounds=300)
         capsys.readouterr()
         assert len(read_td_stats(out / "teacher" / "td_stats.jsonl")) == 120
+
+
+@pytest.fixture(scope="module")
+def swept(tmp_path_factory, config_path):
+    """A completed 9-scheduler sweep."""
+    out = tmp_path_factory.mktemp("swept")
+    cmd_sweep(load_config(config_path), out, list(SCHEDULERS), rounds=300)
+    return out
+
+
+class TestResumedSweep:
+    def test_builds_no_corpus(self, swept, config_path, capsys, monkeypatch):
+        def refuse(config):
+            raise AssertionError("resolve_corpora called on a completed sweep")
+
+        monkeypatch.setattr(cli, "resolve_corpora", refuse)
+        cmd_sweep(load_config(config_path), swept, list(SCHEDULERS), rounds=300)
+        capsys.readouterr()
+
+    def test_reads_outcomes_once_per_student_and_split(self, swept, config_path,
+                                                       capsys, monkeypatch):
+        calls = []
+        real = cli._pooled_outcomes
+
+        def counting(path, seeds, split):
+            calls.append((path.name, split))
+            return real(path, seeds, split)
+
+        monkeypatch.setattr(cli, "_pooled_outcomes", counting)
+        cmd_sweep(load_config(config_path), swept, list(SCHEDULERS), rounds=300)
+        capsys.readouterr()
+        assert len(calls) == len(set(calls)) == len(SCHEDULERS) * 3 == 27
+
+    def test_compare_reports_match_standalone_compare(self, swept, config_path,
+                                                      tmp_path, capsys):
+        cmd_sweep(load_config(config_path), swept, list(SCHEDULERS), rounds=300)
+        reports = sorted((swept / "compare").glob("*.json"))
+        assert len(reports) == 16
+        for path in reports:
+            a, b = path.stem.split("_vs_")
+            cmd_compare(swept / "students" / a, swept / "students" / b, rounds=300,
+                        out_prefix=tmp_path / path.stem)
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+        capsys.readouterr()
+
+    def test_summary_table_shows_p_values_and_time_ratios(self, swept):
+        matrix = json.loads((swept / "sweep_summary.json").read_text())
+        lines = (swept / "sweep_summary.txt").read_text().splitlines()
+        splits = ["test_id", "test_ood", "validation"]
+        for b in ("random", "cr_anneal"):
+            start = next(i for i, line in enumerate(lines)
+                         if line.startswith(f"vs {b} "))
+            block = {line.split()[0]: line.split()[1:]
+                     for line in lines[start + 2: start + 2 + len(SCHEDULERS)]}
+            for row in matrix["rows"]:
+                vs = row.get(f"vs_{b}")
+                expected = ["-"] * 4 if vs is None else [
+                    *(f"{vs['p_values'][s]:.4f}" for s in splits),
+                    f"{vs['time_ratio']['mean']:.2f}"]
+                assert block[row["scheduler"]] == expected, (b, row["scheduler"])
 
 
 class TestCliEntryPoint:
@@ -475,6 +537,57 @@ class TestCliEntryPoint:
         assert not (out / "students").exists()
         assert not list(out.glob("datamap.*"))
         assert not (out / "correlations.json").exists()
+
+    @pytest.mark.parametrize("command, field", [
+        ("student-stats", "variability"),
+        ("student-scores", "score"),
+        ("datamap", "confidence"),
+        ("compare", "correct"),
+    ])
+    def test_missing_field_named_with_line(self, run_dir, config_path, tmp_path,
+                                           capsys, command, field):
+        if command == "compare":
+            build_student_dir(tmp_path / "a", 0.9)
+            build_student_dir(tmp_path / "b", 0.5)
+            path = tmp_path / "b" / "seed_2" / "outcomes_test_id.jsonl"
+            records = [json.loads(line) for line in path.read_text().splitlines()]
+        elif command == "student-scores":
+            path = tmp_path / "scores.jsonl"
+            records = [{"metric_name": "length", "higher_is_easier": False}] + [
+                {"example_id": eid, "score": float(i)}
+                for i, eid in enumerate(read_td_stats(run_dir / "teacher" / "td_stats.jsonl"))
+            ]
+        else:
+            path = tmp_path / "td_stats.jsonl"
+            records = [json.loads(line) for line in
+                       (run_dir / "teacher" / "td_stats.jsonl").read_text().splitlines()]
+        del records[7][field]
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        out = tmp_path / "o"
+        argv = {
+            "student-stats": ["student", "--config", str(config_path), "--out", str(out),
+                              "--scheduler", "conf+var_comp", "--scores", str(path)],
+            "student-scores": ["student", "--config", str(config_path), "--out", str(out),
+                               "--scheduler", "length", "--scores", str(path)],
+            "datamap": ["datamap", "--out", str(out), "--stats", str(path)],
+            "compare": ["compare", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "b"),
+                        "--out", str(out / "cmp")],
+        }[command]
+        assert main(argv) == 1
+        assert f"{path}:8: missing field '{field}'" in capsys.readouterr().err
+        assert {p.name for p in out.rglob("*")} <= {"config.json"}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_exits_2_with_step(self, tmp_path, capsys):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["train"]["learning_rate"] = 1e308  # weights overflow to inf
+        cfg = tmp_path / "huge_lr.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["teacher", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "runtime failure: non-finite training loss nan at step" in err
+        assert not (out / "teacher").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["teacher", "--config", str(tmp_path / "none.json"),

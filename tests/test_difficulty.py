@@ -273,6 +273,12 @@ class TestScoresFormat:
         assert read_scores(path) == scores
         assert read_scores_header(path)["num_subsets"] == 3
 
+    def test_header_without_orientation_named(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"metric_name": "length"}\n{"example_id": "a", "score": 1.0}\n')
+        with pytest.raises(ValueError, match="scores.jsonl:1: missing field 'higher_is_easier'"):
+            read_scores(path)
+
     def test_metrics_are_total(self, easy_synth):
         for metric in (length_metric(easy_synth), rarity_metric(easy_synth),
                        perplexity_metric(easy_synth)):

@@ -204,6 +204,14 @@ class TestTrain:
         with pytest.raises(RuntimeError, match="exhausted"):
             train(train_c, val_c, cfg, Exhausting(np.arange(train_c.size)))
 
+    def test_non_finite_loss_names_step(self):
+        rows = [([1.0, 0.0], 0), ([0.0, 1.0], 1), ([float("nan"), 1.0], 1), ([1.0, 1.0], 0)]
+        corpus = make_corpus([({j: v for j, v in enumerate(f)}, label)
+                              for f, label in rows], num_classes=2, dim=2)
+        cfg = TrainConfig(epochs=1, batch_size=4, learning_rate=0.1, seed=0)
+        with pytest.raises(FloatingPointError, match="non-finite training loss nan at step 1"):
+            train(corpus, None, cfg, random_sampler(corpus, 4, seed=0))
+
     def test_no_validation_returns_final_params(self, separable):
         train_c, _, _, _ = separable
         cfg = TrainConfig(epochs=1, batch_size=16, learning_rate=1.0, seed=3)
