@@ -2,7 +2,7 @@
 discrete and continuous schedulers, and a reproducible experiment pipeline
 for small text classifiers."""
 
-from .corpus import Corpus, Example, SynthSpec, featurize, generate_synthetic, tokenize
+from .corpus import Corpus, SynthSpec, featurize, generate_synthetic, tokenize
 from .curricula import (
     AnnealingSampler,
     CompetenceSampler,
@@ -26,7 +26,7 @@ from .trainer import ModelParams, Probes, RunLog, TrainConfig, evaluate, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "Corpus", "Example", "SynthSpec", "tokenize", "featurize", "generate_synthetic",
+    "Corpus", "SynthSpec", "tokenize", "featurize", "generate_synthetic",
     "TrainConfig", "ModelParams", "Probes", "RunLog", "train", "evaluate",
     "DynamicsTrace", "TDStats", "compute_all",
     "DifficultyScores", "CrossReviewConfig", "from_td", "cross_review",

@@ -73,3 +73,16 @@ def read_jsonl(path: str | Path, required: tuple[str, ...] = (),
                 if name not in rec:
                     raise ValueError(f"{path}:{lineno}: missing field '{name}'")
             yield rec
+
+
+
+def convert(rec: dict, name: str, kind: type, where: str):
+    """``kind(rec[name])`` for ``kind`` float or int; a value it rejects
+    raises ValueError naming ``where`` and the field."""
+    try:
+        return kind(rec[name])
+    except (TypeError, ValueError, OverflowError):
+        noun = "a number" if kind is float else "an integer"
+        raise ValueError(
+            f"{where}: field '{name}' must be {noun}, got {rec[name]!r}"
+        ) from None

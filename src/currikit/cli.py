@@ -415,8 +415,8 @@ def _run_student_seed(config: dict, corpora: dict[str, Corpus], scheduler: str,
         labels = corpus.labels()
         metrics["accuracy"][split] = float((pred == labels).mean())
         artifacts.write_jsonl(seed_dir / f"outcomes_{split}.jsonl", (
-            {"example_id": ex.id, "correct": bool(p == t)}
-            for ex, p, t in zip(corpus.examples, pred, labels)
+            {"example_id": eid, "correct": bool(p == t)}
+            for eid, p, t in zip(corpus.ids(), pred, labels)
         ))
     artifacts.write_json(seed_dir / "metrics.json", metrics)
     return metrics
@@ -498,8 +498,11 @@ def _pooled_outcomes(path: Path, seeds: list[int], split: str) -> dict:
     pooled = {}
     for seed in seeds:
         outcomes = path / f"seed_{seed}" / f"outcomes_{split}.jsonl"
-        for rec in artifacts.read_jsonl(outcomes, required=("example_id", "correct")):
-            pooled[(rec["example_id"], seed)] = bool(rec["correct"])
+        records = artifacts.read_jsonl(outcomes, required=("example_id", "correct"))
+        for lineno, rec in enumerate(records, start=1):
+            if not isinstance(rec["correct"], bool):
+                raise ValueError(f"{outcomes}:{lineno}: field 'correct' must be a boolean")
+            pooled[(rec["example_id"], seed)] = rec["correct"]
     return pooled
 
 
@@ -595,8 +598,6 @@ def cmd_sweep(config: dict, out_dir: Path, schedulers: list[str],
             if not (out_dir / "students" / s / "summary.json").exists()]
     if teachers or todo:
         corpora = resolve_corpora(config)
-        for corpus in corpora.values():
-            corpus.feature_matrix()  # prebuild: shared read-only across workers
         for metric in teachers:
             cmd_teacher(config, out_dir, metric=metric, corpora=corpora)
         if workers > 1 and len(todo) > 1:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,67 +70,45 @@ def featurize(
     return {idx: c / norm for idx, c in counts.items()}
 
 
-@dataclass
-class Example:
-    """One labeled instance; ``tokens`` is the tokenization of text_a
-    followed by text_b (when present)."""
-
-    id: str
-    text_a: str
-    text_b: str | None
-    tokens: list[str]
-    features: dict[int, float]
-    label: int
-
-    @property
-    def is_noisy(self) -> bool:
-        return self.id.endswith(NOISY_SUFFIX)
-
-
-@dataclass
 class Corpus:
-    examples: list[Example]
-    num_classes: int
-    split_name: str
-    feature_dim: int
-    label_names: list[str]
-    _matrix: sparse.csr_matrix | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    """One split by column: row i of the ids, the read-only labels, the CSR
+    feature matrix, the (text_a, text_b) texts and their (tokens_a, tokens_b)
+    tokenizations is example i. text_b may be None; tokens_b is then empty."""
 
-    def __post_init__(self):
-        if self.split_name not in SPLIT_NAMES:
+    def __init__(self, ids: list[str], labels, matrix: sparse.csr_matrix,
+                 texts: list[tuple[str, str | None]],
+                 tokens: list[tuple[list[str], list[str]]],
+                 num_classes: int, split_name: str, label_names: list[str]):
+        if split_name not in SPLIT_NAMES:
             raise ValueError(
-                f"split_name must be one of {SPLIT_NAMES}, got {self.split_name!r}"
+                f"split_name must be one of {SPLIT_NAMES}, got {split_name!r}"
             )
+        self._ids = list(ids)
+        self._labels = np.array(labels, dtype=np.int64)
+        self._labels.flags.writeable = False
+        self._matrix = matrix
+        self.texts = texts
+        self.tokens = tokens
+        self.num_classes = num_classes
+        self.split_name = split_name
+        self.label_names = label_names
 
     @property
     def size(self) -> int:
-        return len(self.examples)
+        return len(self._ids)
+
+    @property
+    def feature_dim(self) -> int:
+        return self._matrix.shape[1]
 
     def ids(self) -> list[str]:
-        return [ex.id for ex in self.examples]
+        return list(self._ids)
 
     def labels(self) -> np.ndarray:
-        return np.array([ex.label for ex in self.examples], dtype=np.int64)
+        return self._labels
 
     def feature_matrix(self) -> sparse.csr_matrix:
-        """CSR matrix of shape (size, feature_dim); built once and cached."""
-        if self._matrix is None:
-            indptr = [0]
-            indices: list[int] = []
-            data: list[float] = []
-            for ex in self.examples:
-                for idx in sorted(ex.features):
-                    indices.append(idx)
-                    data.append(ex.features[idx])
-                indptr.append(len(indices))
-            self._matrix = sparse.csr_matrix(
-                (np.array(data, dtype=np.float64),
-                 np.array(indices, dtype=np.int64),
-                 np.array(indptr, dtype=np.int64)),
-                shape=(len(self.examples), self.feature_dim),
-            )
+        """CSR matrix of shape (size, feature_dim), built at load."""
         return self._matrix
 
 
@@ -164,16 +142,22 @@ class SynthSpec:
             raise ValueError("ood_shift must be >= 0")
 
 
-def _build_example(eid, text_a, text_b, label, dim, features=None):
-    tokens_a = tokenize(text_a)
-    tokens_b = tokenize(text_b) if text_b else None
-    tokens = tokens_a + (tokens_b or [])
-    if features is None:
-        features = featurize(tokens_a, tokens_b, dim)
-    return Example(
-        id=eid, text_a=text_a, text_b=text_b, tokens=tokens,
-        features=features, label=label,
-    )
+def _record_features(raw, where: str) -> dict[int, float]:
+    """A record's "features" object as {index: value}; indices must be
+    non-negative integers and values finite numbers."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where}: field 'features' must be an object")
+    features: dict[int, float] = {}
+    for key, value in raw.items():
+        try:
+            idx, val = int(key), float(value)
+        except (TypeError, ValueError, OverflowError):
+            idx, val = -1, math.nan
+        if idx < 0 or not math.isfinite(val):
+            raise ValueError(f"{where}: feature {key!r}: {value!r} needs a "
+                             "non-negative integer index and a finite value")
+        features[idx] = val
+    return features
 
 
 def load_jsonl(
@@ -188,83 +172,94 @@ def load_jsonl(
     Without ``label_map``, labels are indexed in first-appearance order.
     With a fixed map (sidecar), any label outside it is a hard error.
     When the records carry a "features" field, every record must carry it
-    and the feature dimension is inferred from the largest index.
+    and the feature dimension is inferred from the largest index; otherwise
+    ``featurize`` hashes the texts. A malformed record raises ValueError
+    naming ``path:line``.
     """
     path = Path(path)
     fixed_map = label_map is not None
     lmap: dict[str, int] = dict(label_map) if label_map else {}
-    examples: list[Example] = []
+    ids, labels, texts, tokens = [], [], [], []  # the Corpus columns
+    indptr, indices, data = [0], [], []  # the feature matrix's CSR buffers
     seen_ids: set[str] = set()
     has_features: bool | None = None
-    max_feature_idx = -1
 
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+                raise ValueError(f"{where}: invalid JSON ({exc})") from None
+            if not isinstance(rec, dict):
+                raise ValueError(f"{where}: not a JSON object")
             for fld in ("id", "text_a", "label"):
                 if fld not in rec or rec[fld] is None:
-                    raise ValueError(f"{path}:{lineno}: missing field {fld!r}")
+                    raise ValueError(f"{where}: missing field {fld!r}")
             eid = str(rec["id"])
             if eid in seen_ids:
-                raise ValueError(f"duplicate example id {eid!r} in {path}")
+                raise ValueError(f"{where}: duplicate example id {eid!r}")
             seen_ids.add(eid)
 
             label_str = str(rec["label"])
             if label_str not in lmap:
                 if fixed_map:
                     raise ValueError(
-                        f"{path}:{lineno}: unknown label {label_str!r} for "
+                        f"{where}: unknown label {label_str!r} for "
                         f"split {split_name!r} (not in the fixed label map)"
                     )
                 lmap[label_str] = len(lmap)
+
+            text_a = str(rec["text_a"])
+            text_b = None if rec.get("text_b") is None else str(rec["text_b"])
+            tokens_a, tokens_b = tokenize(text_a), tokenize(text_b) if text_b else []
 
             rec_features = rec.get("features")
             if has_features is None:
                 has_features = rec_features is not None
             elif has_features != (rec_features is not None):
                 raise ValueError(
-                    f"{path}:{lineno}: mixed records with and without "
-                    "a 'features' field"
+                    f"{where}: mixed records with and without a 'features' field"
                 )
-            features = None
-            if rec_features is not None:
-                features = {int(k): float(v) for k, v in rec_features.items()}
-                if features:
-                    max_feature_idx = max(max_feature_idx, max(features))
+            features = (featurize(tokens_a, tokens_b, dim) if rec_features is None
+                        else _record_features(rec_features, where))
+            keys = sorted(features)
+            indices.extend(keys)
+            data.extend(map(features.get, keys))
+            indptr.append(len(indices))
 
-            examples.append(
-                _build_example(
-                    eid, str(rec["text_a"]), rec.get("text_b"),
-                    lmap[label_str], dim, features,
-                )
-            )
+            ids.append(eid)
+            labels.append(lmap[label_str])
+            texts.append((text_a, text_b))
+            tokens.append((tokens_a, tokens_b))
 
-    feature_dim = (max_feature_idx + 1) if has_features else dim
-    feature_dim = max(feature_dim, 1)
-    return Corpus(
-        examples=examples,
-        num_classes=len(lmap),
-        split_name=split_name,
-        feature_dim=feature_dim,
-        label_names=[name for name, _ in sorted(lmap.items(), key=lambda kv: kv[1])],
+    feature_dim = (max(indices, default=-1) + 1) if has_features else dim
+    matrix = sparse.csr_matrix(
+        (np.array(data, dtype=np.float64),
+         np.array(indices, dtype=np.int64),
+         np.array(indptr, dtype=np.int64)),
+        shape=(len(ids), max(feature_dim, 1)),
     )
+    return Corpus(ids=ids, labels=labels, matrix=matrix, texts=texts, tokens=tokens,
+                  num_classes=len(lmap), split_name=split_name,
+                  label_names=sorted(lmap, key=lmap.get))
 
 
 def save_jsonl(corpus: Corpus, path: str | Path, include_features: bool = False) -> None:
     """Write a corpus back to JSONL. ``include_features`` preserves feature
     vectors that are not derivable from the text (synthetic corpora)."""
+    X = corpus.feature_matrix()
     write_jsonl(path, (
-        {"id": ex.id, "text_a": ex.text_a, "text_b": ex.text_b,
-         "label": corpus.label_names[ex.label],
-         **({"features": {str(k): ex.features[k] for k in sorted(ex.features)}}
+        {"id": eid, "text_a": text_a, "text_b": text_b,
+         "label": corpus.label_names[label],
+         **({"features": dict(zip(map(str, X.indices[lo:hi].tolist()),
+                                  X.data[lo:hi].tolist()))}
             if include_features else {})}
-        for ex in corpus.examples
+        for eid, (text_a, text_b), label, lo, hi
+        in zip(corpus.ids(), corpus.texts, corpus.labels(), X.indptr, X.indptr[1:])
     ))
 
 
@@ -291,14 +286,6 @@ def _synth_text(rng: np.random.Generator, label: int) -> str:
     return " ".join(f"w{int(w):03d}" for w in word_ids)
 
 
-def _normalized_features(vec: np.ndarray) -> dict[int, float]:
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        return {}
-    vec = vec / norm
-    return {i: float(vec[i]) for i in range(vec.shape[0])}
-
-
 def generate_synthetic(spec: SynthSpec) -> tuple[Corpus, Corpus, Corpus, Corpus]:
     """Gaussian cluster per class, projected to unit-norm sparse features.
 
@@ -319,34 +306,36 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Corpus, Corpus, Corpus, Corpus]
 
     label_names = [f"c{i}" for i in range(C)]
 
-    def draw_split(prefix, split_name, n, centers):
-        examples = []
+    def draw_split(prefix, n, centers):
+        """Ids, labels, unit-norm feature rows and texts of n examples."""
+        rows = np.zeros((n, dim))
+        texts = []
         for i in range(n):
             label = i % C
             point = centers[label] + rng.normal(size=dim)
-            text = _synth_text(rng, label)
-            examples.append(
-                _build_example(
-                    f"{prefix}-{i:06d}", text, None, label, dim,
-                    _normalized_features(point),
-                )
-            )
-        return Corpus(
-            examples=examples, num_classes=C, split_name=split_name,
-            feature_dim=dim, label_names=list(label_names),
-        )
+            texts.append(_synth_text(rng, label))
+            norm = np.linalg.norm(point)
+            if norm:
+                rows[i] = point / norm
+        ids = [f"{prefix}-{i:06d}" for i in range(n)]
+        return ids, np.arange(n) % C, rows, texts
 
-    train = draw_split("train", "train", spec.train_size, means)
-    val = draw_split("val", "validation", spec.val_size, means)
-    test_id = draw_split("testid", "test_id", spec.test_size, means)
-    test_ood = draw_split("testood", "test_ood", spec.test_size, ood_means)
+    def build(split_name, ids, labels, rows, texts):
+        return Corpus(ids, labels, sparse.csr_matrix(rows), [(t, None) for t in texts],
+                      [(tokenize(t), []) for t in texts], C, split_name, list(label_names))
+
+    train = draw_split("train", spec.train_size, means)
+    val = draw_split("val", spec.val_size, means)
+    test_id = draw_split("testid", spec.test_size, means)
+    test_ood = draw_split("testood", spec.test_size, ood_means)
 
     num_noisy = int(math.floor(spec.label_noise_fraction * spec.train_size))
     if num_noisy > 0:
+        ids, labels = train[:2]
         flip_idx = rng.choice(spec.train_size, size=num_noisy, replace=False)
         for i in sorted(int(j) for j in flip_idx):
-            ex = train.examples[i]
-            wrong = [c for c in range(C) if c != ex.label]
-            ex.label = int(wrong[int(rng.integers(len(wrong)))])
-            ex.id = ex.id + NOISY_SUFFIX
-    return train, val, test_id, test_ood
+            wrong = [c for c in range(C) if c != labels[i]]
+            labels[i] = wrong[int(rng.integers(len(wrong)))]
+            ids[i] += NOISY_SUFFIX
+    return (build("train", *train), build("validation", *val),
+            build("test_id", *test_id), build("test_ood", *test_ood))

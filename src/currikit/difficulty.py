@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_jsonl, write_jsonl
-from .corpus import Corpus, tokenize
+from .artifacts import convert, read_jsonl, write_jsonl
+from .corpus import Corpus
 from .dynamics import TDStats
 from .trainer import TrainConfig, predict, train
 
@@ -116,20 +116,15 @@ def cross_review(corpus: Corpus, config: CrossReviewConfig) -> DifficultyScores:
 # --- task-agnostic heuristics ----------------------------------------------
 
 
-def _segment_tokens(ex) -> tuple[list[str], list[str]]:
-    return tokenize(ex.text_a), tokenize(ex.text_b) if ex.text_b else []
-
-
 def length_metric(corpus: Corpus) -> DifficultyScores:
     """Token count of the entire input (both segments); longer = harder."""
-    scores = {ex.id: float(len(ex.tokens)) for ex in corpus.examples}
+    scores = {eid: float(len(tokens_a) + len(tokens_b))
+              for eid, (tokens_a, tokens_b) in zip(corpus.ids(), corpus.tokens)}
     return DifficultyScores(metric_name="length", scores=scores, higher_is_easier=False)
 
 
 def _train_token_counts(train_corpus: Corpus) -> tuple[Counter, int]:
-    counts = Counter()
-    for ex in train_corpus.examples:
-        counts.update(ex.tokens)
+    counts = Counter(tok for pair in train_corpus.tokens for seg in pair for tok in seg)
     return counts, sum(counts.values())
 
 
@@ -142,16 +137,16 @@ def rarity_metric(corpus: Corpus, train_corpus: Corpus | None = None) -> Difficu
     vocab = len(counts)
     unseen = 1.0 / (total + vocab + 1)
 
-    def score(ex) -> float:
+    def score(tokens_a: list[str], tokens_b: list[str]) -> float:
         s = 0.0
-        for tok in ex.tokens:
+        for tok in chain(tokens_a, tokens_b):
             f = counts[tok] / total if counts[tok] else unseen
             s -= math.log(f)
         return s
 
     return DifficultyScores(
         metric_name="rarity",
-        scores={ex.id: score(ex) for ex in corpus.examples},
+        scores={eid: score(*pair) for eid, pair in zip(corpus.ids(), corpus.tokens)},
         higher_is_easier=False,
     )
 
@@ -172,16 +167,15 @@ class NGramModel:
         self.unigram = Counter()
         self.bigram = Counter()
         self.context = Counter()
-        for ex in train_corpus.examples:
-            for segment in _segment_tokens(ex):
-                if not segment:
-                    continue
-                self.unigram.update(segment)
-                prev = _BOS
-                for tok in segment:
-                    self.bigram[(prev, tok)] += 1
-                    self.context[prev] += 1
-                    prev = tok
+        for segment in chain.from_iterable(train_corpus.tokens):
+            if not segment:
+                continue
+            self.unigram.update(segment)
+            prev = _BOS
+            for tok in segment:
+                self.bigram[(prev, tok)] += 1
+                self.context[prev] += 1
+                prev = tok
         self.total = sum(self.unigram.values())
         self.vocab_size = len(self.unigram)
 
@@ -217,12 +211,11 @@ def perplexity_metric(
     ref = train_corpus if train_corpus is not None else corpus
     lm = NGramModel(ref, order=order, add_k=add_k)
     scores = {}
-    for ex in corpus.examples:
-        seg_a, seg_b = _segment_tokens(ex)
+    for eid, (seg_a, seg_b) in zip(corpus.ids(), corpus.tokens):
         score = lm.segment_perplexity(seg_a)
         if seg_b:
             score += lm.segment_perplexity(seg_b)
-        scores[ex.id] = score
+        scores[eid] = score
     return DifficultyScores(metric_name="ppl", scores=scores, higher_is_easier=False)
 
 
@@ -256,8 +249,9 @@ def read_scores(path: str | Path) -> DifficultyScores:
     """Inverse of write_scores; rejects a non-finite score."""
     header = read_scores_header(path)
     scores: dict[str, float] = {}
-    for rec in read_jsonl(path, required=("example_id", "score"), skip=1):
-        eid, score = rec["example_id"], float(rec["score"])
+    records = read_jsonl(path, required=("example_id", "score"), skip=1)
+    for lineno, rec in enumerate(records, start=2):
+        eid, score = rec["example_id"], convert(rec, "score", float, f"{path}:{lineno}")
         if not math.isfinite(score):
             raise ValueError(f"{path}: non-finite value {score} for example {eid!r}")
         scores[eid] = score

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .artifacts import read_jsonl, write_jsonl
+from .artifacts import convert, read_jsonl, write_jsonl
 from .trainer import Probes
 
 
@@ -94,12 +94,13 @@ def write_td_stats(stats: dict[str, TDStats], path: str | Path) -> None:
 def read_td_stats(path: str | Path) -> dict[str, TDStats]:
     """Inverse of write_td_stats; rejects a non-finite confidence or variability."""
     out: dict[str, TDStats] = {}
-    for rec in read_jsonl(path, required=_TD_FIELDS):
+    for lineno, rec in enumerate(read_jsonl(path, required=_TD_FIELDS), start=1):
+        where = f"{path}:{lineno}"
         s = TDStats(
             example_id=rec["example_id"],
-            confidence=float(rec["confidence"]),
-            correctness=int(rec["correctness"]),
-            variability=float(rec["variability"]),
+            confidence=convert(rec, "confidence", float, where),
+            correctness=convert(rec, "correctness", int, where),
+            variability=convert(rec, "variability", float, where),
         )
         if not all(map(math.isfinite, (s.confidence, s.variability))):
             raise ValueError(f"{path}: non-finite value for example {s.example_id!r}")

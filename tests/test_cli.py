@@ -20,6 +20,8 @@ from currikit.corpus import load_jsonl
 from currikit.difficulty import read_scores, read_scores_header
 from currikit.dynamics import read_td_stats, write_td_stats
 
+MISSING = object()  # a field deleted from a record rather than given a value
+
 BASE_CONFIG = {
     "synth": {
         "num_classes": 3, "train_size": 120, "val_size": 60, "test_size": 60,
@@ -538,14 +540,26 @@ class TestCliEntryPoint:
         assert not list(out.glob("datamap.*"))
         assert not (out / "correlations.json").exists()
 
-    @pytest.mark.parametrize("command, field", [
-        ("student-stats", "variability"),
-        ("student-scores", "score"),
-        ("datamap", "confidence"),
-        ("compare", "correct"),
+    @pytest.mark.parametrize("command, field, bad, message", [
+        pytest.param("student-stats", "variability", MISSING, "missing field 'variability'",
+                     id="student-stats-variability"),
+        pytest.param("student-scores", "score", MISSING, "missing field 'score'",
+                     id="student-scores-score"),
+        pytest.param("datamap", "confidence", MISSING, "missing field 'confidence'",
+                     id="datamap-confidence"),
+        pytest.param("compare", "correct", MISSING, "missing field 'correct'",
+                     id="compare-correct"),
+        pytest.param("compare", "correct", "false", "field 'correct' must be a boolean",
+                     id="compare-correct-string"),
+        pytest.param("student-stats", "confidence", "high",
+                     "field 'confidence' must be a number", id="student-stats-confidence-string"),
+        pytest.param("datamap", "correctness", "3.5",
+                     "field 'correctness' must be an integer", id="datamap-correctness-string"),
+        pytest.param("student-scores", "score", "x", "field 'score' must be a number",
+                     id="student-scores-score-string"),
     ])
     def test_missing_field_named_with_line(self, run_dir, config_path, tmp_path,
-                                           capsys, command, field):
+                                           capsys, command, field, bad, message):
         if command == "compare":
             build_student_dir(tmp_path / "a", 0.9)
             build_student_dir(tmp_path / "b", 0.5)
@@ -561,7 +575,10 @@ class TestCliEntryPoint:
             path = tmp_path / "td_stats.jsonl"
             records = [json.loads(line) for line in
                        (run_dir / "teacher" / "td_stats.jsonl").read_text().splitlines()]
-        del records[7][field]
+        if bad is MISSING:
+            del records[7][field]
+        else:
+            records[7][field] = bad
         path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
         out = tmp_path / "o"
         argv = {
@@ -574,7 +591,38 @@ class TestCliEntryPoint:
                         "--out", str(out / "cmp")],
         }[command]
         assert main(argv) == 1
-        assert f"{path}:8: missing field '{field}'" in capsys.readouterr().err
+        assert f"{path}:8: {message}" in capsys.readouterr().err
+        assert {p.name for p in out.rglob("*")} <= {"config.json"}
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": "r4", "text_a": "t", "label": "c0", "features": {"-3": 1.0}}',
+         "feature '-3': 1.0 needs a non-negative integer index"),
+        ('{"id": "r4", "text_a": "t", "label": "c0", "features": [1.0]}',
+         "field 'features' must be an object"),
+        ('{"id": "r4", "text_a": "t", "label": "c0", "features": {"1": "x"}}',
+         "feature '1': 'x' needs"),
+        ('{"id": "r4", "text_a": "t", "label": "c0", "features": {"1": NaN}}',
+         "feature '1': nan needs"),
+        ('{"id": "r4", "text_a": "t", "label": "c0", "features": {"1": -Infinity}}',
+         "feature '1': -inf needs"),
+        ('{"id": "r0", "text_a": "t", "label": "c0", "features": {"1": 1.0}}',
+         "duplicate example id 'r0'"),
+        ("7", "not a JSON object"),
+    ], ids=["negative-index", "features-not-object", "non-numeric-value", "nan-value",
+            "inf-value", "duplicate-id", "not-object"])
+    def test_malformed_corpus_record_named_with_line(self, tmp_path, capsys, line, message):
+        good = [json.dumps({"id": f"r{i}", "text_a": f"t{i}", "label": f"c{i % 2}",
+                            "features": {str(i % 4): 1.0}}) for i in range(8)]
+        train, validation = tmp_path / "train.jsonl", tmp_path / "validation.jsonl"
+        train.write_text("\n".join(good[:4] + [line] + good[5:]) + "\n")
+        validation.write_text("\n".join(good) + "\n")
+        config = {"data": {"train": str(train), "validation": str(validation)},
+                  "train": BASE_CONFIG["train"], "seeds": [1]}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["teacher", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"{train}:5: {message}" in capsys.readouterr().err
         assert {p.name for p in out.rglob("*")} <= {"config.json"}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,11 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from currikit.corpus import (
+    NOISY_SUFFIX,
     SynthSpec,
     featurize,
     generate_synthetic,
@@ -15,6 +17,12 @@ from currikit.corpus import (
     load_label_map,
     tokenize,
 )
+
+
+def csr_equal(a, b):
+    """Same CSR arrays: values, column indices and row pointers."""
+    return all(np.array_equal(getattr(a, name), getattr(b, name))
+               for name in ("data", "indices", "indptr"))
 
 
 class TestTokenize:
@@ -85,7 +93,8 @@ class TestLoadJsonl:
         ])
         corpus = load_jsonl(path, "train")
         assert corpus.size == 3
-        assert corpus.examples[1].tokens == ["c", "d"]
+        assert corpus.tokens[1] == (["c"], ["d"])
+        assert corpus.texts == [("a b", None), ("c", "d"), ("e", None)]
 
     def test_duplicate_id_named(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -93,7 +102,7 @@ class TestLoadJsonl:
             {"id": "x1", "text_a": "a", "label": "p"},
             {"id": "x1", "text_a": "b", "label": "p"},
         ])
-        with pytest.raises(ValueError, match="x1"):
+        with pytest.raises(ValueError, match=r"c\.jsonl:2: duplicate example id 'x1'"):
             load_jsonl(path, "train")
 
     def test_missing_field_has_line_number(self, tmp_path):
@@ -105,6 +114,49 @@ class TestLoadJsonl:
         with pytest.raises(ValueError, match=r":2"):
             load_jsonl(path, "train")
 
+    def test_non_string_texts_are_stringified(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        self._write(path, [{"id": 1, "text_a": 5, "text_b": 7, "label": "p"}])
+        corpus = load_jsonl(path, "train")
+        assert corpus.ids() == ["1"]
+        assert corpus.texts == [("5", "7")]
+        assert corpus.tokens == [(["5"], ["7"])]
+
+    def test_features_field_fills_csr_rows(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        self._write(path, [
+            {"id": "x1", "text_a": "a", "label": "p", "features": {"5": 0.5, "2": -1.0}},
+            {"id": "x2", "text_a": "b", "label": "p", "features": {}},
+            {"id": "x3", "text_a": "c", "label": "p", "features": {"0": 2.0}},
+        ])
+        X = load_jsonl(path, "train").feature_matrix()
+        assert X.shape == (3, 6)
+        assert X.indptr.tolist() == [0, 2, 2, 3]
+        assert X.indices.tolist() == [2, 5, 0]
+        assert X.data.tolist() == [-1.0, 0.5, 2.0]
+
+    def test_hashed_rows_are_featurize(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        pairs = [("The cat sat.", None), ("a b a", "b c"), ("", "")]
+        self._write(path, [{"id": f"x{i}", "text_a": a, "text_b": b, "label": "p"}
+                           for i, (a, b) in enumerate(pairs)])
+        corpus = load_jsonl(path, "train", dim=1024)
+        X = corpus.feature_matrix()
+        assert X.shape == (3, 1024)
+        for row, (a, b) in enumerate(pairs):
+            feats = featurize(tokenize(a), tokenize(b or ""), 1024)
+            lo, hi = X.indptr[row], X.indptr[row + 1]
+            assert X.indices[lo:hi].tolist() == sorted(feats)
+            assert X.data[lo:hi].tolist() == [feats[k] for k in sorted(feats)]
+
+    def test_labels_are_read_only(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        self._write(path, [{"id": "x1", "text_a": "a", "label": "p"}])
+        synthetic, *_ = generate_synthetic(SynthSpec(train_size=6, val_size=3, test_size=3))
+        for corpus in (load_jsonl(path, "train"), synthetic):
+            with pytest.raises(ValueError, match="read-only"):
+                corpus.labels()[0] = 1
+
     def test_first_appearance_label_order(self, tmp_path):
         path = tmp_path / "c.jsonl"
         self._write(path, [
@@ -114,7 +166,7 @@ class TestLoadJsonl:
         ])
         corpus = load_jsonl(path, "train")
         assert corpus.label_names == ["b", "a"]
-        assert [ex.label for ex in corpus.examples] == [0, 1, 0]
+        assert corpus.labels().tolist() == [0, 1, 0]
 
     def test_unknown_label_with_fixed_map(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -143,13 +195,13 @@ class TestSynthetic:
 
     def test_no_noise_no_flags(self):
         train, *_ = generate_synthetic(self.spec())
-        assert not any(ex.is_noisy for ex in train.examples)
+        assert not any(eid.endswith(NOISY_SUFFIX) for eid in train.ids())
 
     def test_exact_noise_count(self):
         train, *_ = generate_synthetic(
             self.spec(train_size=1000, label_noise_fraction=0.1)
         )
-        assert sum(ex.is_noisy for ex in train.examples) == 100
+        assert sum(eid.endswith(NOISY_SUFFIX) for eid in train.ids()) == 100
 
     def test_determinism_bytewise(self, tmp_path):
         for name in ("a", "b"):
@@ -160,12 +212,13 @@ class TestSynthetic:
     def test_seeds_differ(self):
         t1, *_ = generate_synthetic(self.spec(seed=1))
         t2, *_ = generate_synthetic(self.spec(seed=2))
-        assert [ex.features for ex in t1.examples] != [ex.features for ex in t2.examples]
+        assert not csr_equal(t1.feature_matrix(), t2.feature_matrix())
 
     def test_unit_norm_features(self):
         for corpus in generate_synthetic(self.spec()):
-            for ex in corpus.examples:
-                norm = sum(v * v for v in ex.features.values())
+            X = corpus.feature_matrix()
+            for lo, hi in zip(X.indptr, X.indptr[1:]):
+                norm = sum(v * v for v in X.data[lo:hi])
                 assert norm == pytest.approx(1.0, abs=1e-9)
 
     def test_split_names_and_sizes(self):
@@ -180,9 +233,9 @@ class TestSynthetic:
         save_jsonl(train, path, include_features=True)
         back = load_jsonl(path, "train")
         assert back.ids() == train.ids()
-        assert [ex.label for ex in back.examples] == [ex.label for ex in train.examples]
-        assert [ex.tokens for ex in back.examples] == [ex.tokens for ex in train.examples]
-        assert [ex.features for ex in back.examples] == [ex.features for ex in train.examples]
+        assert back.labels().tolist() == train.labels().tolist()
+        assert back.tokens == train.tokens
+        assert csr_equal(back.feature_matrix(), train.feature_matrix())
 
     def test_noise_fraction_bound(self):
         with pytest.raises(ValueError):
@@ -190,4 +243,6 @@ class TestSynthetic:
 
     def test_feature_dim_invariant(self):
         train, *_ = generate_synthetic(self.spec())
-        assert all(max(ex.features) < train.feature_dim for ex in train.examples)
+        X = train.feature_matrix()
+        assert np.diff(X.indptr).min() > 0
+        assert X.indices.max() < train.feature_dim

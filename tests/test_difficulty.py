@@ -1,10 +1,13 @@
+import json
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from currikit.corpus import Corpus, Example, SynthSpec, generate_synthetic
+from currikit.corpus import SynthSpec, generate_synthetic, load_jsonl
 from currikit.curricula import RandomSampler, build_competence_plan
 from currikit.difficulty import (
     CrossReviewConfig,
@@ -23,17 +26,18 @@ from currikit.trainer import TrainConfig, predict, train
 
 
 def text_corpus(texts, labels=None, num_classes=2, split="train"):
-    """Corpus from (text_a, text_b) pairs with hashed features."""
-    from currikit.corpus import _build_example
-
-    examples = []
+    """Corpus loaded from (text_a, text_b) pairs, or bare text_a strings,
+    with hashed features."""
+    records = []
     for i, item in enumerate(texts):
         text_a, text_b = item if isinstance(item, tuple) else (item, None)
-        label = labels[i] if labels else 0
-        examples.append(_build_example(f"x{i}", text_a, text_b, label, 1024))
-    return Corpus(examples=examples, num_classes=num_classes, split_name=split,
-                  feature_dim=1024,
-                  label_names=[f"c{i}" for i in range(num_classes)])
+        records.append({"id": f"x{i}", "text_a": text_a, "text_b": text_b,
+                        "label": f"c{labels[i] if labels else 0}"})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        return load_jsonl(path, split, dim=1024,
+                          label_map={f"c{i}": i for i in range(num_classes)})
 
 
 def td(eid, conf, corr, var):
@@ -137,8 +141,8 @@ class TestCrossReview:
             sampler = RandomSampler(np.sort(fold), cfg.batch_size, seed=cfg.seed)
             params, _, _ = train(easy_synth, None, cfg, sampler, collect_probes=False)
             pred = predict(params, easy_synth)
-            for row, ex in enumerate(easy_synth.examples):
-                if row not in fold and pred[row] == ex.label:
+            for row, label in enumerate(easy_synth.labels()):
+                if row not in fold and pred[row] == label:
                     votes[row] += 1
         assert list(scores.scores.values()) == votes
 

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from currikit.corpus import Corpus, Example, SynthSpec, generate_synthetic
+from currikit.corpus import Corpus, SynthSpec, generate_synthetic
 from currikit.curricula import RandomSampler
 from currikit.trainer import (
     ModelParams,
@@ -21,13 +22,20 @@ from currikit.trainer import (
 
 
 def make_corpus(features_labels, num_classes, dim, split="train"):
-    examples = [
-        Example(id=f"e{i}", text_a=f"t{i}", text_b=None, tokens=[f"t{i}"],
-                features=feats, label=label)
-        for i, (feats, label) in enumerate(features_labels)
-    ]
-    return Corpus(examples=examples, num_classes=num_classes,
-                  split_name=split, feature_dim=dim,
+    """Row i holds the i-th ({index: value}, label) pair, zeros included."""
+    n = len(features_labels)
+    rows = [sorted(feats.items()) for feats, _ in features_labels]
+    matrix = sparse.csr_matrix(
+        (np.array([v for row in rows for _, v in row], dtype=np.float64),
+         np.array([j for row in rows for j, _ in row], dtype=np.int64),
+         np.cumsum([0] + [len(row) for row in rows])),
+        shape=(n, dim),
+    )
+    return Corpus(ids=[f"e{i}" for i in range(n)],
+                  labels=[label for _, label in features_labels], matrix=matrix,
+                  texts=[(f"t{i}", None) for i in range(n)],
+                  tokens=[([f"t{i}"], []) for i in range(n)],
+                  num_classes=num_classes, split_name=split,
                   label_names=[f"c{i}" for i in range(num_classes)])
 
 
