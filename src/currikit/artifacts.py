@@ -5,6 +5,8 @@ Files are UTF-8, in parent directories created as needed: JSONL holds one
 newline. A write goes to a hidden temp file that replaces the target only
 once complete, so a killed or failing process never leaves a half-written
 artifact for a resumed run to trust (no fsync: a power cut is not covered).
+A reader checks each record against its kind's schema (field -> JSON type),
+kept beside that kind's writer, and raises ValueError naming ``path[:line]``.
 """
 
 from __future__ import annotations
@@ -49,40 +51,51 @@ def write_text(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
-def read_json(path: str | Path):
+_NOUNS = {str: "a string", int: "an integer", float: "a number", bool: "a boolean",
+          list: "an array", dict: "an object"}
+
+
+def check(record, schema: dict[str, type], source: str | Path,
+          line: int | None = None):
+    """``record`` if it is a JSON object holding each ``schema`` field with
+    exactly that JSON type (an int field takes no bool or float; a float field
+    takes an int, stored back as a float, but no bool); otherwise ValueError
+    naming ``source[:line]`` and the field."""
+    if type(record) is not dict:
+        problem = "not a JSON object"
+    else:
+        for name, kind in schema.items():
+            if name not in record:
+                problem = f"missing field '{name}'"
+                break
+            value = record[name]
+            if type(value) is not kind:
+                if kind is not float or type(value) is not int:
+                    problem = f"field '{name}' must be {_NOUNS[kind]}, got {value!r}"
+                    break
+                record[name] = float(value)
+        else:
+            return record
+    raise ValueError(f"{source if line is None else f'{source}:{line}'}: {problem}")
+
+
+def read_json(path: str | Path, schema: dict[str, type] | None = None):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not JSON ({exc})") from None
+    return doc if schema is None else check(doc, schema, path)
 
 
-def read_jsonl(path: str | Path, required: tuple[str, ...] = (),
+def read_jsonl(path: str | Path, schema: dict[str, type] | None = None,
                skip: int = 0) -> Iterator:
-    """The record on each line after the first ``skip``; a line that is not
-    JSON (a truncated file, say), or not an object holding every
-    ``required`` field, raises ValueError naming ``path:line``."""
+    """The record on each line after the first ``skip``, checked against
+    ``schema`` if given; a line that is not JSON (a truncated file, say)
+    raises ValueError naming ``path:line``."""
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(islice(fh, skip, None), start=skip + 1):
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: not JSON ({exc})") from None
-            if required and not isinstance(rec, dict):
-                raise ValueError(f"{path}:{lineno}: not a JSON object")
-            for name in required:
-                if name not in rec:
-                    raise ValueError(f"{path}:{lineno}: missing field '{name}'")
-            yield rec
-
-
-
-def convert(rec: dict, name: str, kind: type, where: str):
-    """``kind(rec[name])`` for ``kind`` float or int; a value it rejects
-    raises ValueError naming ``where`` and the field."""
-    try:
-        return kind(rec[name])
-    except (TypeError, ValueError, OverflowError):
-        noun = "a number" if kind is float else "an integer"
-        raise ValueError(
-            f"{where}: field '{name}' must be {noun}, got {rec[name]!r}"
-        ) from None
+            yield rec if schema is None else check(rec, schema, path, lineno)

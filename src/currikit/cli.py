@@ -21,7 +21,7 @@ import math
 import sys
 from collections.abc import Callable
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -66,6 +66,12 @@ EVAL_SPLITS = ("validation", "test_id", "test_ood", "test_transfer")
 
 _BASELINES = ("random", "cr_anneal")  # what sweep compares every scheduler against
 
+# Schemas of the artifacts written and read back here (meta.json: what is read).
+_META_SCHEMA = {"epochs": int}
+_OUTCOME_SCHEMA = {"example_id": str, "correct": bool}
+_SUMMARY_SCHEMA = {"scheduler": str, "seeds": list, "splits": list, "accuracy": dict,
+                   "best_steps": dict, "total_steps": dict}
+
 
 class ValidationError(Exception):
     """Bad config or bad command usage; maps to exit code 1."""
@@ -87,9 +93,33 @@ def load_config(path: str | Path) -> dict:
     return config
 
 
+# JSON type of each config field, top level and per section; all are optional.
+_CONFIG_SCHEMA = {"data": dict, "synth": dict, "train": dict, "seeds": list,
+                  "teacher_seed": int, "model": dict, "curriculum": dict,
+                  "cross_review": dict}
+_SECTION_SCHEMAS = {
+    "data": {**dict.fromkeys(("train", *EVAL_SPLITS, "label_map"), str), "hash_dim": int},
+    "synth": get_type_hints(SynthSpec),
+    "train": get_type_hints(trainer.TrainConfig),
+    "model": {"hidden_size": int},
+    "curriculum": {"c0": float, "duration": int, "baseline_dir": str,
+                   "competence_form": str, "ngram_order": int, "add_k": float},
+    "cross_review": {"num_subsets": int, "seed": int},
+}
+
+
 def validate_config(config: dict) -> None:
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
+    _check_given(config, _CONFIG_SCHEMA, "config")
+    for name, schema in _SECTION_SCHEMAS.items():
+        if name in config:
+            _check_given(config[name], schema, name)
+    seeds = _seeds(config)
+    items = {f"seeds[{i}]": s for i, s in enumerate(seeds)}
+    artifacts.check(items, dict.fromkeys(items, int), "config")
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise ValidationError("seeds must be a nonempty list of distinct integers")
     has_data = "data" in config
     has_synth = "synth" in config
     if has_data == has_synth:
@@ -99,6 +129,10 @@ def validate_config(config: dict) -> None:
         for fld in ("train", "validation"):
             if fld not in data:
                 raise ValidationError(f"data.{fld} is required")
+        hash_dim = data.get("hash_dim", DEFAULT_HASH_DIM)
+        if hash_dim <= 0 or hash_dim & (hash_dim - 1):
+            raise ValidationError(f"data.hash_dim must be a positive power of two, "
+                                  f"got {hash_dim}")
     else:
         try:
             SynthSpec(**config["synth"])
@@ -108,36 +142,31 @@ def validate_config(config: dict) -> None:
         _train_config(config, seed=0)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"train: {exc}") from None
-    seeds = config.get("seeds", [1, 2, 3])
-    if not isinstance(seeds, list) or not seeds or not all(
-        isinstance(s, int) for s in seeds
-    ):
-        raise ValidationError("seeds must be a nonempty list of integers")
-    if len(set(seeds)) != len(seeds):
-        raise ValidationError("seeds must be distinct")
-    hidden = config.get("model", {}).get("hidden_size", 0)
-    if not isinstance(hidden, int) or hidden < 0:
+    if _hidden_size(config) < 0:
         raise ValidationError("model.hidden_size must be a nonnegative integer")
     curr = config.get("curriculum", {})
-    c0 = curr.get("c0", 0.01)
-    if not isinstance(c0, (int, float)):
-        raise ValidationError("curriculum.c0 must be a number")
     try:
-        curricula.CompetencePlan(ordering=[], ids=[], c0=c0,
-                                 duration=int(curr.get("duration") or 1),
+        curricula.CompetencePlan(ordering=[], ids=[], c0=curr.get("c0", 0.01),
+                                 duration=curr.get("duration") or 1,
                                  form=curr.get("competence_form", "sqrt"))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValidationError(f"curriculum: {exc}") from None
     if curr.get("ngram_order", 2) not in (1, 2):
         raise ValidationError("curriculum.ngram_order must be 1 or 2")
-    add_k = curr.get("add_k", 1.0)
-    if not isinstance(add_k, (int, float)) or add_k <= 0:
+    if curr.get("add_k", 1.0) <= 0:
         raise ValidationError("curriculum.add_k must be a number > 0")
     try:
         difficulty.CrossReviewConfig(
-            num_subsets=int(config.get("cross_review", {}).get("num_subsets", 10)))
-    except (TypeError, ValueError) as exc:
+            num_subsets=config.get("cross_review", {}).get("num_subsets", 10))
+    except ValueError as exc:
         raise ValidationError(f"cross_review: {exc}") from None
+
+
+def _check_given(section: dict, schema: dict, name: str) -> None:
+    """Type-check the fields of ``section`` that ``schema`` names, on a copy
+    (the check stores an int given for a float back as a float)."""
+    artifacts.check(dict(section), {k: t for k, t in schema.items() if k in section},
+                    name)
 
 
 def _train_config(config: dict, seed: int, epochs_override: int | None = None):
@@ -168,8 +197,8 @@ def _hidden_size(config: dict) -> int:
 def resolve_corpora(config: dict) -> dict[str, Corpus]:
     """Load or (deterministically) regenerate every configured split.
 
-    The label map is fixed by the train split and all other splits must
-    conform to it.
+    The label map and the feature dimension are fixed by the train split
+    and all other splits must conform to them.
     """
     if "synth" in config:
         train, val, test_id, test_ood = generate_synthetic(SynthSpec(**config["synth"]))
@@ -183,7 +212,8 @@ def resolve_corpora(config: dict) -> dict[str, Corpus]:
     corpora = {"train": train}
     for split in EVAL_SPLITS:
         if data.get(split):
-            corpora[split] = load_jsonl(data[split], split, dim=dim, label_map=fixed)
+            corpora[split] = load_jsonl(data[split], split, dim=dim, label_map=fixed,
+                                        feature_dim=train.feature_dim)
     return corpora
 
 
@@ -331,10 +361,10 @@ def _annealing_epochs(path: Path, out_dir: Path,
     in [0, num_subsets - 1], correctness in [0, teacher epochs]."""
     header = _first_record(path)
     if "num_subsets" in header:
-        return int(header["num_subsets"]) - 1
+        return artifacts.check(header, {"num_subsets": int}, path, 1)["num_subsets"] - 1
     meta = out_dir / "teacher" / "meta.json"
     if meta.exists():
-        return int(artifacts.read_json(meta)["epochs"])
+        return artifacts.read_json(meta, _META_SCHEMA)["epochs"]
     return max(1, int(max(scores.scores.values())))
 
 
@@ -346,7 +376,7 @@ def _competence_duration(config: dict, seed: int, total_steps: int) -> int:
         summary_path = Path(curr["baseline_dir"]) / "summary.json"
         if not summary_path.exists():
             raise ValidationError(f"curriculum.baseline_dir: {summary_path} not found")
-        best_steps = artifacts.read_json(summary_path).get("best_steps", {})
+        best_steps = artifacts.read_json(summary_path, _SUMMARY_SCHEMA)["best_steps"]
         if str(seed) not in best_steps:
             raise ValidationError(
                 f"curriculum.baseline_dir has no run for seed {seed}"
@@ -491,17 +521,14 @@ def _load_student_dir(path: Path) -> dict:
     summary_path = path / "summary.json"
     if not summary_path.exists():
         raise ValidationError(f"{path} is not a completed student run directory")
-    return artifacts.read_json(summary_path)
+    return artifacts.read_json(summary_path, _SUMMARY_SCHEMA)
 
 
 def _pooled_outcomes(path: Path, seeds: list[int], split: str) -> dict:
     pooled = {}
     for seed in seeds:
         outcomes = path / f"seed_{seed}" / f"outcomes_{split}.jsonl"
-        records = artifacts.read_jsonl(outcomes, required=("example_id", "correct"))
-        for lineno, rec in enumerate(records, start=1):
-            if not isinstance(rec["correct"], bool):
-                raise ValueError(f"{outcomes}:{lineno}: field 'correct' must be a boolean")
+        for rec in artifacts.read_jsonl(outcomes, _OUTCOME_SCHEMA):
             pooled[(rec["example_id"], seed)] = rec["correct"]
     return pooled
 

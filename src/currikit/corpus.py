@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .artifacts import read_json, write_json, write_jsonl
+from .artifacts import check, read_json, write_json, write_jsonl
 
 DEFAULT_HASH_DIM = 2 ** 18
 
@@ -165,16 +165,19 @@ def load_jsonl(
     split_name: str = "train",
     dim: int = DEFAULT_HASH_DIM,
     label_map: dict[str, int] | None = None,
+    feature_dim: int | None = None,
 ) -> Corpus:
     """Read a corpus from a JSONL file (one object per line: id, text_a,
     optional text_b, label, optional features).
 
     Without ``label_map``, labels are indexed in first-appearance order.
     With a fixed map (sidecar), any label outside it is a hard error.
-    When the records carry a "features" field, every record must carry it
-    and the feature dimension is inferred from the largest index; otherwise
-    ``featurize`` hashes the texts. A malformed record raises ValueError
-    naming ``path:line``.
+    When the records carry a "features" field, every record must carry it;
+    otherwise ``featurize`` hashes the texts into ``dim`` columns. A fixed
+    ``feature_dim`` (the train split's, for an eval split) is the matrix
+    width; without it, features records set the width to their largest
+    index + 1. Every index must lie below that width, or below ``dim``.
+    A malformed record raises ValueError naming ``path:line``.
     """
     path = Path(path)
     fixed_map = label_map is not None
@@ -183,6 +186,7 @@ def load_jsonl(
     indptr, indices, data = [0], [], []  # the feature matrix's CSR buffers
     seen_ids: set[str] = set()
     has_features: bool | None = None
+    bound = dim if feature_dim is None else feature_dim
 
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -227,6 +231,9 @@ def load_jsonl(
             features = (featurize(tokens_a, tokens_b, dim) if rec_features is None
                         else _record_features(rec_features, where))
             keys = sorted(features)
+            if keys and keys[-1] >= bound:
+                raise ValueError(f"{where}: feature index {keys[-1]} is not below "
+                                 f"the feature dimension {bound}")
             indices.extend(keys)
             data.extend(map(features.get, keys))
             indptr.append(len(indices))
@@ -236,7 +243,8 @@ def load_jsonl(
             texts.append((text_a, text_b))
             tokens.append((tokens_a, tokens_b))
 
-    feature_dim = (max(indices, default=-1) + 1) if has_features else dim
+    if feature_dim is None:
+        feature_dim = (max(indices, default=-1) + 1) if has_features else dim
     matrix = sparse.csr_matrix(
         (np.array(data, dtype=np.float64),
          np.array(indices, dtype=np.int64),
@@ -268,7 +276,14 @@ def save_label_map(corpus: Corpus, path: str | Path) -> None:
 
 
 def load_label_map(path: str | Path) -> dict[str, int]:
-    return {str(k): int(v) for k, v in read_json(path).items()}
+    """The sidecar written by save_label_map: an object mapping each label
+    to a distinct class index in 0..n-1."""
+    label_map = read_json(path, {})
+    check(label_map, dict.fromkeys(label_map, int), path)
+    if sorted(label_map.values()) != list(range(len(label_map))):
+        raise ValueError(f"{path}: label indices must be 0..{len(label_map) - 1}, "
+                         f"each used once; got {sorted(label_map.values())}")
+    return label_map
 
 
 # --- synthetic data -------------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import convert, read_jsonl, write_jsonl
+from .artifacts import read_jsonl, write_jsonl
 from .corpus import Corpus
 from .dynamics import TDStats
 from .trainer import TrainConfig, predict, train
@@ -221,6 +221,9 @@ def perplexity_metric(
 
 # --- on-disk format ---------------------------------------------------------
 
+_HEADER_SCHEMA = {"metric_name": str, "higher_is_easier": bool}
+_SCORE_SCHEMA = {"example_id": str, "score": float}
+
 
 def write_scores(
     scores: DifficultyScores, path: str | Path, extra_header: dict | None = None
@@ -237,11 +240,9 @@ def write_scores(
 
 
 def read_scores_header(path: str | Path) -> dict:
-    header = next(read_jsonl(path), None)
-    if not isinstance(header, dict) or "metric_name" not in header:
+    header = next(read_jsonl(path, _HEADER_SCHEMA), None)
+    if header is None:
         raise ValueError(f"{path}: not a difficulty-scores file (missing header)")
-    if "higher_is_easier" not in header:
-        raise ValueError(f"{path}:1: missing field 'higher_is_easier'")
     return header
 
 
@@ -249,14 +250,13 @@ def read_scores(path: str | Path) -> DifficultyScores:
     """Inverse of write_scores; rejects a non-finite score."""
     header = read_scores_header(path)
     scores: dict[str, float] = {}
-    records = read_jsonl(path, required=("example_id", "score"), skip=1)
-    for lineno, rec in enumerate(records, start=2):
-        eid, score = rec["example_id"], convert(rec, "score", float, f"{path}:{lineno}")
+    for rec in read_jsonl(path, _SCORE_SCHEMA, skip=1):
+        eid, score = rec["example_id"], rec["score"]
         if not math.isfinite(score):
             raise ValueError(f"{path}: non-finite value {score} for example {eid!r}")
         scores[eid] = score
     return DifficultyScores(
-        metric_name=str(header["metric_name"]),
+        metric_name=header["metric_name"],
         scores=scores,
-        higher_is_easier=bool(header["higher_is_easier"]),
+        higher_is_easier=header["higher_is_easier"],
     )

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .artifacts import convert, read_jsonl, write_jsonl
+from .artifacts import read_jsonl, write_jsonl
 from .trainer import Probes
 
 
@@ -78,7 +78,8 @@ def compute_all(probes: Probes) -> dict[str, TDStats]:
     }
 
 
-_TD_FIELDS = ("example_id", "confidence", "correctness", "variability")
+_TD_SCHEMA = {"example_id": str, "confidence": float, "correctness": int,
+              "variability": float}
 
 
 def write_td_stats(stats: dict[str, TDStats], path: str | Path) -> None:
@@ -94,14 +95,9 @@ def write_td_stats(stats: dict[str, TDStats], path: str | Path) -> None:
 def read_td_stats(path: str | Path) -> dict[str, TDStats]:
     """Inverse of write_td_stats; rejects a non-finite confidence or variability."""
     out: dict[str, TDStats] = {}
-    for lineno, rec in enumerate(read_jsonl(path, required=_TD_FIELDS), start=1):
-        where = f"{path}:{lineno}"
-        s = TDStats(
-            example_id=rec["example_id"],
-            confidence=convert(rec, "confidence", float, where),
-            correctness=convert(rec, "correctness", int, where),
-            variability=convert(rec, "variability", float, where),
-        )
+    for rec in read_jsonl(path, _TD_SCHEMA):
+        s = TDStats(rec["example_id"], rec["confidence"], rec["correctness"],
+                    rec["variability"])
         if not all(map(math.isfinite, (s.confidence, s.variability))):
             raise ValueError(f"{path}: non-finite value for example {s.example_id!r}")
         out[s.example_id] = s

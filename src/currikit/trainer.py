@@ -285,6 +285,8 @@ def train(
 # --- on-disk formats -------------------------------------------------------
 
 _BEST_MARKER = "best_accuracy"
+_RUNLOG_SCHEMA = {"step": int, "split": str, "metric": str, "value": float}
+_PROBE_SCHEMA = {"epoch": int, "example_id": str, "gold_prob": float, "correct": bool}
 
 
 def write_runlog(log: RunLog, path: str | Path) -> None:
@@ -301,14 +303,11 @@ def write_runlog(log: RunLog, path: str | Path) -> None:
 def read_runlog(path: str | Path) -> RunLog:
     records: list[tuple[int, str, str, float]] = []
     best_step, best_val = 0, -math.inf
-    for rec in read_jsonl(path):
+    for rec in read_jsonl(path, _RUNLOG_SCHEMA):
         if rec["metric"] == _BEST_MARKER:
-            best_step = int(rec["step"])
-            best_val = float(rec["value"])
+            best_step, best_val = rec["step"], rec["value"]
         else:
-            records.append(
-                (int(rec["step"]), rec["split"], rec["metric"], float(rec["value"]))
-            )
+            records.append((rec["step"], rec["split"], rec["metric"], rec["value"]))
     return RunLog(records=records, best_step=best_step, best_val_metric=best_val)
 
 
@@ -326,8 +325,8 @@ def write_probes(probes: Probes, path: str | Path) -> None:
 def read_probes(path: str | Path) -> Probes:
     """Inverse of write_probes; every epoch must cover the same example ids."""
     by_epoch: dict[int, dict[str, dict]] = {}
-    for rec in read_jsonl(path):
-        by_epoch.setdefault(int(rec["epoch"]), {})[rec["example_id"]] = rec
+    for rec in read_jsonl(path, _PROBE_SCHEMA):
+        by_epoch.setdefault(rec["epoch"], {})[rec["example_id"]] = rec
     epochs = sorted(by_epoch)
     ids = list(by_epoch[epochs[0]]) if epochs else []
     for epoch in epochs[1:]:

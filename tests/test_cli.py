@@ -71,6 +71,25 @@ def build_student_dir(path, correct_fraction):
     }))
 
 
+def write_data_config(tmp_path, train_lines, validation_lines, **data):
+    """A config over train.jsonl and validation.jsonl holding the given
+    lines, with any extra ``data`` fields; returns its path."""
+    train, validation = tmp_path / "train.jsonl", tmp_path / "validation.jsonl"
+    train.write_text("\n".join(train_lines) + "\n")
+    validation.write_text("\n".join(validation_lines) + "\n")
+    config = {"data": {"train": str(train), "validation": str(validation), **data},
+              "train": BASE_CONFIG["train"], "seeds": [1]}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    return cfg
+
+
+def feature_records(n, width):
+    """n corpus lines with features, record i using column i % width."""
+    return [json.dumps({"id": f"r{i}", "text_a": f"t{i}", "label": f"c{i % 2}",
+                        "features": {str(i % width): 1.0}}) for i in range(n)]
+
+
 class TestSynthCommand:
     def test_writes_all_splits_and_label_map(self, tmp_path, config_path):
         out = tmp_path / "run"
@@ -467,6 +486,10 @@ class TestCliEntryPoint:
         ("cross_review", "num_subsets", 1),
         ("train", "epochs", "2"),
         ("curriculum", "add_k", "1"),
+        ("train", "epochs", 2.5),
+        ("train", "batch_size", 2.5),
+        ("train", "eval_per_epoch", 2.5),
+        ("model", "hidden_size", True),
     ])
     def test_bad_field_rejected_before_any_artifact(self, tmp_path, capsys,
                                                     section, field, value):
@@ -480,6 +503,41 @@ class TestCliEntryPoint:
         assert code == 1
         assert section in capsys.readouterr().err
         assert not list(out.rglob("*.jsonl"))
+
+    @pytest.mark.parametrize("update, message", [
+        ({"model": []}, "config: field 'model' must be an object, got []"),
+        ({"curriculum": 5}, "config: field 'curriculum' must be an object, got 5"),
+        ({"cross_review": "x"}, "config: field 'cross_review' must be an object, got 'x'"),
+        ({"teacher_seed": 1.5}, "config: field 'teacher_seed' must be an integer, got 1.5"),
+        ({"seeds": [True, 2]}, "config: field 'seeds[0]' must be an integer, got True"),
+        ({"synth": MISSING, "data": {"train": "t.jsonl", "validation": "v.jsonl",
+                                     "hash_dim": 3}},
+         "data.hash_dim must be a positive power of two, got 3"),
+        ({"synth": MISSING, "data": {"train": "t.jsonl", "validation": "v.jsonl",
+                                     "hash_dim": 0}},
+         "data.hash_dim must be a positive power of two, got 0"),
+        ({"synth": MISSING, "data": {"train": "t.jsonl", "validation": "v.jsonl",
+                                     "hash_dim": 1024.0}},
+         "data: field 'hash_dim' must be an integer, got 1024.0"),
+    ], ids=["model-array", "curriculum-number", "cross_review-string",
+            "teacher_seed-float", "seeds-bool", "hash_dim-3", "hash_dim-0",
+            "hash_dim-float"])
+    def test_bad_value_rejected_before_any_artifact(self, tmp_path, capsys, update,
+                                                    message):
+        bad = json.loads(json.dumps(BASE_CONFIG))
+        for key, value in update.items():
+            if value is MISSING:
+                del bad[key]
+            else:
+                bad[key] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        out = tmp_path / "o"
+        code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--schedulers", "random,conf_comp,cr_anneal"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("content", ["", "not json\n"], ids=["empty", "not-json"])
     def test_unreadable_scores_file_named(self, run_dir, config_path, tmp_path,
@@ -557,6 +615,15 @@ class TestCliEntryPoint:
                      "field 'correctness' must be an integer", id="datamap-correctness-string"),
         pytest.param("student-scores", "score", "x", "field 'score' must be a number",
                      id="student-scores-score-string"),
+        pytest.param("student-stats", "correctness", 1.7,
+                     "field 'correctness' must be an integer, got 1.7",
+                     id="student-stats-correctness-float"),
+        pytest.param("datamap", "correctness", True,
+                     "field 'correctness' must be an integer, got True",
+                     id="datamap-correctness-bool"),
+        pytest.param("student-stats", "confidence", "0.5",
+                     "field 'confidence' must be a number, got '0.5'",
+                     id="student-stats-confidence-numeric-string"),
     ])
     def test_missing_field_named_with_line(self, run_dir, config_path, tmp_path,
                                            capsys, command, field, bad, message):
@@ -594,6 +661,78 @@ class TestCliEntryPoint:
         assert f"{path}:8: {message}" in capsys.readouterr().err
         assert {p.name for p in out.rglob("*")} <= {"config.json"}
 
+    @pytest.mark.parametrize("kind", ["scores-header", "cross-review-header",
+                                      "summary", "meta"])
+    def test_bad_header_or_document_named(self, run_dir, config_path, tmp_path, capsys,
+                                          kind):
+        ids = list(read_td_stats(run_dir / "teacher" / "td_stats.jsonl"))
+        out = tmp_path / "o"
+        student = ["student", "--config", str(config_path), "--out", str(out)]
+        if kind in ("scores-header", "cross-review-header"):
+            path = tmp_path / "scores.jsonl"
+            header = ({"metric_name": "length", "higher_is_easier": "false"}
+                      if kind == "scores-header" else
+                      {"metric_name": "cross_review", "higher_is_easier": True,
+                       "num_subsets": "3"})
+            records = [header] + [{"example_id": eid, "score": float(i % 3)}
+                                  for i, eid in enumerate(ids)]
+            path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+            scheduler = "length" if kind == "scores-header" else "cr_anneal"
+            argv = student + ["--scheduler", scheduler, "--scores", str(path)]
+            message = (f"{path}:1: field 'higher_is_easier' must be a boolean, got 'false'"
+                       if kind == "scores-header" else
+                       f"{path}:1: field 'num_subsets' must be an integer, got '3'")
+        elif kind == "summary":
+            build_student_dir(tmp_path / "a", 0.9)
+            build_student_dir(tmp_path / "b", 0.5)
+            path = tmp_path / "b" / "summary.json"
+            summary = json.loads(path.read_text())
+            del summary["seeds"]
+            path.write_text(json.dumps(summary))
+            argv = ["compare", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "b"),
+                    "--out", str(out / "cmp")]
+            message = f"{path}: missing field 'seeds'"
+        else:
+            (out / "teacher").mkdir(parents=True)
+            stats = out / "teacher" / "td_stats.jsonl"
+            stats.write_bytes((run_dir / "teacher" / "td_stats.jsonl").read_bytes())
+            path = out / "teacher" / "meta.json"
+            path.write_text(json.dumps({"metric": "dynamics", "seed": 1}))
+            argv = student + ["--scheduler", "corr_anneal"]
+            message = f"{path}: missing field 'epochs'"
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "students").exists()
+        assert not list(out.glob("cmp*"))
+
+    def test_train_split_fixes_feature_dim(self, tmp_path, capsys):
+        # validation uses columns 0-2 of the train split's 0-3
+        cfg = write_data_config(tmp_path, feature_records(8, 4), feature_records(8, 3))
+        assert main(["teacher", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        validation = tmp_path / "validation.jsonl"
+        validation.write_text("\n".join(feature_records(8, 5)) + "\n")
+        out = tmp_path / "o2"
+        assert main(["teacher", "--config", str(cfg), "--out", str(out)]) == 1
+        assert (f"{validation}:5: feature index 4 is not below the feature dimension 4"
+                in capsys.readouterr().err)
+        assert {p.name for p in out.rglob("*")} <= {"config.json"}
+
+    @pytest.mark.parametrize("label_map, message", [
+        ({"c0": 0, "c1": 5}, "label indices must be 0..1, each used once; got [0, 5]"),
+        (["c0", "c1"], "not a JSON object"),
+        ({"c0": 0, "c1": 0}, "label indices must be 0..1, each used once; got [0, 0]"),
+        ({"c0": 0, "c1": "1"}, "field 'c1' must be an integer, got '1'"),
+    ], ids=["out-of-range", "list", "merged-labels", "string-index"])
+    def test_bad_label_map_named(self, tmp_path, capsys, label_map, message):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(label_map))
+        cfg = write_data_config(tmp_path, feature_records(8, 4), feature_records(8, 4),
+                                label_map=str(path))
+        out = tmp_path / "o"
+        assert main(["teacher", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert {p.name for p in out.rglob("*")} <= {"config.json"}
+
     @pytest.mark.parametrize("line, message", [
         ('{"id": "r4", "text_a": "t", "label": "c0", "features": {"-3": 1.0}}',
          "feature '-3': 1.0 needs a non-negative integer index"),
@@ -608,21 +747,16 @@ class TestCliEntryPoint:
         ('{"id": "r0", "text_a": "t", "label": "c0", "features": {"1": 1.0}}',
          "duplicate example id 'r0'"),
         ("7", "not a JSON object"),
+        ('{"id": "r4", "text_a": "t", "label": "c0", "features": {"1099511627776": 1.0}}',
+         "feature index 1099511627776 is not below the feature dimension 262144"),
     ], ids=["negative-index", "features-not-object", "non-numeric-value", "nan-value",
-            "inf-value", "duplicate-id", "not-object"])
+            "inf-value", "duplicate-id", "not-object", "index-past-hash-dim"])
     def test_malformed_corpus_record_named_with_line(self, tmp_path, capsys, line, message):
-        good = [json.dumps({"id": f"r{i}", "text_a": f"t{i}", "label": f"c{i % 2}",
-                            "features": {str(i % 4): 1.0}}) for i in range(8)]
-        train, validation = tmp_path / "train.jsonl", tmp_path / "validation.jsonl"
-        train.write_text("\n".join(good[:4] + [line] + good[5:]) + "\n")
-        validation.write_text("\n".join(good) + "\n")
-        config = {"data": {"train": str(train), "validation": str(validation)},
-                  "train": BASE_CONFIG["train"], "seeds": [1]}
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(config))
+        good = feature_records(8, 4)
+        cfg = write_data_config(tmp_path, good[:4] + [line] + good[5:], good)
         out = tmp_path / "o"
         assert main(["teacher", "--config", str(cfg), "--out", str(out)]) == 1
-        assert f"{train}:5: {message}" in capsys.readouterr().err
+        assert f"{tmp_path / 'train.jsonl'}:5: {message}" in capsys.readouterr().err
         assert {p.name for p in out.rglob("*")} <= {"config.json"}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
