@@ -71,6 +71,7 @@ _META_SCHEMA = {"epochs": int}
 _OUTCOME_SCHEMA = {"example_id": str, "correct": bool}
 _SUMMARY_SCHEMA = {"scheduler": str, "seeds": list, "splits": list, "accuracy": dict,
                    "best_steps": dict, "total_steps": dict}
+_ACCURACY_SCHEMA = {"mean": float, "std": float}  # each accuracy.<split>: what is read
 
 
 class ValidationError(Exception):
@@ -116,8 +117,7 @@ def validate_config(config: dict) -> None:
         if name in config:
             _check_given(config[name], schema, name)
     seeds = _seeds(config)
-    items = {f"seeds[{i}]": s for i, s in enumerate(seeds)}
-    artifacts.check(items, dict.fromkeys(items, int), "config")
+    _check_items(seeds, int, "seeds", "config")
     if not seeds or len(set(seeds)) != len(seeds):
         raise ValidationError("seeds must be a nonempty list of distinct integers")
     has_data = "data" in config
@@ -164,9 +164,20 @@ def validate_config(config: dict) -> None:
 
 def _check_given(section: dict, schema: dict, name: str) -> None:
     """Type-check the fields of ``section`` that ``schema`` names, on a copy
-    (the check stores an int given for a float back as a float)."""
-    artifacts.check(dict(section), {k: t for k, t in schema.items() if k in section},
-                    name)
+    (the check stores an int given for a float back as a float); a number
+    field must also be finite (``json`` reads NaN and Infinity)."""
+    given = {k: t for k, t in schema.items() if k in section}
+    artifacts.check(dict(section), given, name)
+    for key, kind in given.items():
+        if kind is float and not math.isfinite(section[key]):
+            raise ValidationError(f"{name}.{key} must be a finite number, "
+                                  f"got {section[key]!r}")
+
+
+def _check_items(values: list, kind: type, name: str, source) -> None:
+    """Each element of the array field ``name`` must have JSON type ``kind``."""
+    items = {f"{name}[{i}]": v for i, v in enumerate(values)}
+    artifacts.check(items, dict.fromkeys(items, kind), source)
 
 
 def _train_config(config: dict, seed: int, epochs_override: int | None = None):
@@ -376,12 +387,13 @@ def _competence_duration(config: dict, seed: int, total_steps: int) -> int:
         summary_path = Path(curr["baseline_dir"]) / "summary.json"
         if not summary_path.exists():
             raise ValidationError(f"curriculum.baseline_dir: {summary_path} not found")
-        best_steps = artifacts.read_json(summary_path, _SUMMARY_SCHEMA)["best_steps"]
-        if str(seed) not in best_steps:
+        summary = _load_student_dir(summary_path.parent)
+        if str(seed) not in summary["best_steps"]:
             raise ValidationError(
                 f"curriculum.baseline_dir has no run for seed {seed}"
             )
-        return max(1, round(0.9 * int(best_steps[str(seed)])))
+        _check_entries(summary, summary_path.parent)
+        return max(1, round(0.9 * summary["best_steps"][str(seed)]))
     return max(1, round(0.9 * total_steps))
 
 
@@ -518,10 +530,29 @@ def _summarize_student(scheduler: str, per_seed: dict[int, dict]) -> dict:
 
 
 def _load_student_dir(path: Path) -> dict:
+    """The summary.json of a completed student directory; its seeds must be
+    integers and its splits strings (``_check_entries`` checks the rest)."""
     summary_path = path / "summary.json"
     if not summary_path.exists():
         raise ValidationError(f"{path} is not a completed student run directory")
-    return artifacts.read_json(summary_path, _SUMMARY_SCHEMA)
+    summary = artifacts.read_json(summary_path, _SUMMARY_SCHEMA)
+    _check_items(summary["seeds"], int, "seeds", summary_path)
+    _check_items(summary["splits"], str, "splits", summary_path)
+    return summary
+
+
+def _check_entries(summary: dict, path: Path) -> None:
+    """The nested entries of the student summary read from ``path/summary.json``:
+    an integer per seed in best_steps and an accuracy entry per split."""
+    source = path / "summary.json"
+    seeds = [str(s) for s in summary["seeds"]]
+    artifacts.check(summary["best_steps"], dict.fromkeys(seeds, int),
+                    f"{source}: best_steps")
+    artifacts.check(summary["accuracy"], dict.fromkeys(summary["splits"], dict),
+                    f"{source}: accuracy")
+    for split in summary["splits"]:
+        artifacts.check(summary["accuracy"][split], _ACCURACY_SCHEMA,
+                        f"{source}: accuracy.{split}")
 
 
 def _pooled_outcomes(path: Path, seeds: list[int], split: str) -> dict:
@@ -553,6 +584,8 @@ def cmd_compare(
         raise ValidationError(
             f"evaluated splits differ: {sum_a['splits']} vs {sum_b['splits']}"
         )
+    _check_entries(sum_a, dir_a)
+    _check_entries(sum_b, dir_b)
     seeds = sum_a["seeds"]
     ratios = analysis.aggregate_time_ratios(
         [sum_a["best_steps"][str(s)] for s in seeds],
@@ -653,6 +686,7 @@ def cmd_sweep(config: dict, out_dir: Path, schedulers: list[str],
     for s in schedulers:
         student_dir = out_dir / "students" / s
         summary = _load_student_dir(student_dir)
+        _check_entries(summary, student_dir)
         row = {"scheduler": s, "accuracy": summary["accuracy"]}
         for b in baselines:
             if b == s:

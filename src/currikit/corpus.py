@@ -50,19 +50,25 @@ def featurize(
     tokens_a: list[str],
     tokens_b: list[str] | None = None,
     dim: int = DEFAULT_HASH_DIM,
+    memo: tuple[dict[str, int], dict[str, int]] | None = None,
 ) -> dict[int, float]:
     """Hash bag-of-token counts into [0, dim) and L2-normalize.
 
     The two segments are hashed with distinct salts so a token occurring in
     both segments lands in different hash families. Colliding indices
-    accumulate their counts. ``dim`` must be a power of two.
+    accumulate their counts. ``dim`` must be a power of two. ``memo`` holds
+    one token -> index dict per segment, shared by calls at the same ``dim``
+    so each distinct token is hashed once.
     """
     if dim <= 0 or dim & (dim - 1):
         raise ValueError(f"hashing dim must be a power of two, got {dim}")
     counts: dict[int, float] = {}
-    for salt, toks in zip(_SEGMENT_SALTS, (tokens_a, tokens_b or [])):
+    for salt, toks, index in zip(_SEGMENT_SALTS, (tokens_a, tokens_b or []),
+                                 memo or ({}, {})):
         for tok in toks:
-            idx = fnv1a_64(salt + tok.encode("utf-8")) & (dim - 1)
+            idx = index.get(tok)
+            if idx is None:
+                idx = index[tok] = fnv1a_64(salt + tok.encode("utf-8")) & (dim - 1)
             counts[idx] = counts.get(idx, 0.0) + 1.0
     if not counts:
         return {}
@@ -187,6 +193,7 @@ def load_jsonl(
     seen_ids: set[str] = set()
     has_features: bool | None = None
     bound = dim if feature_dim is None else feature_dim
+    memo: tuple[dict[str, int], dict[str, int]] = ({}, {})  # one per load
 
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -203,6 +210,10 @@ def load_jsonl(
             for fld in ("id", "text_a", "label"):
                 if fld not in rec or rec[fld] is None:
                     raise ValueError(f"{where}: missing field {fld!r}")
+            for fld in ("id", "text_a", "text_b", "label"):
+                if isinstance(rec.get(fld), (list, dict)):
+                    raise ValueError(f"{where}: field {fld!r} must be a string or "
+                                     f"a number, got {rec[fld]!r}")
             eid = str(rec["id"])
             if eid in seen_ids:
                 raise ValueError(f"{where}: duplicate example id {eid!r}")
@@ -228,7 +239,7 @@ def load_jsonl(
                 raise ValueError(
                     f"{where}: mixed records with and without a 'features' field"
                 )
-            features = (featurize(tokens_a, tokens_b, dim) if rec_features is None
+            features = (featurize(tokens_a, tokens_b, dim, memo) if rec_features is None
                         else _record_features(rec_features, where))
             keys = sorted(features)
             if keys and keys[-1] >= bound:

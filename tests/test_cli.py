@@ -490,6 +490,15 @@ class TestCliEntryPoint:
         ("train", "batch_size", 2.5),
         ("train", "eval_per_epoch", 2.5),
         ("model", "hidden_size", True),
+        ("train", "learning_rate", math.nan),
+        ("train", "learning_rate", math.inf),
+        ("train", "weight_decay", math.inf),
+        ("train", "grad_clip", math.nan),
+        ("curriculum", "c0", math.nan),
+        ("curriculum", "add_k", -math.inf),
+        ("synth", "class_separation", math.inf),
+        ("synth", "label_noise_fraction", math.nan),
+        ("synth", "ood_shift", math.nan),
     ])
     def test_bad_field_rejected_before_any_artifact(self, tmp_path, capsys,
                                                     section, field, value):
@@ -519,9 +528,13 @@ class TestCliEntryPoint:
         ({"synth": MISSING, "data": {"train": "t.jsonl", "validation": "v.jsonl",
                                      "hash_dim": 1024.0}},
          "data: field 'hash_dim' must be an integer, got 1024.0"),
+        ({"train": {**BASE_CONFIG["train"], "learning_rate": math.nan}},
+         "train.learning_rate must be a finite number, got nan"),
+        ({"curriculum": {"add_k": math.inf}},
+         "curriculum.add_k must be a finite number, got inf"),
     ], ids=["model-array", "curriculum-number", "cross_review-string",
             "teacher_seed-float", "seeds-bool", "hash_dim-3", "hash_dim-0",
-            "hash_dim-float"])
+            "hash_dim-float", "learning_rate-nan", "add_k-inf"])
     def test_bad_value_rejected_before_any_artifact(self, tmp_path, capsys, update,
                                                     message):
         bad = json.loads(json.dumps(BASE_CONFIG))
@@ -662,7 +675,8 @@ class TestCliEntryPoint:
         assert {p.name for p in out.rglob("*")} <= {"config.json"}
 
     @pytest.mark.parametrize("kind", ["scores-header", "cross-review-header",
-                                      "summary", "meta"])
+                                      "summary", "summary-best_steps",
+                                      "summary-accuracy", "meta"])
     def test_bad_header_or_document_named(self, run_dir, config_path, tmp_path, capsys,
                                           kind):
         ids = list(read_td_stats(run_dir / "teacher" / "td_stats.jsonl"))
@@ -682,16 +696,23 @@ class TestCliEntryPoint:
             message = (f"{path}:1: field 'higher_is_easier' must be a boolean, got 'false'"
                        if kind == "scores-header" else
                        f"{path}:1: field 'num_subsets' must be an integer, got '3'")
-        elif kind == "summary":
+        elif kind.startswith("summary"):
             build_student_dir(tmp_path / "a", 0.9)
             build_student_dir(tmp_path / "b", 0.5)
             path = tmp_path / "b" / "summary.json"
             summary = json.loads(path.read_text())
-            del summary["seeds"]
+            if kind == "summary":
+                del summary["seeds"]
+                message = f"{path}: missing field 'seeds'"
+            elif kind == "summary-best_steps":
+                del summary["best_steps"]["2"]
+                message = f"{path}: best_steps: missing field '2'"
+            else:
+                del summary["accuracy"]["test_id"]
+                message = f"{path}: accuracy: missing field 'test_id'"
             path.write_text(json.dumps(summary))
             argv = ["compare", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "b"),
                     "--out", str(out / "cmp")]
-            message = f"{path}: missing field 'seeds'"
         else:
             (out / "teacher").mkdir(parents=True)
             stats = out / "teacher" / "td_stats.jsonl"
@@ -749,8 +770,17 @@ class TestCliEntryPoint:
         ("7", "not a JSON object"),
         ('{"id": "r4", "text_a": "t", "label": "c0", "features": {"1099511627776": 1.0}}',
          "feature index 1099511627776 is not below the feature dimension 262144"),
+        ('{"id": "r4", "text_a": "t", "label": ["c0"], "features": {"1": 1.0}}',
+         "field 'label' must be a string or a number, got ['c0']"),
+        ('{"id": {"n": 4}, "text_a": "t", "label": "c0", "features": {"1": 1.0}}',
+         "field 'id' must be a string or a number, got {'n': 4}"),
+        ('{"id": "r4", "text_a": ["t"], "label": "c0", "features": {"1": 1.0}}',
+         "field 'text_a' must be a string or a number, got ['t']"),
+        ('{"id": "r4", "text_a": "t", "text_b": {}, "label": "c0", "features": {"1": 1.0}}',
+         "field 'text_b' must be a string or a number, got {}"),
     ], ids=["negative-index", "features-not-object", "non-numeric-value", "nan-value",
-            "inf-value", "duplicate-id", "not-object", "index-past-hash-dim"])
+            "inf-value", "duplicate-id", "not-object", "index-past-hash-dim",
+            "label-array", "id-object", "text_a-array", "text_b-object"])
     def test_malformed_corpus_record_named_with_line(self, tmp_path, capsys, line, message):
         good = feature_records(8, 4)
         cfg = write_data_config(tmp_path, good[:4] + [line] + good[5:], good)

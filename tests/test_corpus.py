@@ -149,6 +149,23 @@ class TestLoadJsonl:
             assert X.indices[lo:hi].tolist() == sorted(feats)
             assert X.data[lo:hi].tolist() == [feats[k] for k in sorted(feats)]
 
+    def test_each_distinct_token_hashed_once_per_load(self, tmp_path, monkeypatch):
+        from currikit import corpus as corpus_module
+
+        hashed = []
+        fnv = corpus_module.fnv1a_64
+        monkeypatch.setattr(corpus_module, "fnv1a_64",
+                            lambda data: hashed.append(data) or fnv(data))
+        path = tmp_path / "c.jsonl"
+        self._write(path, [{"id": "x1", "text_a": "a b a", "text_b": "a", "label": "p"},
+                           {"id": "x2", "text_a": "b c", "text_b": "c a", "label": "p"}])
+        once = sorted([b"a:a", b"a:b", b"a:c", b"b:a", b"b:c"])
+        X = load_jsonl(path, "train", dim=1024).feature_matrix()
+        assert sorted(hashed) == once
+        hashed.clear()  # the memo lasts one load: the next one hashes again
+        assert csr_equal(load_jsonl(path, "train", dim=1024).feature_matrix(), X)
+        assert sorted(hashed) == once
+
     def test_labels_are_read_only(self, tmp_path):
         path = tmp_path / "c.jsonl"
         self._write(path, [{"id": "x1", "text_a": "a", "label": "p"}])

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from currikit import trainer as trainer_module
 from currikit.corpus import Corpus, SynthSpec, generate_synthetic
 from currikit.curricula import RandomSampler
 from currikit.trainer import (
     ModelParams,
     TrainConfig,
+    _eval_offsets,
+    _forward_matrix,
     evaluate,
     init_params,
     loss_and_grad,
@@ -227,6 +230,112 @@ class TestTrain:
         assert log.best_step == cfg.epochs * math.ceil(train_c.size / 16)
         assert not any(sp == "validation" for (_, sp, _, _) in log.records)
         assert evaluate(params, train_c) >= 0.95
+
+
+def dense_reference(corpus, val_corpus, config, sampler, hidden_size):
+    """The full-width trainer step, written out: every row of the first
+    weight matrix takes part in every product, norm, update and decay.
+    Returns the best (or final) parameters, the run-log records, best step,
+    gold probabilities, correctness and the number of clipped steps."""
+    X, y = corpus.feature_matrix(), corpus.labels()
+    params = init_params(corpus.feature_dim, corpus.num_classes, hidden_size, config.seed)
+    vel_w = [np.zeros_like(w) for w in params.weights]
+    vel_b = [np.zeros_like(b) for b in params.biases]
+    epoch_len = sampler.epoch_length()
+    evals = set(_eval_offsets(epoch_len, config.eval_per_epoch))
+    records, gold, correct = [], [], []
+    best, best_acc, best_step, step, clipped = params.copy(), -math.inf, 0, 0, 0
+    for _ in range(config.epochs):
+        for offset in range(1, epoch_len + 1):
+            rows = sampler.next_batch(step)
+            loss, (wgrads, bgrads) = loss_and_grad(params, X[rows], y[rows])
+            total = 0.0
+            for g in wgrads + bgrads:
+                total += float(np.sum(g * g))
+            norm = math.sqrt(total)
+            if norm > config.grad_clip:
+                clipped += 1
+                for g in wgrads + bgrads:
+                    g *= config.grad_clip / norm
+            for i, w in enumerate(params.weights):
+                vel_w[i] = 0.9 * vel_w[i] + wgrads[i]
+                w -= config.learning_rate * vel_w[i]
+                if config.weight_decay > 0.0:
+                    w *= 1.0 - config.learning_rate * config.weight_decay
+            for i, b in enumerate(params.biases):
+                vel_b[i] = 0.9 * vel_b[i] + bgrads[i]
+                b -= config.learning_rate * vel_b[i]
+            step += 1
+            records.append((step, "train", "loss", loss))
+            if val_corpus is not None and offset in evals:
+                acc = evaluate(params, val_corpus)
+                records.append((step, "validation", "accuracy", acc))
+                if acc > best_acc:
+                    best, best_acc, best_step = params.copy(), acc, step
+        probs, _ = _forward_matrix(params, X)
+        gold.append(probs[np.arange(corpus.size), y])
+        correct.append(probs.argmax(axis=1) == y)
+    if val_corpus is None:
+        best, best_step = params.copy(), step
+    return best, records, best_step, np.array(gold), np.array(correct), clipped
+
+
+class TestActiveRows:
+    """When at most a quarter of the columns are used by the train matrix,
+    the trainer steps only those rows of the first weight matrix; either way
+    the result must equal the full-width step bit for bit."""
+
+    DIM = 24
+    SPARSE_COLS = (0, 2, 5, 9, 17, 20)  # a quarter: the compact step
+    DENSE_COLS = tuple(range(0, 24, 2))  # half: the full-width step
+
+    def corpora(self, train_cols):
+        rng = np.random.default_rng(5)
+
+        def records(n, cols):
+            out = []
+            for i in range(n):
+                picked = rng.choice(cols, size=int(rng.integers(1, 4)), replace=False)
+                out.append(({int(j): float(rng.normal()) for j in picked}, i % 3))
+            return out
+
+        train = make_corpus(records(30, train_cols), 3, self.DIM)
+        val = make_corpus(records(15, range(self.DIM)), 3, self.DIM, split="validation")
+        return train, val
+
+    @pytest.mark.parametrize("hidden", [0, 4])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    @pytest.mark.parametrize("with_validation", [True, False])
+    @pytest.mark.parametrize("compact", [True, False])
+    def test_matches_full_width_step(self, monkeypatch, hidden, weight_decay,
+                                     with_validation, compact):
+        train_cols = self.SPARSE_COLS if compact else self.DENSE_COLS
+        train_c, val_c = self.corpora(train_cols)
+        used = set(np.unique(train_c.feature_matrix().indices).tolist())
+        assert used == set(train_cols)
+        assert set(np.unique(val_c.feature_matrix().indices).tolist()) - used
+        val_c = val_c if with_validation else None
+        built = []
+        active_rows = trainer_module._ActiveRows
+        monkeypatch.setattr(trainer_module, "_ActiveRows",
+                            lambda *args: built.append(args) or active_rows(*args))
+        cfg = TrainConfig(epochs=3, batch_size=7, learning_rate=0.8,
+                          weight_decay=weight_decay, grad_clip=0.5,
+                          eval_per_epoch=3, seed=4)
+        params, log, probes = train(train_c, val_c, cfg, random_sampler(train_c, 7, seed=2),
+                                    hidden_size=hidden)
+        assert bool(built) == compact
+        ref, records, best_step, gold, correct, clipped = dense_reference(
+            train_c, val_c, cfg, random_sampler(train_c, 7, seed=2), hidden)
+        assert 0 < clipped < len([r for r in records if r[1] == "train"])
+        assert params.weights[0].shape == (self.DIM, hidden or 3)
+        for got, want in zip(params.weights + params.biases, ref.weights + ref.biases,
+                             strict=True):
+            assert got.tobytes() == want.tobytes()
+        assert log.records == records
+        assert log.best_step == best_step
+        assert probes.gold_prob.tobytes() == gold.tobytes()
+        assert np.array_equal(probes.correct, correct)
 
 
 class TestIO:
