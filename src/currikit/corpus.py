@@ -133,6 +133,9 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("class_separation", "label_noise_fraction", "ood_shift"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
         for name in ("train_size", "val_size", "test_size"):

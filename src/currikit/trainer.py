@@ -56,6 +56,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("learning_rate", "weight_decay", "grad_clip"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.epochs <= 0:
             raise ValueError("epochs must be positive")
         if self.batch_size <= 0:
@@ -109,19 +112,40 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _ordered_tdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A.T @ B`` as a C-ordered array, each output summed over the rows
+    of ``A`` and ``B`` in index order, starting from 0.0.
+
+    That is the order of scipy's CSR and CSC matvec loops, so for an array
+    ``X``, a canonical CSR ``S`` with the same entries and finite ``W`` and
+    ``D``, ``_ordered_tdot(X.T, W)`` equals ``S @ W`` and
+    ``_ordered_tdot(X, D)`` equals ``S.T @ D`` bit for bit: a term that ``S``
+    does not store is a zero product, which only changes the sign of a zero
+    sum, and the final ``+ 0.0`` maps -0.0 to scipy's 0.0 start. BLAS ``@``
+    groups the terms differently, and ``np.add.reduce`` sums pairwise when
+    the output has one element. (Equality also needs scipy's loops compiled
+    without fused multiply-adds, as in its x86-64 wheels.)
+    """
+    terms = np.multiply(B[:, :, None], A[:, None, :])  # (terms, out, rows)
+    np.add.accumulate(terms, axis=0, out=terms)
+    return np.add(terms[-1].T, 0.0, order="C")
+
+
 def _forward_matrix(params: ModelParams, X) -> tuple[np.ndarray, np.ndarray | None]:
-    """Probabilities for a (N, dim) matrix; returns hidden activations too."""
+    """Probabilities for a (N, dim) CSR matrix or array, the same bits for
+    either; returns hidden activations too."""
     if X.shape[1] != params.weights[0].shape[0]:
         raise ValueError(
             f"feature dim {X.shape[1]} does not match model input "
             f"dim {params.weights[0].shape[0]}"
         )
+    first = (_ordered_tdot(X.T, params.weights[0]) if isinstance(X, np.ndarray)
+             else np.asarray(X @ params.weights[0]))
     if params.hidden_size > 0:
-        hidden = np.tanh(np.asarray(X @ params.weights[0]) + params.biases[0])
+        hidden = np.tanh(first + params.biases[0])
         logits = hidden @ params.weights[1] + params.biases[1]
         return _softmax(logits), hidden
-    logits = np.asarray(X @ params.weights[0]) + params.biases[0]
-    return _softmax(logits), None
+    return _softmax(first + params.biases[0]), None
 
 
 def loss_and_grad(
@@ -144,15 +168,18 @@ def loss_and_grad(
     dlogits[np.arange(n), y] -= 1.0
     dlogits /= n
 
+    def input_grad(D: np.ndarray) -> np.ndarray:
+        return _ordered_tdot(X, D) if isinstance(X, np.ndarray) else np.asarray(X.T @ D)
+
     if params.hidden_size > 0:
         g_w2 = hidden.T @ dlogits
         g_b2 = dlogits.sum(axis=0)
         dh = (dlogits @ params.weights[1].T) * (1.0 - hidden * hidden)
-        g_w1 = np.asarray(X.T @ dh)
+        g_w1 = input_grad(dh)
         g_b1 = dh.sum(axis=0)
         wgrads, bgrads = [g_w1, g_w2], [g_b1, g_b2]
     else:
-        wgrads = [np.asarray(X.T @ dlogits)]
+        wgrads = [input_grad(dlogits)]
         bgrads = [dlogits.sum(axis=0)]
 
     if weight_decay > 0.0:
@@ -277,6 +304,19 @@ def train(
     active = _ActiveRows(X, params, used) if 4 * len(used) <= X.shape[1] else None
     step_params, step_X, squares = ((params, X, None) if active is None
                                     else (active.params, active.X, active.squares))
+    # A 32-row scipy gather costs about 100 us, an array one about 5 us. So a
+    # matrix at least half non-zero is copied dense once (no larger than its
+    # CSR data and int64 indices) and batches are gathered from the copy;
+    # loss_and_grad sums their products in CSR order, for the same bits. That
+    # needs CSR entries in column order with no duplicates (canonical format).
+    # Those ordered sums cost about 6 ns a term against scipy's 1 ns, so the
+    # copy pays only for small products: on a 2-core x86-64 host the dense
+    # step won up to 9,216 terms (batch x columns x outputs), tied at 12,288
+    # and lost from 16,384. Probes keep the CSR products, faster on a split.
+    terms = config.batch_size * X.shape[1] * params.weights[0].shape[1]
+    dense = (2 * X.nnz >= X.shape[0] * X.shape[1] and terms <= 8192
+             and X.has_canonical_format)
+    batch_X = X.toarray() if dense else step_X
     vel_w = [np.zeros_like(w) for w in step_params.weights]
     vel_b = [np.zeros_like(b) for b in step_params.biases]
     decay = 1.0 - config.learning_rate * config.weight_decay
@@ -305,7 +345,7 @@ def train(
                 raise RuntimeError(
                     f"sampler exhausted mid-epoch at step {step} (contract violation)"
                 )
-            loss, (wgrads, bgrads) = loss_and_grad(step_params, step_X[rows], y[rows])
+            loss, (wgrads, bgrads) = loss_and_grad(step_params, batch_X[rows], y[rows])
             if not math.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite training loss {loss} at step {step + 1}"

@@ -258,6 +258,13 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             self.spec(label_noise_fraction=0.5)
 
+    @pytest.mark.parametrize("field", ["class_separation", "label_noise_fraction",
+                                       "ood_shift"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            self.spec(**{field: value})
+
     def test_feature_dim_invariant(self):
         train, *_ = generate_synthetic(self.spec())
         X = train.feature_matrix()

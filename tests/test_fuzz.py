@@ -3,13 +3,15 @@
 Each example takes a good run's file, deletes one field of one record or
 gives it a value of another JSON type, runs the command that reads the file
 and expects exit 1 naming the file, no traceback, and no artifact beyond
-``config.json``. The examples are drawn deterministically, so every run of
-the suite tries the same ones.
+``config.json``. A config example gives one field a value of another JSON
+type, NaN or an infinity and expects the field named instead. The examples
+are drawn deterministically, so every run of the suite tries the same ones.
 """
 
 import contextlib
 import io
 import json
+import math
 import shutil
 import tempfile
 from pathlib import Path
@@ -88,13 +90,17 @@ def rewrite(path: Path, index: int, edit) -> None:
                     else json.dumps(records[0]))
 
 
-def expect_named_failure(work: Path, path: Path, argv: list[str]) -> None:
+def expect_named_failure(work: Path, path: Path | tuple[str, ...],
+                         argv: list[str]) -> None:
+    """Exit 1 naming ``path``, or any one of several names; no traceback
+    and no new file but ``config.json``."""
     before = {p for p in work.rglob("*") if p.is_file()}
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code == 1, err.getvalue()
-    assert str(path) in err.getvalue()
+    names = path if isinstance(path, tuple) else (str(path),)
+    assert any(name in err.getvalue() for name in names), err.getvalue()
     assert "Traceback" not in err.getvalue()
     after = {p for p in work.rglob("*") if p.is_file()}
     assert {p.name for p in after - before} <= {"config.json"}
@@ -184,3 +190,30 @@ def test_corpus_record(base, index, edit):
             "train": CONFIG["train"], "seeds": [1]}))
         expect_named_failure(work, path, [
             "teacher", "--config", str(cfg), "--out", str(work / "o")])
+
+
+# Every config field, top level and per section, with the config it is set in
+# (the data section needs a data config) and its JSON type.
+CONFIG_FIELDS = sorted(
+    [("config", name, kind) for name, kind in cli._CONFIG_SCHEMA.items()]
+    + [(section, name, kind) for section, schema in cli._SECTION_SCHEMAS.items()
+       for name, kind in schema.items()])
+DATA_CONFIG = {"data": {"train": "train.jsonl", "validation": "validation.jsonl"},
+               "train": CONFIG["train"], "seeds": [1]}
+
+
+@pytest.mark.parametrize("section, name, kind", CONFIG_FIELDS,
+                         ids=[f"{section}.{name}" for section, name, _ in CONFIG_FIELDS])
+@FUZZ
+@given(data=st.data())
+def test_config_field(section, name, kind, data):
+    value = data.draw(st.sampled_from([*(v for v in VALUES if not takes(kind, v)),
+                                       math.nan, math.inf, -math.inf]))
+    config = json.loads(json.dumps(DATA_CONFIG if section == "data" else CONFIG))
+    (config if section == "config" else config.setdefault(section, {}))[name] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        path = work / "bad.json"
+        path.write_text(json.dumps(config))
+        expect_named_failure(work, (f"{section}.{name}", f"{section}: field '{name}'"), [
+            "teacher", "--config", str(path), "--out", str(work / "o")])

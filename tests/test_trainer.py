@@ -13,6 +13,7 @@ from currikit.trainer import (
     TrainConfig,
     _eval_offsets,
     _forward_matrix,
+    _ordered_tdot,
     evaluate,
     init_params,
     loss_and_grad,
@@ -98,6 +99,44 @@ class TestLossAndGrad:
             for a, f in zip(aw + ab, fw + fb):
                 denom = np.maximum(np.abs(f), 1e-6)
                 assert np.max(np.abs(a - f) / denom) < 1e-4
+
+
+@pytest.mark.parametrize("field", ["learning_rate", "weight_decay", "grad_clip"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_train_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        TrainConfig(**{field: value})
+
+
+class TestOrderedProducts:
+    """The dense products sum in the order of scipy's CSR and CSC loops, so
+    they equal the CSR products byte for byte."""
+
+    SIZES = (1, 2, 9, 33)
+
+    @pytest.mark.parametrize("k", SIZES)
+    @pytest.mark.parametrize("d", SIZES)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_equals_csr_products(self, n, d, k):
+        rng = np.random.default_rng(n * 10_000 + d * 100 + k)
+        X = rng.normal(size=(n, d))
+        stored = rng.random((n, d)) < 0.7
+        X[stored & (rng.random((n, d)) < 0.15)] = 0.0   # explicit zeros
+        X[stored & (rng.random((n, d)) < 0.1)] = -0.0   # explicit negative zeros
+        X[~stored] = 0.0
+        rows, cols = np.nonzero(stored)
+        S = sparse.csr_matrix((X[rows, cols], (rows, cols)), shape=(n, d))
+        assert S.has_canonical_format and S.nnz == stored.sum()
+        W, D = rng.normal(size=(d, k)), rng.normal(size=(n, k))
+        # Zero factors make -0.0 products, some of them first terms.
+        W[rng.random((d, k)) < 0.2] = 0.0
+        D[rng.random((n, k)) < 0.2] = 0.0
+        if k > 1:
+            W[:, -1] = D[:, -1] = 0.0
+        for got, want in ((_ordered_tdot(X.T, W), S @ W), (_ordered_tdot(X, D), S.T @ D)):
+            want = np.asarray(want)
+            assert got.flags.c_contiguous and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestEvaluate:
@@ -233,8 +272,9 @@ class TestTrain:
 
 
 def dense_reference(corpus, val_corpus, config, sampler, hidden_size):
-    """The full-width trainer step, written out: every row of the first
-    weight matrix takes part in every product, norm, update and decay.
+    """The full-width trainer step, written out with CSR batches: every row
+    of the first weight matrix takes part in every product, norm, update and
+    decay.
     Returns the best (or final) parameters, the run-log records, best step,
     gold probabilities, correctness and the number of clipped steps."""
     X, y = corpus.feature_matrix(), corpus.labels()
@@ -336,6 +376,76 @@ class TestActiveRows:
         assert log.best_step == best_step
         assert probes.gold_prob.tobytes() == gold.tobytes()
         assert np.array_equal(probes.correct, correct)
+
+
+class TestDenseBatches:
+    """When at least half the train matrix is non-zero, the trainer gathers
+    its batches from a dense copy; the result must equal the CSR-batch step
+    bit for bit."""
+
+    DIM = 12
+
+    def corpora(self):
+        rng = np.random.default_rng(8)
+
+        def records(n, low):
+            out = []
+            for i in range(n):
+                picked = rng.choice(self.DIM, size=int(rng.integers(low, self.DIM + 1)),
+                                    replace=False)
+                values = rng.normal(size=len(picked))
+                values[rng.random(len(picked)) < 0.1] = 0.0  # stored zeros
+                out.append(({int(j): float(v) for j, v in zip(picked, values)}, i % 3))
+            return out
+
+        train = make_corpus(records(30, self.DIM // 2), 3, self.DIM)
+        val = make_corpus(records(15, 1), 3, self.DIM, split="validation")
+        return train, val
+
+    @pytest.mark.parametrize("hidden", [0, 4])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    @pytest.mark.parametrize("with_validation", [True, False])
+    def test_matches_csr_batches(self, monkeypatch, hidden, weight_decay,
+                                 with_validation):
+        train_c, val_c = self.corpora()
+        X = train_c.feature_matrix()
+        assert 2 * X.nnz >= X.shape[0] * X.shape[1] and 0.0 in X.data
+        val_c = val_c if with_validation else None
+        batches = []
+        step = trainer_module.loss_and_grad
+        monkeypatch.setattr(trainer_module, "loss_and_grad",
+                            lambda params, X, *a: batches.append(type(X)) or step(params, X, *a))
+        cfg = TrainConfig(epochs=3, batch_size=7, learning_rate=0.8,
+                          weight_decay=weight_decay, grad_clip=1.0,
+                          eval_per_epoch=3, seed=4)
+        params, log, probes = train(train_c, val_c, cfg, random_sampler(train_c, 7, seed=2),
+                                    hidden_size=hidden)
+        assert batches and set(batches) == {np.ndarray}
+        ref, records, best_step, gold, correct, clipped = dense_reference(
+            train_c, val_c, cfg, random_sampler(train_c, 7, seed=2), hidden)
+        assert 0 < clipped < len([r for r in records if r[1] == "train"])
+        for got, want in zip(params.weights + params.biases, ref.weights + ref.biases,
+                             strict=True):
+            assert got.tobytes() == want.tobytes()
+        assert log.records == records
+        assert log.best_step == best_step
+        assert probes.gold_prob.tobytes() == gold.tobytes()
+        assert np.array_equal(probes.correct, correct)
+
+    @pytest.mark.parametrize("dim, dense", [(256, True), (257, False)])
+    def test_large_products_keep_csr_batches(self, monkeypatch, dim, dense):
+        """batch 8 x dim columns x 4 classes: dense batches up to 8192 terms."""
+        rng = np.random.default_rng(3)
+        train_c = make_corpus([(dict(enumerate(rng.normal(size=dim).tolist())), i % 4)
+                               for i in range(24)], 4, dim)
+        batches = []
+        step = trainer_module.loss_and_grad
+        monkeypatch.setattr(trainer_module, "loss_and_grad",
+                            lambda params, X, *a: batches.append(type(X)) or step(params, X, *a))
+        train(train_c, None, TrainConfig(epochs=1, batch_size=8, seed=1),
+              random_sampler(train_c, 8, seed=1), collect_probes=False)
+        assert len(batches) == 3
+        assert set(batches) == {np.ndarray if dense else sparse.csr_matrix}
 
 
 class TestIO:
