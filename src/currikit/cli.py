@@ -170,7 +170,7 @@ def _check_given(section: dict, schema: dict, name: str) -> None:
     artifacts.check(dict(section), given, name)
     for key, kind in given.items():
         if kind is float and not math.isfinite(section[key]):
-            raise ValidationError(f"{name}.{key} must be a finite number, "
+            raise ValidationError(f"{name}: field '{key}' must be a finite number, "
                                   f"got {section[key]!r}")
 
 
@@ -205,8 +205,11 @@ def _hidden_size(config: dict) -> int:
     return int(config.get("model", {}).get("hidden_size", 0))
 
 
-def resolve_corpora(config: dict) -> dict[str, Corpus]:
-    """Load or (deterministically) regenerate every configured split.
+def resolve_corpora(config: dict,
+                    splits: tuple[str, ...] = ("train", *EVAL_SPLITS)) -> dict[str, Corpus]:
+    """Load train and each other configured split named in ``splits``, or
+    (deterministically) regenerate every synthetic split: they come from
+    one seeded stream.
 
     The label map and the feature dimension are fixed by the train split
     and all other splits must conform to them.
@@ -222,7 +225,7 @@ def resolve_corpora(config: dict) -> dict[str, Corpus]:
     fixed = {name: i for i, name in enumerate(train.label_names)}
     corpora = {"train": train}
     for split in EVAL_SPLITS:
-        if data.get(split):
+        if data.get(split) and split in splits:
             corpora[split] = load_jsonl(data[split], split, dim=dim, label_map=fixed,
                                         feature_dim=train.feature_dim)
     return corpora
@@ -255,7 +258,8 @@ def cmd_teacher(config: dict, out_dir: Path, metric: str = "dynamics",
         raise ValidationError(f"unknown metric {metric!r}; choose from {TEACHER_METRICS}")
     snapshot_config(config, out_dir)
     if corpora is None:
-        corpora = resolve_corpora(config)
+        splits = ("train", "validation") if metric == "dynamics" else ("train",)
+        corpora = resolve_corpora(config, splits=splits)
     out_path = _teacher_artifact(out_dir, metric)
     teacher_dir = out_path.parent
     train_corpus = corpora["train"]
@@ -778,8 +782,7 @@ def cmd_correlate(config: dict, out_dir: Path) -> analysis.CorrelationMatrix:
     cross-review votes when present in the run directory."""
     snapshot_config(config, out_dir)
     stats = _read_td_stats(_teacher_artifact(out_dir, "dynamics"))
-    corpora = resolve_corpora(config)
-    train_corpus = corpora["train"]
+    train_corpus = resolve_corpora(config, splits=("train",))["train"]
     curr = config.get("curriculum", {})
     metric_scores = {
         "confidence": {eid: s.confidence for eid, s in stats.items()},

@@ -46,34 +46,86 @@ def fnv1a_64(data: bytes) -> int:
     return h
 
 
+def fnv1a_64_batch(keys: list[bytes]) -> np.ndarray:
+    """``fnv1a_64`` of every key at once, as a uint64 array: one xor-multiply
+    per byte column of the keys padded into a uint8 matrix. Keys run longest
+    first, so the keys still running at column j are a prefix of the rows.
+    Every operand is uint64 (numpy wraps it mod 2**64; mixing in a Python or
+    int64 integer would promote to float64)."""
+    lengths = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
+    order = np.argsort(-lengths, kind="stable")
+    lengths = lengths[order]
+    width = int(lengths[0]) if len(keys) else 0
+    padded = np.zeros((len(keys), width), dtype=np.uint8)
+    padded[np.arange(width) < lengths[:, None]] = np.frombuffer(
+        b"".join([keys[i] for i in order]), dtype=np.uint8)
+    hashes = np.full(len(keys), _FNV_OFFSET, dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    for j, live in enumerate(np.searchsorted(-lengths, -np.arange(width))):
+        hashes[:live] ^= padded[:live, j]
+        hashes[:live] *= prime
+    out = np.empty_like(hashes)
+    out[order] = hashes
+    return out
+
+
 def featurize(
     tokens_a: list[str],
     tokens_b: list[str] | None = None,
     dim: int = DEFAULT_HASH_DIM,
-    memo: tuple[dict[str, int], dict[str, int]] | None = None,
 ) -> dict[int, float]:
     """Hash bag-of-token counts into [0, dim) and L2-normalize.
 
     The two segments are hashed with distinct salts so a token occurring in
     both segments lands in different hash families. Colliding indices
-    accumulate their counts. ``dim`` must be a power of two. ``memo`` holds
-    one token -> index dict per segment, shared by calls at the same ``dim``
-    so each distinct token is hashed once.
+    accumulate their counts. ``dim`` must be a power of two. This is the
+    per-record reference for the rows ``load_jsonl`` builds a split at a time.
     """
-    if dim <= 0 or dim & (dim - 1):
-        raise ValueError(f"hashing dim must be a power of two, got {dim}")
+    _check_hash_dim(dim)
     counts: dict[int, float] = {}
-    for salt, toks, index in zip(_SEGMENT_SALTS, (tokens_a, tokens_b or []),
-                                 memo or ({}, {})):
+    for salt, toks in zip(_SEGMENT_SALTS, (tokens_a, tokens_b or [])):
         for tok in toks:
-            idx = index.get(tok)
-            if idx is None:
-                idx = index[tok] = fnv1a_64(salt + tok.encode("utf-8")) & (dim - 1)
+            idx = fnv1a_64(salt + tok.encode("utf-8")) & (dim - 1)
             counts[idx] = counts.get(idx, 0.0) + 1.0
     if not counts:
         return {}
     norm = math.sqrt(sum(c * c for c in counts.values()))
     return {idx: c / norm for idx, c in counts.items()}
+
+
+def _check_hash_dim(dim: int) -> None:
+    if dim <= 0 or dim & (dim - 1):
+        raise ValueError(f"hashing dim must be a power of two, got {dim}")
+
+
+def _hashed_rows(tokens: list[tuple[list[str], list[str]]], dim: int):
+    """CSR (data, indices, indptr) whose row i is ``featurize(*tokens[i], dim)``,
+    built for the whole split at once. Each distinct token of a segment gets a
+    slot and is hashed once; the (row, column) counts come from one sort. The
+    counts are small integers, so their squares sum exactly in any order and
+    every value has the bits ``featurize`` gives it."""
+    _check_hash_dim(dim)
+    rows, slots, salted = [], [], []  # salted[slot]: one segment's distinct token
+    for segment, salt in enumerate(_SEGMENT_SALTS):
+        flat = [tok for pair in tokens for tok in pair[segment]]
+        index = {tok: len(salted) + i for i, tok in enumerate(dict.fromkeys(flat))}
+        salted += [salt + tok.encode("utf-8") for tok in index]
+        slots.append(np.fromiter(map(index.__getitem__, flat), dtype=np.int64,
+                                 count=len(flat)))
+        rows.append(np.repeat(np.arange(len(tokens)),
+                              [len(pair[segment]) for pair in tokens]))
+    # Rank the distinct columns, so the (row, column) key stays below
+    # rows x tokens whatever ``dim`` is.
+    distinct, rank = np.unique(fnv1a_64_batch(salted) & np.uint64(dim - 1),
+                               return_inverse=True)
+    keys, counts = np.unique(np.concatenate(rows) * len(distinct)
+                             + rank[np.concatenate(slots)], return_counts=True)
+    row = keys // len(distinct)
+    counts = counts.astype(np.float64)
+    norms = np.sqrt(np.bincount(row, weights=counts * counts, minlength=len(tokens)))
+    indptr = np.zeros(len(tokens) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=len(tokens)), out=indptr[1:])
+    return counts / norms[row], distinct.astype(np.int64)[keys % len(distinct)], indptr
 
 
 class Corpus:
@@ -182,21 +234,23 @@ def load_jsonl(
     Without ``label_map``, labels are indexed in first-appearance order.
     With a fixed map (sidecar), any label outside it is a hard error.
     When the records carry a "features" field, every record must carry it;
-    otherwise ``featurize`` hashes the texts into ``dim`` columns. A fixed
-    ``feature_dim`` (the train split's, for an eval split) is the matrix
-    width; without it, features records set the width to their largest
-    index + 1. Every index must lie below that width, or below ``dim``.
-    A malformed record raises ValueError naming ``path:line``.
+    otherwise the texts of the whole split are hashed into ``dim`` columns
+    at once, row for row as ``featurize`` would. A fixed ``feature_dim``
+    (the train split's, for an eval split) is the matrix width; without it,
+    features records set the width to their largest index + 1. Every index
+    must lie below that width, or below ``dim``. A malformed record raises
+    ValueError naming ``path:line``; a hashed index past a fixed
+    ``feature_dim`` names its first such line once every record is read.
     """
     path = Path(path)
     fixed_map = label_map is not None
     lmap: dict[str, int] = dict(label_map) if label_map else {}
     ids, labels, texts, tokens = [], [], [], []  # the Corpus columns
-    indptr, indices, data = [0], [], []  # the feature matrix's CSR buffers
+    lines = []  # the line number of each row
+    indptr, indices, data = [0], [], []  # the CSR buffers, for "features" records
     seen_ids: set[str] = set()
     has_features: bool | None = None
     bound = dim if feature_dim is None else feature_dim
-    memo: tuple[dict[str, int], dict[str, int]] = ({}, {})  # one per load
 
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -242,27 +296,39 @@ def load_jsonl(
                 raise ValueError(
                     f"{where}: mixed records with and without a 'features' field"
                 )
-            features = (featurize(tokens_a, tokens_b, dim, memo) if rec_features is None
-                        else _record_features(rec_features, where))
-            keys = sorted(features)
-            if keys and keys[-1] >= bound:
-                raise ValueError(f"{where}: feature index {keys[-1]} is not below "
-                                 f"the feature dimension {bound}")
-            indices.extend(keys)
-            data.extend(map(features.get, keys))
-            indptr.append(len(indices))
+            if has_features:
+                features = _record_features(rec_features, where)
+                keys = sorted(features)
+                if keys and keys[-1] >= bound:
+                    raise ValueError(f"{where}: feature index {keys[-1]} is not "
+                                     f"below the feature dimension {bound}")
+                indices.extend(keys)
+                data.extend(map(features.get, keys))
+                indptr.append(len(indices))
 
             ids.append(eid)
             labels.append(lmap[label_str])
             texts.append((text_a, text_b))
             tokens.append((tokens_a, tokens_b))
+            lines.append(lineno)
 
-    if feature_dim is None:
-        feature_dim = (max(indices, default=-1) + 1) if has_features else dim
+    if has_features:
+        if feature_dim is None:
+            feature_dim = max(indices, default=-1) + 1
+    else:
+        data, indices, indptr = _hashed_rows(tokens, dim)
+        if feature_dim is None:
+            feature_dim = dim
+        elif (past := np.flatnonzero(indices >= feature_dim)).size:
+            # name the first row holding one, by its largest index
+            row = np.searchsorted(indptr, past[0], side="right") - 1
+            raise ValueError(f"{path}:{lines[row]}: feature index "
+                             f"{indices[indptr[row + 1] - 1]} is not below "
+                             f"the feature dimension {feature_dim}")
     matrix = sparse.csr_matrix(
-        (np.array(data, dtype=np.float64),
-         np.array(indices, dtype=np.int64),
-         np.array(indptr, dtype=np.int64)),
+        (np.asarray(data, dtype=np.float64),
+         np.asarray(indices, dtype=np.int64),
+         np.asarray(indptr, dtype=np.int64)),
         shape=(len(ids), max(feature_dim, 1)),
     )
     return Corpus(ids=ids, labels=labels, matrix=matrix, texts=texts, tokens=tokens,

@@ -529,9 +529,9 @@ class TestCliEntryPoint:
                                      "hash_dim": 1024.0}},
          "data: field 'hash_dim' must be an integer, got 1024.0"),
         ({"train": {**BASE_CONFIG["train"], "learning_rate": math.nan}},
-         "train.learning_rate must be a finite number, got nan"),
+         "train: field 'learning_rate' must be a finite number, got nan"),
         ({"curriculum": {"add_k": math.inf}},
-         "curriculum.add_k must be a finite number, got inf"),
+         "curriculum: field 'add_k' must be a finite number, got inf"),
     ], ids=["model-array", "curriculum-number", "cross_review-string",
             "teacher_seed-float", "seeds-bool", "hash_dim-3", "hash_dim-0",
             "hash_dim-float", "learning_rate-nan", "add_k-inf"])
@@ -849,3 +849,68 @@ class TestConfigResolution:
         changed["seeds"] = [42]
         with pytest.raises(ValidationError, match="different config"):
             cmd_teacher(changed, out, metric="length")
+
+
+@pytest.fixture(scope="module")
+def data_config(tmp_path_factory, config_path):
+    """A data config over the four files that ``synth`` writes."""
+    root = tmp_path_factory.mktemp("data")
+    assert main(["synth", "--config", str(config_path), "--out", str(root)]) == 0
+    config = {"data": {split: str(root / "data" / f"{split}.jsonl")
+                       for split in ("train", "validation", "test_id", "test_ood")},
+              "train": BASE_CONFIG["train"], "seeds": [1],
+              "cross_review": BASE_CONFIG["cross_review"]}
+    path = root / "config.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+ALL_SPLITS = ["test_id", "test_ood", "train", "validation"]
+
+
+class TestSplitsLoaded:
+    @pytest.mark.parametrize("argv, splits", [
+        (["teacher"], ["train", "validation"]),
+        (["teacher", "--metric", "length"], ["train"]),
+        (["teacher", "--metric", "rarity"], ["train"]),
+        (["teacher", "--metric", "ppl"], ["train"]),
+        (["teacher", "--metric", "cross-review"], ["train"]),
+        (["correlate"], ["train"]),
+        (["student", "--scheduler", "random"], ALL_SPLITS),
+        (["sweep", "--schedulers", "random,length", "--rounds", "50"], ALL_SPLITS),
+    ], ids=["dynamics", "length", "rarity", "ppl", "cross-review", "correlate",
+            "student", "sweep"])
+    def test_each_command_loads_only_its_splits(self, tmp_path, data_config, capsys,
+                                                monkeypatch, argv, splits):
+        out = ["--config", str(data_config), "--out", str(tmp_path / "o")]
+        if argv[0] == "correlate":
+            assert main(["teacher", *out]) == 0
+        loaded = []
+        real = cli.load_jsonl
+        monkeypatch.setattr(cli, "load_jsonl", lambda path, split_name, **kwargs:
+                            loaded.append(split_name) or real(path, split_name, **kwargs))
+        assert main([argv[0], *out, *argv[1:]]) == 0, capsys.readouterr().err
+        assert sorted(loaded) == splits  # each once: a sweep resolves them once
+
+    def _bad_test_ood(self, tmp_path, data_config):
+        config = json.loads(data_config.read_text())
+        bad = tmp_path / "test_ood.jsonl"
+        lines = Path(config["data"]["test_ood"]).read_text().splitlines()
+        bad.write_text("\n".join(lines[:2] + ["not json"] + lines[3:]) + "\n")
+        config["data"]["test_ood"] = str(bad)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        return path, bad
+
+    def test_heuristic_teacher_skips_a_bad_test_split(self, tmp_path, data_config):
+        cfg, _ = self._bad_test_ood(tmp_path, data_config)
+        assert main(["teacher", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--metric", "length"]) == 0
+
+    def test_student_names_a_bad_test_split(self, tmp_path, data_config, capsys):
+        cfg, bad = self._bad_test_ood(tmp_path, data_config)
+        out = tmp_path / "o"
+        assert main(["student", "--config", str(cfg), "--out", str(out),
+                     "--scheduler", "random"]) == 1
+        assert f"{bad}:3: invalid JSON" in capsys.readouterr().err
+        assert {p.name for p in out.rglob("*")} <= {"config.json"}

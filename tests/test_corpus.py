@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -10,6 +11,8 @@ from currikit.corpus import (
     NOISY_SUFFIX,
     SynthSpec,
     featurize,
+    fnv1a_64,
+    fnv1a_64_batch,
     generate_synthetic,
     load_jsonl,
     save_jsonl,
@@ -17,6 +20,11 @@ from currikit.corpus import (
     load_label_map,
     tokenize,
 )
+
+
+# test_hashed_matrix_golden's digest, computed when each record was featurized
+# on its own.
+GOLDEN_SHA256 = "461d3ef3d57d5dd06c5f11b9d4f9f7b97a3a2acaad3e582fee5e58b7da11ab11"
 
 
 def csr_equal(a, b):
@@ -78,6 +86,16 @@ class TestFeaturize:
             featurize(["a"], None, 100)
 
 
+def test_batch_hash_is_fnv1a_64():
+    tokens = ["a", "z", "7", ".", "\x00", "é", "東京", "naïve", "😀",
+              "w" * 40, "long" * 12, "ünïcödé" * 8, ""]
+    keys = [salt + tok.encode("utf-8") for salt in (b"a:", b"b:") for tok in tokens]
+    hashes = fnv1a_64_batch(keys)
+    assert hashes.dtype == np.uint64
+    assert hashes.tolist() == [fnv1a_64(key) for key in keys]
+    assert fnv1a_64_batch([]).tolist() == []
+
+
 class TestLoadJsonl:
     def _write(self, path, records):
         with path.open("w") as fh:
@@ -137,34 +155,69 @@ class TestLoadJsonl:
 
     def test_hashed_rows_are_featurize(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        pairs = [("The cat sat.", None), ("a b a", "b c"), ("", "")]
+        # empty rows, text_b alone, and tokens repeated within and across segments
+        pairs = [("The cat sat.", None), ("a b a", "b c"), ("", ""), ("", "b only"),
+                 ("x x y", "y x x"), ("z", None)]
         self._write(path, [{"id": f"x{i}", "text_a": a, "text_b": b, "label": "p"}
                            for i, (a, b) in enumerate(pairs)])
-        corpus = load_jsonl(path, "train", dim=1024)
-        X = corpus.feature_matrix()
-        assert X.shape == (3, 1024)
-        for row, (a, b) in enumerate(pairs):
-            feats = featurize(tokenize(a), tokenize(b or ""), 1024)
-            lo, hi = X.indptr[row], X.indptr[row + 1]
-            assert X.indices[lo:hi].tolist() == sorted(feats)
-            assert X.data[lo:hi].tolist() == [feats[k] for k in sorted(feats)]
+        for dim in (1024, 2):
+            X = load_jsonl(path, "train", dim=dim).feature_matrix()
+            assert X.shape == (len(pairs), dim)
+            for row, (a, b) in enumerate(pairs):
+                feats = featurize(tokenize(a), tokenize(b or ""), dim)
+                lo, hi = X.indptr[row], X.indptr[row + 1]
+                assert X.indices[lo:hi].tolist() == sorted(feats)
+                assert X.data[lo:hi].tobytes() == np.array(
+                    [feats[k] for k in sorted(feats)], dtype=np.float64).tobytes()
 
     def test_each_distinct_token_hashed_once_per_load(self, tmp_path, monkeypatch):
         from currikit import corpus as corpus_module
 
         hashed = []
-        fnv = corpus_module.fnv1a_64
-        monkeypatch.setattr(corpus_module, "fnv1a_64",
-                            lambda data: hashed.append(data) or fnv(data))
+        batch = corpus_module.fnv1a_64_batch
+        monkeypatch.setattr(corpus_module, "fnv1a_64_batch",
+                            lambda keys: hashed.extend(keys) or batch(keys))
         path = tmp_path / "c.jsonl"
         self._write(path, [{"id": "x1", "text_a": "a b a", "text_b": "a", "label": "p"},
                            {"id": "x2", "text_a": "b c", "text_b": "c a", "label": "p"}])
         once = sorted([b"a:a", b"a:b", b"a:c", b"b:a", b"b:c"])
         X = load_jsonl(path, "train", dim=1024).feature_matrix()
         assert sorted(hashed) == once
-        hashed.clear()  # the memo lasts one load: the next one hashes again
+        hashed.clear()  # the token slots last one load: the next one hashes again
         assert csr_equal(load_jsonl(path, "train", dim=1024).feature_matrix(), X)
         assert sorted(hashed) == once
+
+    def test_hashed_matrix_golden(self, tmp_path):
+        """A fixed 20-record file gives the CSR bytes it gave before the
+        split-at-once hash (sha256 of data, indices and indptr)."""
+        words = ["Alpha", "beta", "δέλτα", "naïve", "x", "!", "don't", "b" * 45,
+                 "\x00", "12", "the", "über-cool", "a", "?", "東京"]
+        records = []
+        for i in range(20):
+            text_a = " ".join(words[(i * j + i) % len(words)] for j in range(i % 7))
+            rec = {"id": f"g{i}", "text_a": text_a, "label": ("pos", "neg")[i % 2]}
+            if i % 3:
+                rec["text_b"] = " ".join(words[(j * 5 + i) % len(words)]
+                                         for j in range(i % 4))
+            records.append(rec)
+        path = tmp_path / "golden.jsonl"
+        self._write(path, records)
+        X = load_jsonl(path, "train").feature_matrix()
+        digest = hashlib.sha256(X.data.tobytes() + X.indices.tobytes()
+                                + X.indptr.tobytes()).hexdigest()
+        assert digest == GOLDEN_SHA256
+
+    def test_hashed_index_past_fixed_width_names_first_line(self, tmp_path):
+        # an eval split of text under a train split of 4 "features" columns
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join([
+            json.dumps({"id": "x1", "text_a": "", "label": "p"}), "",
+            json.dumps({"id": "x2", "text_a": "b c", "text_b": "d", "label": "p"}),
+            json.dumps({"id": "x3", "text_a": "e", "label": "p"})]) + "\n")
+        largest = max(featurize(["b", "c"], ["d"], 2 ** 18))
+        with pytest.raises(ValueError, match=f"c\\.jsonl:3: feature index {largest} "
+                                             "is not below the feature dimension 4"):
+            load_jsonl(path, "validation", feature_dim=4)
 
     def test_labels_are_read_only(self, tmp_path):
         path = tmp_path / "c.jsonl"
