@@ -1,0 +1,187 @@
+"""Byte goldens for the scoring layer: plan summaries and served batches of
+the curriculum samplers, and the bytes of the scores, dynamics-stats and
+data-map writers, all built from fixed inputs.
+
+The inputs go through the same edges a student run uses (a dynamics-stats
+or scores file read back for a train id order) so that these digests pin
+behavior, not one in-memory representation. No pinned value goes through
+a numpy transcendental ufunc (``np.log``/``np.exp`` may differ in the last
+bit across CPUs): the variability-weighted annealing order does, so only
+its plan is pinned, not its batches.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from currikit import analysis, cli, difficulty, dynamics
+from currikit.curricula import plan_summary
+from currikit.trainer import Probes
+
+# Train order, deliberately not sorted; "a" and "a\x00" differ only by a
+# trailing NUL, which a numpy string array would drop.
+TRAIN_IDS = ["m3", "b7", "a\x00", "z1", "c4", "a", "k9", "b10", "q2", "e5",
+             "y8", "d6", "n0", "f11", "x13", "g12", "w14", "h15", "v16", "i17"]
+
+# Scores with ties: correctness and votes take few values, confidence and
+# variability repeat.
+CONFIDENCE = [0.5, 0.25, 0.5, 0.875, 0.125, 0.5, 0.25, 0.75, 0.875, 0.5,
+              0.375, 0.625, 0.25, 0.75, 0.5, 0.125, 0.875, 0.625, 0.375, 0.5]
+CORRECTNESS = [2, 1, 2, 3, 0, 2, 1, 3, 3, 2, 1, 2, 1, 3, 2, 0, 3, 2, 1, 2]
+VARIABILITY = [0.125, 0.25, 0.125, 0.0, 0.5, 0.0625, 0.25, 0.125, 0.0, 0.125,
+               0.375, 0.25, 0.25, 0.0625, 0.125, 0.5, 0.0, 0.25, 0.375, 0.125]
+VOTES = [2, 1, 3, 3, 0, 2, 1, 3, 2, 2, 1, 0, 1, 3, 2, 0, 3, 2, 1, 2]
+LENGTHS = [7, 3, 7, 12, 5, 7, 3, 9, 12, 7, 4, 6, 3, 9, 7, 5, 12, 6, 4, 7]
+
+# File records are written in a different order from TRAIN_IDS, plus one
+# record for an id the train split does not hold.
+FILE_ORDER = [5, 2, 19, 0, 11, 7, 3, 16, 9, 1, 14, 6, 18, 4, 10, 13, 8, 15, 12, 17]
+
+ANNEALING_EPOCHS = 3
+CONFIG = {"curriculum": {"c0": 0.1, "duration": 30}}
+BATCH_SIZE = 4
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_lines(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return path
+
+
+@pytest.fixture
+def stats_file(tmp_path):
+    records = [{"example_id": TRAIN_IDS[i], "confidence": CONFIDENCE[i],
+                "correctness": CORRECTNESS[i], "variability": VARIABILITY[i]}
+               for i in FILE_ORDER]
+    records.insert(4, {"example_id": "extra", "confidence": 0.5, "correctness": 1,
+                       "variability": 0.25})
+    return write_lines(tmp_path / "td_stats.jsonl", records)
+
+
+def scores_file(tmp_path, name, header, values):
+    records = [{"example_id": TRAIN_IDS[i], "score": float(values[i])}
+               for i in FILE_ORDER]
+    records.insert(7, {"example_id": "extra", "score": 1.0})
+    return write_lines(tmp_path / f"scores_{name}.jsonl", [header, *records])
+
+
+@pytest.fixture
+def cr_file(tmp_path):
+    return scores_file(tmp_path, "cross_review",
+                       {"metric_name": "cross_review", "higher_is_easier": True,
+                        "num_subsets": 4}, VOTES)
+
+
+@pytest.fixture
+def length_file(tmp_path):
+    return scores_file(tmp_path, "length",
+                       {"metric_name": "length", "higher_is_easier": False}, LENGTHS)
+
+
+def sampler_and_plan(path, scheduler):
+    scores = cli._read_scores(path, scheduler, list(TRAIN_IDS))
+    epochs = ANNEALING_EPOCHS if "anneal" in scheduler else None
+    steps_per_epoch = -(-len(TRAIN_IDS) // BATCH_SIZE)
+    return cli._build_sampler(scheduler, scores, epochs, CONFIG, 7, None, BATCH_SIZE,
+                              steps_per_epoch, 5 * steps_per_epoch)
+
+
+def summary_digest(plan) -> str:
+    return sha(json.dumps(plan_summary(plan), sort_keys=True).encode("utf-8"))
+
+
+def batches_digest(sampler, count=50) -> str:
+    batches = [np.asarray(sampler.next_batch(step), dtype="<i8")
+               for step in range(1, count + 1)]
+    return sha(np.concatenate(batches).tobytes())
+
+
+PLAN_GOLDENS = {
+    "cr_anneal":
+        "748dcdab8e6f84deed31d550a6d8fc786681e60d4254f6a7bb55fbe6a227e7cb",
+    "corr_anneal":
+        "d42a5be0537790420aec282974d634e3b759dfce9ceb45851eb76d246870758f",
+    "corr+var_anneal":
+        "0c497f228464c56dcdf7b3bd7919120423a3ff6940adf89d1e39eedf3add15dd",
+    "conf_comp":
+        "2762ee35408dd996cb795444cc1f068df27d5dbb70a84dec1fc58cfd499ff4f3",
+    "conf+var_comp":
+        "9960418d0da1ef04d7b7bbeac3875bfd5fbda363b7990557eb7a3c35d50f98b5",
+    "length":
+        "4f67298f46caba88c6853a3db2ba8b4756ad261284eeff702b6ad074608cc17f",
+}
+
+BATCH_GOLDENS = {
+    "cr_anneal":
+        "c606d62e8564ccac7f94fa08f70f4ee68865588d9fdca8972385902a09eb7c3d",
+    "corr_anneal":
+        "80c26ef26b9de542eb03aaf1683616a47a434a0aef2d8d154d3d9a6e3b1f86a6",
+    "conf_comp":
+        "b7222171e500da59a49e957aa2899249aacb49efba04f7284f90df23d4e8ad19",
+    "conf+var_comp":
+        "542fd25f3b3abc2594e8454e3f30745bbe3dea1f512d38b6e7b58fb6bb65fb60",
+    "length":
+        "75c76025b6b03a4a4a980e1ba6b6b35e5c2cca9026b17cf99afe33c76b940ebc",
+}
+
+
+def source(scheduler, stats_file, cr_file, length_file):
+    return {"cr_anneal": cr_file, "length": length_file}.get(scheduler, stats_file)
+
+
+@pytest.mark.parametrize("scheduler", sorted(PLAN_GOLDENS))
+def test_plan_summary_golden(scheduler, stats_file, cr_file, length_file):
+    _, plan = sampler_and_plan(source(scheduler, stats_file, cr_file, length_file),
+                               scheduler)
+    assert summary_digest(plan) == PLAN_GOLDENS[scheduler]
+
+
+@pytest.mark.parametrize("scheduler", sorted(BATCH_GOLDENS))
+def test_served_batches_golden(scheduler, stats_file, cr_file, length_file):
+    sampler, _ = sampler_and_plan(source(scheduler, stats_file, cr_file, length_file),
+                                  scheduler)
+    assert batches_digest(sampler) == BATCH_GOLDENS[scheduler]
+
+
+def probes() -> Probes:
+    # Four epochs of dyadic probabilities; the last column is constant.
+    rng = np.random.default_rng(11)
+    gold = rng.integers(0, 65, size=(4, len(TRAIN_IDS))) / 64.0
+    gold[:, -1] = 0.5
+    return Probes(ids=list(TRAIN_IDS), gold_prob=gold, correct=gold > 0.5)
+
+
+WRITER_GOLDENS = {
+    "td_stats":
+        "8bc1cbc6c5ca17a04e2aebc28fd982bf7ee404b5f6bbf92af207463380a8c55a",
+    "scores_confidence":
+        "df346cdbf523dbfe9076eeac81b677e8325d9d7d8324a7c1bd782646cbbd7e30",
+    "scores_cross_review":
+        "a6efa7ce4a565bf3a3f7e7e7a46fa4fa2353ff36fdc897a4d12336e974218a0b",
+    "datamap_csv":
+        "3b1f3c955d6888a62cfade10ceb113114d7614c508e93edc342c3fc0018fb468",
+    "datamap_svg":
+        "822abef663a0ea12ce0cecf97c0310964d32d976229aec8a1835d1285e30652e",
+}
+
+
+def test_writer_bytes_golden(tmp_path, cr_file):
+    stats = dynamics.compute_all(probes())
+    dynamics.write_td_stats(stats, tmp_path / "out" / "td_stats.jsonl")
+    difficulty.write_scores(difficulty.from_td(stats, "confidence"),
+                            tmp_path / "out" / "scores_confidence.jsonl")
+    difficulty.write_scores(difficulty.read_scores(cr_file),
+                            tmp_path / "out" / "scores_cross_review.jsonl",
+                            extra_header={"num_subsets": 4})
+    analysis.datamap_export(dynamics.read_td_stats(tmp_path / "out" / "td_stats.jsonl"),
+                            tmp_path / "out")
+    files = {"td_stats": "td_stats.jsonl", "scores_confidence": "scores_confidence.jsonl",
+             "scores_cross_review": "scores_cross_review.jsonl",
+             "datamap_csv": "datamap.csv", "datamap_svg": "datamap.svg"}
+    digests = {k: sha((tmp_path / "out" / f).read_bytes()) for k, f in files.items()}
+    assert digests == WRITER_GOLDENS
