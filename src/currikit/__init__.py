@@ -20,7 +20,7 @@ from .difficulty import (
     perplexity_metric,
     rarity_metric,
 )
-from .dynamics import DynamicsTrace, TDStats, compute_all
+from .dynamics import TDStats, compute_all
 from .trainer import ModelParams, Probes, RunLog, TrainConfig, evaluate, train
 
 __version__ = "0.1.0"
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Corpus", "SynthSpec", "tokenize", "featurize", "generate_synthetic",
     "TrainConfig", "ModelParams", "Probes", "RunLog", "train", "evaluate",
-    "DynamicsTrace", "TDStats", "compute_all",
+    "TDStats", "compute_all",
     "DifficultyScores", "CrossReviewConfig", "from_td", "cross_review",
     "length_metric", "rarity_metric", "perplexity_metric",
     "competence", "build_annealing_plan", "build_competence_plan",

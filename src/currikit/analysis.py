@@ -199,21 +199,18 @@ def _scatter_svg(points: list[DataMapPoint]) -> str:
 
 
 def datamap_export(
-    td_stats: dict[str, TDStats], out_dir: str | Path, stem: str = "datamap"
+    td_stats: TDStats, out_dir: str | Path, stem: str = "datamap"
 ) -> tuple[Path, Path]:
     """Write <stem>.csv and a static <stem>.svg scatter (x = variability,
     y = confidence, color = correctness). Rows sorted by example id."""
     out_dir = Path(out_dir)
-    points = [
-        DataMapPoint(
-            example_id=eid,
-            variability=td_stats[eid].variability,
-            confidence=td_stats[eid].confidence,
-            correctness=td_stats[eid].correctness,
-            noisy=eid.endswith(NOISY_SUFFIX),
-        )
-        for eid in sorted(td_stats)
-    ]
+    points = sorted(
+        (DataMapPoint(eid, var, conf, corr, eid.endswith(NOISY_SUFFIX))
+         for eid, var, conf, corr in zip(
+             td_stats.ids, td_stats.variability.tolist(), td_stats.confidence.tolist(),
+             td_stats.correctness.tolist(), strict=True)),
+        key=lambda p: p.example_id,
+    )
     csv_path = out_dir / f"{stem}.csv"
     with atomic_open(csv_path, newline="") as fh:
         writer = csv.writer(fh)

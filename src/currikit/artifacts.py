@@ -7,16 +7,20 @@ once complete, so a killed or failing process never leaves a half-written
 artifact for a resumed run to trust (no fsync: a power cut is not covered).
 A reader checks each record against its kind's schema (field -> JSON type),
 kept beside that kind's writer, and raises ValueError naming ``path[:line]``.
+Per-example files are read into columns, with example ids only at this edge.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 from collections.abc import Iterable, Iterator
 from itertools import islice
 from pathlib import Path
+
+import numpy as np
 
 
 @contextlib.contextmanager
@@ -99,3 +103,38 @@ def read_jsonl(path: str | Path, schema: dict[str, type] | None = None,
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: not JSON ({exc})") from None
             yield rec if schema is None else check(rec, schema, path, lineno)
+
+
+_DTYPES = {float: np.float64, int: np.int64}
+
+
+def read_columns(path: str | Path, schema: dict[str, type], ids: list[str] | None = None,
+                 skip: int = 0) -> tuple[list[str], dict[str, np.ndarray]]:
+    """The ``example_id`` of each record after the first ``skip`` lines and
+    one array per other ``schema`` field (float64 or int64), entry i
+    belonging to id i; exactly ``ids`` in that order when given, ignoring
+    other records. A repeated id, a non-finite number or a missing id raises
+    ValueError naming the file."""
+    fields = [name for name in schema if name != "example_id"]
+    row: dict[str, int] = {}
+    values: list[list] = [[] for _ in fields]
+    for lineno, rec in enumerate(read_jsonl(path, schema, skip), start=skip + 1):
+        eid = rec["example_id"]
+        if eid in row:
+            raise ValueError(f"{path}:{lineno}: duplicate example id {eid!r}")
+        row[eid] = len(row)
+        for name, column in zip(fields, values):
+            value = rec[name]
+            if type(value) is float and not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: non-finite {name} {value} "
+                                 f"for example {eid!r}")
+            column.append(value)
+    if ids is None:
+        ids, take = list(row), slice(None)
+    else:
+        missing = next((eid for eid in ids if eid not in row), None)
+        if missing is not None:
+            raise ValueError(f"{path}: no record for example {missing!r}")
+        take = [row[eid] for eid in ids]
+    return ids, {name: np.array(column, dtype=_DTYPES[schema[name]])[take]
+                 for name, column in zip(fields, values)}

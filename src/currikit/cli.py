@@ -133,6 +133,8 @@ def validate_config(config: dict) -> None:
         if hash_dim <= 0 or hash_dim & (hash_dim - 1):
             raise ValidationError(f"data.hash_dim must be a positive power of two, "
                                   f"got {hash_dim}")
+        if hash_dim > 2 ** 62:  # 2^63 columns overflow the int64 matrix shape
+            raise ValidationError(f"data.hash_dim must be at most 2^62, got {hash_dim}")
     else:
         try:
             SynthSpec(**config["synth"])
@@ -342,30 +344,20 @@ def _read_scores(path: Path, scheduler: str,
                 f"scheduler {scheduler!r} needs a {spec.teacher!r} scores file, "
                 "not dynamics stats"
             )
-        scores = difficulty.from_td(dynamics.read_td_stats(path), spec.score,
-                                    expected_ids=ids)
-    elif "metric_name" not in first:
+        return difficulty.from_td(dynamics.read_td_stats(path, ids), spec.score)
+    if "metric_name" not in first:
         raise ValidationError(f"{path}: neither a dynamics-stats nor a scores file")
-    else:
-        scores = difficulty.read_scores(path)
-        if spec.teacher != "dynamics" and scores.metric_name != spec.score:
-            print(
-                f"warning: scheduler {scheduler!r} usually reads "
-                f"{spec.score!r} scores, got {scores.metric_name!r}",
-                file=sys.stderr,
-            )
-        missing = [eid for eid in ids if eid not in scores.scores]
-        if missing:
-            raise ValidationError(f"scores file lacks example {missing[0]!r}")
-        if spec.weighted:
-            raise ValidationError(
-                f"scheduler {scheduler} needs variability from dynamics stats; "
-                f"got a plain {scores.metric_name!r} scores file"
-            )
-        scores = difficulty.DifficultyScores(
-            metric_name=scores.metric_name,
-            scores={eid: scores.scores[eid] for eid in ids},
-            higher_is_easier=scores.higher_is_easier,
+    scores = difficulty.read_scores(path, ids)
+    if spec.teacher != "dynamics" and scores.metric_name != spec.score:
+        print(
+            f"warning: scheduler {scheduler!r} usually reads "
+            f"{spec.score!r} scores, got {scores.metric_name!r}",
+            file=sys.stderr,
+        )
+    if spec.weighted:
+        raise ValidationError(
+            f"scheduler {scheduler} needs variability from dynamics stats; "
+            f"got a plain {scores.metric_name!r} scores file"
         )
     return scores
 
@@ -380,7 +372,7 @@ def _annealing_epochs(path: Path, out_dir: Path,
     meta = out_dir / "teacher" / "meta.json"
     if meta.exists():
         return artifacts.read_json(meta, _META_SCHEMA)["epochs"]
-    return max(1, int(max(scores.scores.values())))
+    return max(1, int(scores.scores.max()))
 
 
 def _competence_duration(config: dict, seed: int, total_steps: int) -> int:
@@ -411,10 +403,8 @@ def _build_sampler(scheduler: str, scores: difficulty.DifficultyScores | None,
         rows = np.arange(train_corpus.size)
         return curricula.RandomSampler(rows, batch_size, seed=seed), None
     if spec.family == "annealing":
-        plan = curricula.build_annealing_plan(
-            scores, annealing_epochs,
-            variability=scores.variability, variability_weighted=spec.weighted,
-        )
+        plan = curricula.build_annealing_plan(scores, annealing_epochs,
+                                              variability_weighted=spec.weighted)
         return curricula.AnnealingSampler(plan, batch_size, seed=seed), plan
 
     curr = config.get("curriculum", {})
@@ -422,7 +412,6 @@ def _build_sampler(scheduler: str, scores: difficulty.DifficultyScores | None,
         scores,
         c0=float(curr.get("c0", 0.01)),
         duration=_competence_duration(config, seed, total_steps),
-        variability=scores.variability,
         variability_weighted=spec.weighted,
         form=str(curr.get("competence_form", "sqrt")),
     )
@@ -765,7 +754,7 @@ def cmd_synth(config: dict, out_dir: Path) -> list[Path]:
     return written
 
 
-def _read_td_stats(path: Path) -> dict[str, dynamics.TDStats]:
+def _read_td_stats(path: Path) -> dynamics.TDStats:
     if not path.exists():
         raise ValidationError(f"dynamics stats not found: {path} (run the teacher first)")
     return dynamics.read_td_stats(path)
@@ -784,22 +773,19 @@ def cmd_correlate(config: dict, out_dir: Path) -> analysis.CorrelationMatrix:
     stats = _read_td_stats(_teacher_artifact(out_dir, "dynamics"))
     train_corpus = resolve_corpora(config, splits=("train",))["train"]
     curr = config.get("curriculum", {})
-    metric_scores = {
-        "confidence": {eid: s.confidence for eid, s in stats.items()},
-        "correctness": {eid: float(s.correctness) for eid, s in stats.items()},
-        "variability": {eid: s.variability for eid, s in stats.items()},
-        "length": difficulty.length_metric(train_corpus).scores,
-        "rarity": difficulty.rarity_metric(train_corpus).scores,
-        "ppl": difficulty.perplexity_metric(
-            train_corpus,
-            order=int(curr.get("ngram_order", 2)),
-            add_k=float(curr.get("add_k", 1.0)),
-        ).scores,
-    }
+    metrics = {name: difficulty.from_td(stats, name) for name in difficulty.TD_METRICS}
+    metrics["length"] = difficulty.length_metric(train_corpus)
+    metrics["rarity"] = difficulty.rarity_metric(train_corpus)
+    metrics["ppl"] = difficulty.perplexity_metric(
+        train_corpus,
+        order=int(curr.get("ngram_order", 2)),
+        add_k=float(curr.get("add_k", 1.0)),
+    )
     cr_path = _teacher_artifact(out_dir, "cross-review")
     if cr_path.exists():
-        metric_scores["cross_review"] = difficulty.read_scores(cr_path).scores
-    matrix = analysis.correlation_matrix(metric_scores)
+        metrics["cross_review"] = difficulty.read_scores(cr_path)
+    matrix = analysis.correlation_matrix(
+        {name: dict(zip(m.ids, m.scores.tolist())) for name, m in metrics.items()})
     analysis.write_correlations(matrix, out_dir / "correlations.json")
     return matrix
 

@@ -65,9 +65,12 @@ def _weighted_order(rng: np.random.Generator, rows: np.ndarray,
     return rows[np.argsort(-keys, kind="stable")]
 
 
-def _row_values(ids: list[str], values: dict[str, float] | None) -> np.ndarray | None:
-    """Per-id values as one array in row order."""
-    return None if values is None else np.array([values[eid] for eid in ids])
+def _id_rank(ids: list[str]) -> np.ndarray:
+    """Rank of each row's id in Python string order (a numpy string array
+    would drop trailing NUL characters and could order ids differently)."""
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
 
 
 class _EpochShuffler:
@@ -125,7 +128,6 @@ class AnnealingPlan:
 def build_annealing_plan(
     scores: "DifficultyScores",
     num_epochs: int,
-    variability: dict[str, float] | None = None,
     variability_weighted: bool = False,
 ) -> AnnealingPlan:
     """Group examples by identical integer score into easiest-first buckets.
@@ -134,26 +136,23 @@ def build_annealing_plan(
     bucketed this way; continuous metrics belong to the competence
     scheduler.
     """
-    ids = list(scores.scores)
-    by_value: dict[int, list[int]] = {}
-    for row, (eid, s) in enumerate(scores.scores.items()):
-        if not float(s).is_integer():
-            raise ValueError(
-                f"score {s} for {eid!r} is not an integer; use the "
-                "competence scheduler for continuous metrics"
-            )
-        by_value.setdefault(int(s), []).append(row)
-    values = sorted(by_value, reverse=scores.higher_is_easier)
-    buckets = [np.array(sorted(by_value[v], key=ids.__getitem__), dtype=np.int64)
-               for v in values]
-    if variability_weighted and variability is None:
+    ids, values = scores.ids, scores.scores
+    bad = np.flatnonzero(np.mod(values, 1.0) != 0.0)
+    if len(bad):
+        raise ValueError(
+            f"score {values[bad[0]]} for {ids[bad[0]]!r} is not an integer; use the "
+            "competence scheduler for continuous metrics"
+        )
+    if variability_weighted and scores.variability is None:
         raise ValueError("variability weights required for weighted annealing")
+    keys = -values if scores.higher_is_easier else values  # easiest first
+    order = np.lexsort((_id_rank(ids), keys))  # by key, then by id
     return AnnealingPlan(
-        buckets=buckets,
+        buckets=np.split(order, np.flatnonzero(np.diff(keys[order])) + 1),
         num_epochs=num_epochs,
         ids=ids,
         variability_weighted=variability_weighted,
-        weights=_row_values(ids, variability),
+        weights=scores.variability,
     )
 
 
@@ -257,21 +256,17 @@ def build_competence_plan(
     scores: "DifficultyScores",
     c0: float,
     duration: int,
-    variability: dict[str, float] | None = None,
     variability_weighted: bool = False,
     form: str = "sqrt",
 ) -> CompetencePlan:
-    if variability_weighted and variability is None:
+    weights = scores.variability
+    if variability_weighted and weights is None:
         raise ValueError("variability weights required for weighted competence")
-    ids = list(scores.scores)
-    sign = -1.0 if scores.higher_is_easier else 1.0
-    keyed = [sign * s for s in scores.scores.values()]
-    weights = _row_values(ids, variability)
-    tie = [0.0] * len(ids) if weights is None else weights.tolist()
-    ordering = sorted(range(len(ids)), key=lambda i: (keyed[i], tie[i], ids[i]))
+    keys = -scores.scores if scores.higher_is_easier else scores.scores  # easiest first
+    tie = np.zeros(len(keys)) if weights is None else weights
     return CompetencePlan(
-        ordering=np.array(ordering, dtype=np.int64),
-        ids=ids,
+        ordering=np.lexsort((_id_rank(scores.ids), tie, keys)),  # key, tie, then id
+        ids=scores.ids,
         c0=c0,
         duration=duration,
         variability_weighted=variability_weighted,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_jsonl, write_jsonl
+from .artifacts import read_columns, read_jsonl, write_jsonl
 from .corpus import Corpus
 from .dynamics import TDStats
 from .trainer import TrainConfig, predict, train
@@ -25,15 +25,16 @@ TD_METRICS = ("confidence", "correctness", "variability")
 
 @dataclass
 class DifficultyScores:
-    """Per-example difficulty keyed by example id. The key order numbers the
-    rows that curriculum plans and samplers index; the student stage reads
-    scores for exactly the train corpus's ids in corpus order, so there row
-    i is train example i."""
+    """Per-example difficulty as float64 arrays: entry i belongs to example
+    ``ids[i]``, and curriculum plans and samplers index these rows. The
+    student stage reads scores for exactly the train corpus's ids in corpus
+    order, so there row i is train example i."""
 
     metric_name: str
-    scores: dict[str, float]
+    ids: list[str]
+    scores: np.ndarray
     higher_is_easier: bool
-    variability: dict[str, float] | None = None  # only scores from dynamics stats
+    variability: np.ndarray | None = None  # only scores from dynamics stats
 
 
 @dataclass
@@ -47,30 +48,21 @@ class CrossReviewConfig:
             raise ValueError("num_subsets must be >= 2")
 
 
-def from_td(
-    stats: dict[str, TDStats],
-    which: str,
-    expected_ids: list[str] | None = None,
-) -> DifficultyScores:
+def from_td(stats: TDStats, which: str) -> DifficultyScores:
     """One of the three dynamics statistics as a difficulty metric, with
     every example's variability alongside.
 
     Confidence and correctness order easiest-first by high value;
     variability is the auxiliary uncertainty signal (higher = harder).
-    With ``expected_ids`` the result holds exactly those ids, in that order.
     """
     if which not in TD_METRICS:
         raise ValueError(f"unknown dynamics metric {which!r}; pick one of {TD_METRICS}")
-    if expected_ids is not None:
-        for eid in expected_ids:
-            if eid not in stats:
-                raise ValueError(f"no dynamics statistics for example {eid!r}")
-        stats = {eid: stats[eid] for eid in expected_ids}
     return DifficultyScores(
         metric_name=which,
-        scores={eid: float(getattr(s, which)) for eid, s in stats.items()},
+        ids=stats.ids,
+        scores=getattr(stats, which).astype(np.float64),
         higher_is_easier=which in ("confidence", "correctness"),
-        variability={eid: s.variability for eid, s in stats.items()},
+        variability=stats.variability,
     )
 
 
@@ -108,9 +100,8 @@ def cross_review(corpus: Corpus, config: CrossReviewConfig) -> DifficultyScores:
         outside_fold[fold] = False
         votes += (predict(params, corpus) == labels) & outside_fold
 
-    scores = {eid: float(v) for eid, v in zip(corpus.ids(), votes)}
-    return DifficultyScores(metric_name="cross_review", scores=scores,
-                            higher_is_easier=True)
+    return DifficultyScores(metric_name="cross_review", ids=corpus.ids(),
+                            scores=votes.astype(np.float64), higher_is_easier=True)
 
 
 # --- task-agnostic heuristics ----------------------------------------------
@@ -118,9 +109,9 @@ def cross_review(corpus: Corpus, config: CrossReviewConfig) -> DifficultyScores:
 
 def length_metric(corpus: Corpus) -> DifficultyScores:
     """Token count of the entire input (both segments); longer = harder."""
-    scores = {eid: float(len(tokens_a) + len(tokens_b))
-              for eid, (tokens_a, tokens_b) in zip(corpus.ids(), corpus.tokens)}
-    return DifficultyScores(metric_name="length", scores=scores, higher_is_easier=False)
+    scores = np.array([len(a) + len(b) for a, b in corpus.tokens], dtype=np.float64)
+    return DifficultyScores(metric_name="length", ids=corpus.ids(), scores=scores,
+                            higher_is_easier=False)
 
 
 def _train_token_counts(train_corpus: Corpus) -> tuple[Counter, int]:
@@ -146,7 +137,8 @@ def rarity_metric(corpus: Corpus, train_corpus: Corpus | None = None) -> Difficu
 
     return DifficultyScores(
         metric_name="rarity",
-        scores={eid: score(*pair) for eid, pair in zip(corpus.ids(), corpus.tokens)},
+        ids=corpus.ids(),
+        scores=np.array([score(*pair) for pair in corpus.tokens], dtype=np.float64),
         higher_is_easier=False,
     )
 
@@ -210,13 +202,10 @@ def perplexity_metric(
     """Sum of per-segment n-gram perplexities; high perplexity = harder."""
     ref = train_corpus if train_corpus is not None else corpus
     lm = NGramModel(ref, order=order, add_k=add_k)
-    scores = {}
-    for eid, (seg_a, seg_b) in zip(corpus.ids(), corpus.tokens):
-        score = lm.segment_perplexity(seg_a)
-        if seg_b:
-            score += lm.segment_perplexity(seg_b)
-        scores[eid] = score
-    return DifficultyScores(metric_name="ppl", scores=scores, higher_is_easier=False)
+    scores = np.array([lm.segment_perplexity(seg_a) + lm.segment_perplexity(seg_b)
+                       for seg_a, seg_b in corpus.tokens], dtype=np.float64)
+    return DifficultyScores(metric_name="ppl", ids=corpus.ids(), scores=scores,
+                            higher_is_easier=False)
 
 
 # --- on-disk format ---------------------------------------------------------
@@ -235,7 +224,8 @@ def write_scores(
     if extra_header:
         header.update(extra_header)
     write_jsonl(path, chain([header], (
-        {"example_id": eid, "score": score} for eid, score in scores.scores.items()
+        {"example_id": eid, "score": score}
+        for eid, score in zip(scores.ids, scores.scores.tolist(), strict=True)
     )))
 
 
@@ -246,17 +236,14 @@ def read_scores_header(path: str | Path) -> dict:
     return header
 
 
-def read_scores(path: str | Path) -> DifficultyScores:
-    """Inverse of write_scores; rejects a non-finite score."""
+def read_scores(path: str | Path, ids: list[str] | None = None) -> DifficultyScores:
+    """Inverse of write_scores, for exactly ``ids`` in that order when given;
+    rejects a repeated or missing id and a non-finite score."""
     header = read_scores_header(path)
-    scores: dict[str, float] = {}
-    for rec in read_jsonl(path, _SCORE_SCHEMA, skip=1):
-        eid, score = rec["example_id"], rec["score"]
-        if not math.isfinite(score):
-            raise ValueError(f"{path}: non-finite value {score} for example {eid!r}")
-        scores[eid] = score
+    ids, columns = read_columns(path, _SCORE_SCHEMA, ids, skip=1)
     return DifficultyScores(
         metric_name=header["metric_name"],
-        scores=scores,
+        ids=ids,
+        scores=columns["score"],
         higher_is_easier=header["higher_is_easier"],
     )

@@ -12,93 +12,81 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .artifacts import read_jsonl, write_jsonl
+import numpy as np
+
+from .artifacts import read_columns, write_jsonl
 from .trainer import Probes
 
 
 @dataclass
-class DynamicsTrace:
-    example_id: str
-    probs: list[float]
-    corrects: list[bool]
-
-
-@dataclass
 class TDStats:
-    example_id: str
-    confidence: float
-    correctness: int
-    variability: float
+    """The three statistics as columns: entry i belongs to example ``ids[i]``."""
+
+    ids: list[str]
+    confidence: np.ndarray   # float64
+    correctness: np.ndarray  # int64
+    variability: np.ndarray  # float64
 
 
-def confidence(trace: DynamicsTrace) -> float:
+def confidence(probs: list[float]) -> float:
     """Mean gold-label probability across epochs."""
-    if not trace.probs:
-        raise ValueError(f"empty trace for {trace.example_id!r}")
-    return sum(trace.probs) / len(trace.probs)
+    if not probs:
+        raise ValueError("empty trace")
+    return sum(probs) / len(probs)
 
 
-def correctness(trace: DynamicsTrace) -> int:
+def correctness(corrects: list[bool]) -> int:
     """Number of epochs the example was classified correctly."""
-    if not trace.corrects:
-        raise ValueError(f"empty trace for {trace.example_id!r}")
-    return sum(1 for c in trace.corrects if c)
+    if not corrects:
+        raise ValueError("empty trace")
+    return sum(1 for c in corrects if c)
 
 
-def variability(trace: DynamicsTrace) -> float:
+def variability(probs: list[float]) -> float:
     """Population standard deviation (divide by E) of the gold-label
     probability across epochs. Exactly 0 for a constant trace."""
-    if not trace.probs:
-        raise ValueError(f"empty trace for {trace.example_id!r}")
-    if all(p == trace.probs[0] for p in trace.probs):
+    if not probs:
+        raise ValueError("empty trace")
+    if all(p == probs[0] for p in probs):
         return 0.0
-    mu = confidence(trace)
-    return math.sqrt(sum((p - mu) ** 2 for p in trace.probs) / len(trace.probs))
+    mu = confidence(probs)
+    return math.sqrt(sum((p - mu) ** 2 for p in probs) / len(probs))
 
 
-def stats_for(trace: DynamicsTrace) -> TDStats:
-    return TDStats(
-        example_id=trace.example_id,
-        confidence=confidence(trace),
-        correctness=correctness(trace),
-        variability=variability(trace),
-    )
-
-
-def compute_all(probes: Probes) -> dict[str, TDStats]:
-    """One TDStats per example (probe column), in probe id order."""
+def compute_all(probes: Probes) -> TDStats:
+    """The statistics of every example (probe column), in probe id order.
+    Each is the per-example Python function above: ``(p - mu) ** 2`` calls
+    libm ``pow``, whose bits no numpy operation reproduces."""
     if probes.gold_prob.shape[0] == 0:
         raise ValueError("no probes given")
-    return {
-        eid: stats_for(DynamicsTrace(example_id=eid, probs=probs, corrects=corrects))
-        for eid, probs, corrects in zip(
-            probes.ids, probes.gold_prob.T.tolist(), probes.correct.T.tolist(),
-            strict=True,
-        )
-    }
+    probs = probes.gold_prob.T.tolist()
+    return TDStats(
+        ids=list(probes.ids),
+        confidence=np.array([confidence(p) for p in probs], dtype=np.float64),
+        correctness=np.array([correctness(c) for c in probes.correct.T.tolist()],
+                             dtype=np.int64),
+        variability=np.array([variability(p) for p in probs], dtype=np.float64),
+    )
 
 
 _TD_SCHEMA = {"example_id": str, "confidence": float, "correctness": int,
               "variability": float}
 
 
-def write_td_stats(stats: dict[str, TDStats], path: str | Path) -> None:
+def write_td_stats(stats: TDStats, path: str | Path) -> None:
     """JSONL {example_id, confidence, correctness, variability}; the Stage-1
     to Stage-2 hand-off artifact."""
     write_jsonl(path, (
-        {"example_id": s.example_id, "confidence": s.confidence,
-         "correctness": s.correctness, "variability": s.variability}
-        for s in stats.values()
+        {"example_id": eid, "confidence": conf, "correctness": corr, "variability": var}
+        for eid, conf, corr, var in zip(
+            stats.ids, stats.confidence.tolist(), stats.correctness.tolist(),
+            stats.variability.tolist(), strict=True)
     ))
 
 
-def read_td_stats(path: str | Path) -> dict[str, TDStats]:
-    """Inverse of write_td_stats; rejects a non-finite confidence or variability."""
-    out: dict[str, TDStats] = {}
-    for rec in read_jsonl(path, _TD_SCHEMA):
-        s = TDStats(rec["example_id"], rec["confidence"], rec["correctness"],
-                    rec["variability"])
-        if not all(map(math.isfinite, (s.confidence, s.variability))):
-            raise ValueError(f"{path}: non-finite value for example {s.example_id!r}")
-        out[s.example_id] = s
-    return out
+def read_td_stats(path: str | Path, ids: list[str] | None = None) -> TDStats:
+    """Inverse of write_td_stats, for exactly ``ids`` in that order when
+    given; rejects a repeated or missing id and a non-finite confidence or
+    variability."""
+    ids, columns = read_columns(path, _TD_SCHEMA, ids)
+    return TDStats(ids, **columns)

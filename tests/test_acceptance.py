@@ -36,7 +36,7 @@ from currikit.curricula import (
     competence,
 )
 from currikit.difficulty import DifficultyScores, from_td
-from currikit.dynamics import DynamicsTrace, compute_all, confidence, correctness, variability
+from currikit.dynamics import compute_all, confidence, correctness, variability
 from currikit.trainer import TrainConfig, init_params, loss_and_grad, train
 
 # ---- pinned pilot ----------------------------------------------------------
@@ -102,16 +102,15 @@ def test_01_dynamics_match_brute_force_oracle():
             epochs = rng.randint(1, 12)
             probs = [rng.random() for _ in range(epochs)]
             flags = [rng.random() < 0.5 for _ in range(epochs)]
-            tr = DynamicsTrace(example_id="e", probs=probs, corrects=flags)
 
             brute_mean = sum(probs) / epochs
             brute_count = len([f for f in flags if f])
             brute_sd = math.sqrt(
                 sum((p - brute_mean) ** 2 for p in probs) / epochs
             )
-            assert abs(confidence(tr) - brute_mean) < 1e-12
-            assert correctness(tr) == brute_count
-            assert abs(variability(tr) - brute_sd) < 1e-12
+            assert abs(confidence(probs) - brute_mean) < 1e-12
+            assert correctness(flags) == brute_count
+            assert abs(variability(probs) - brute_sd) < 1e-12
         elapsed = time.perf_counter() - started
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
@@ -163,7 +162,8 @@ def test_03_competence_function_and_admission():
         for n, c0_, dur in ((1000, 0.01, 100), (357, 0.2, 41), (64, 1.0, 9)):
             scores = DifficultyScores(
                 metric_name="confidence", higher_is_easier=True,
-                scores={f"e{i:05d}": 1.0 - i / n for i in range(n)},
+                ids=[f"e{i:05d}" for i in range(n)],
+                scores=np.array([1.0 - i / n for i in range(n)]),
             )
             plan = build_competence_plan(scores, c0=c0_, duration=dur)
             sampler = CompetenceSampler(plan, batch_size=4, steps_per_epoch=7, seed=0)
@@ -185,7 +185,8 @@ def test_04_annealing_combinatorics():
             for v in values:
                 for i in range(rng.randint(1, 40)):
                     scores[f"s{v:02d}_{i:03d}"] = float(v)
-            ds = DifficultyScores(metric_name="correctness", scores=scores,
+            ds = DifficultyScores(metric_name="correctness", ids=list(scores),
+                                  scores=np.array(list(scores.values())),
                                   higher_is_easier=True)
             plan = build_annealing_plan(ds, num_epochs=num_epochs)
 
@@ -224,11 +225,12 @@ def test_05_datamap_noise_separation(pilot):
         ids = pilot["train"].ids()
         noisy = np.array([eid.endswith("#noisy") for eid in ids])
         assert noisy.sum() == 200  # floor(0.1 * 2000)
-        detector = np.array([1.0 - stats[eid].confidence for eid in ids])
+        assert stats.ids == ids
+        detector = 1.0 - stats.confidence
         auc = rank_auc(detector, noisy)
         assert auc >= 0.80, f"AUC {auc:.4f} below gate"
         assert auc == pytest.approx(GOLD_NOISE_AUC, abs=0.02), f"AUC {auc:.6f}"
-        conf = np.array([stats[eid].confidence for eid in ids])
+        conf = stats.confidence
         assert conf[noisy].mean() < conf[~noisy].mean()
         assert pilot["teacher_seconds"] < 60.0
 
@@ -237,10 +239,10 @@ def test_06_correlation_signs(pilot):
     with criterion(6, "Spearman(conf, corr) >= 0.7 and Spearman(var, corr) <= 0, "
                       "matching golden pilot values"):
         stats = pilot["stats"]
-        ids = pilot["train"].ids()
-        conf = [stats[eid].confidence for eid in ids]
-        corr = [float(stats[eid].correctness) for eid in ids]
-        var = [stats[eid].variability for eid in ids]
+        assert stats.ids == pilot["train"].ids()
+        conf = stats.confidence.tolist()
+        corr = stats.correctness.astype(np.float64).tolist()
+        var = stats.variability.tolist()
         sp_cc = spearman(conf, corr)
         sp_vc = spearman(var, corr)
         assert sp_cc >= 0.7, f"spearman(conf, corr) = {sp_cc:.4f}"
@@ -255,10 +257,9 @@ def test_07_curriculum_non_inferiority(pilot):
         started = time.perf_counter()
         train_c, val_c = pilot["train"], pilot["val"]
         stats = pilot["stats"]
-        ids = train_c.ids()
-        conf_scores = from_td(stats, "confidence", expected_ids=ids)
-        corr_scores = from_td(stats, "correctness", expected_ids=ids)
-        var_weights = {eid: stats[eid].variability for eid in ids}
+        assert stats.ids == train_c.ids()
+        conf_scores = from_td(stats, "confidence")
+        corr_scores = from_td(stats, "correctness")
 
         steps_per_epoch = math.ceil(train_c.size / PILOT_BATCH)
         total = PILOT_TEACHER_EPOCHS * steps_per_epoch
@@ -274,8 +275,7 @@ def test_07_curriculum_non_inferiority(pilot):
                 sampler = AnnealingSampler(plan, PILOT_BATCH, seed=seed)
             else:
                 plan = build_competence_plan(
-                    conf_scores, c0=0.01, duration=duration,
-                    variability=var_weights, variability_weighted=True,
+                    conf_scores, c0=0.01, duration=duration, variability_weighted=True,
                 )
                 sampler = CompetenceSampler(plan, PILOT_BATCH, steps_per_epoch,
                                             seed=seed)

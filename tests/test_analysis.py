@@ -144,12 +144,9 @@ class TestApproxRandomization:
 
 class TestDatamap:
     def stats(self):
-        return {
-            "a#noisy": TDStats("a#noisy", confidence=0.2, correctness=1,
-                               variability=0.1),
-            "b": TDStats("b", confidence=1.0, correctness=6, variability=0.0),
-            "c": TDStats("c", confidence=0.6, correctness=3, variability=0.4),
-        }
+        return TDStats(ids=["a#noisy", "b", "c"], confidence=np.array([0.2, 1.0, 0.6]),
+                       correctness=np.array([1, 6, 3]),
+                       variability=np.array([0.1, 0.0, 0.4]))
 
     def test_csv_rows(self, tmp_path):
         csv_path, svg_path = datamap_export(self.stats(), tmp_path)

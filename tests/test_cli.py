@@ -118,8 +118,8 @@ class TestTeacherCommand:
         meta = json.loads((teacher / "meta.json").read_text())
         assert meta["epochs"] == 2
         stats = read_td_stats(teacher / "td_stats.jsonl")
-        assert len(stats) == 120
-        assert all(0 <= s.correctness <= 2 for s in stats.values())
+        assert len(stats.ids) == 120
+        assert all(0 <= c <= 2 for c in stats.correctness.tolist())
 
     def test_determinism_byte_identical(self, tmp_path, config_path):
         config = load_config(config_path)
@@ -138,7 +138,7 @@ class TestTeacherCommand:
         out = tmp_path / "short"
         path = cmd_teacher(config, out, metric="dynamics", teacher_epochs=1)
         stats = read_td_stats(path)
-        assert all(s.correctness <= 1 for s in stats.values())
+        assert all(c <= 1 for c in stats.correctness.tolist())
         probes = (out / "teacher" / "probes.jsonl").read_text().splitlines()
         assert len(probes) == 120  # one epoch only
 
@@ -149,7 +149,7 @@ class TestTeacherCommand:
         header = read_scores_header(path)
         assert header["num_subsets"] == 3
         scores = read_scores(path)
-        assert set(scores.scores.values()) <= {0.0, 1.0, 2.0}
+        assert set(scores.scores.tolist()) <= {0.0, 1.0, 2.0}
         assert len(scores.scores) == 120
 
     @pytest.mark.parametrize("metric", ["length", "rarity", "ppl"])
@@ -382,7 +382,8 @@ class TestSweepCommand:
 
         def unserializable_101st(probes):
             stats = real(probes)
-            list(stats.values())[100].confidence = object()
+            stats.confidence = stats.confidence.astype(object)
+            stats.confidence[100] = object()
             return stats
 
         monkeypatch.setattr(cli.dynamics, "compute_all", unserializable_101st)
@@ -395,7 +396,7 @@ class TestSweepCommand:
         monkeypatch.undo()
         cmd_sweep(config, out, ["random", "corr_anneal"], rounds=300)
         capsys.readouterr()
-        assert len(read_td_stats(out / "teacher" / "td_stats.jsonl")) == 120
+        assert len(read_td_stats(out / "teacher" / "td_stats.jsonl").ids) == 120
 
 
 @pytest.fixture(scope="module")
@@ -528,13 +529,16 @@ class TestCliEntryPoint:
         ({"synth": MISSING, "data": {"train": "t.jsonl", "validation": "v.jsonl",
                                      "hash_dim": 1024.0}},
          "data: field 'hash_dim' must be an integer, got 1024.0"),
+        ({"synth": MISSING, "data": {"train": "t.jsonl", "validation": "v.jsonl",
+                                     "hash_dim": 2 ** 63}},
+         "data.hash_dim must be at most 2^62, got 9223372036854775808"),
         ({"train": {**BASE_CONFIG["train"], "learning_rate": math.nan}},
          "train: field 'learning_rate' must be a finite number, got nan"),
         ({"curriculum": {"add_k": math.inf}},
          "curriculum: field 'add_k' must be a finite number, got inf"),
     ], ids=["model-array", "curriculum-number", "cross_review-string",
             "teacher_seed-float", "seeds-bool", "hash_dim-3", "hash_dim-0",
-            "hash_dim-float", "learning_rate-nan", "add_k-inf"])
+            "hash_dim-float", "hash_dim-2^63", "learning_rate-nan", "add_k-inf"])
     def test_bad_value_rejected_before_any_artifact(self, tmp_path, capsys, update,
                                                     message):
         bad = json.loads(json.dumps(BASE_CONFIG))
@@ -572,6 +576,27 @@ class TestCliEntryPoint:
         assert code == 1
         assert f"{stats}:51:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, scheduler", [("stats", "conf_comp"),
+                                                 ("scores", "length")])
+    def test_missing_example_named(self, run_dir, config_path, tmp_path, capsys,
+                                   kind, scheduler):
+        stats = read_td_stats(run_dir / "teacher" / "td_stats.jsonl")
+        victim = stats.ids[7]
+        path = tmp_path / f"{kind}.jsonl"
+        if kind == "scores":
+            records = [{"metric_name": "length", "higher_is_easier": False}] + [
+                {"example_id": eid, "score": float(i)} for i, eid in enumerate(stats.ids)]
+            path.write_text("".join(json.dumps(rec) + "\n" for rec in records
+                                    if rec.get("example_id") != victim))
+        else:
+            lines = (run_dir / "teacher" / "td_stats.jsonl").read_text().splitlines(True)
+            path.write_text("".join(lines[:7] + lines[8:]))
+        out = tmp_path / "o"
+        assert main(["student", "--config", str(config_path), "--out", str(out),
+                     "--scheduler", scheduler, "--scores", str(path)]) == 1
+        assert f"{path}: no record for example {victim!r}" in capsys.readouterr().err
+        assert not (out / "students").exists()
+
     @pytest.mark.parametrize("command, kind, scheduler, field, bad", [
         ("student", "scores", "length", "score", float("nan")),
         ("student", "scores", "length", "score", float("inf")),
@@ -584,7 +609,7 @@ class TestCliEntryPoint:
     def test_non_finite_scores_rejected(self, run_dir, config_path, tmp_path, capsys,
                                         command, kind, scheduler, field, bad):
         stats = read_td_stats(run_dir / "teacher" / "td_stats.jsonl")
-        victim = list(stats)[7]
+        victim = stats.ids[7]
         out = tmp_path / "o"
         path = tmp_path / f"{kind}.jsonl"
         if command == "correlate":  # reads the run directory's own stats
@@ -592,11 +617,11 @@ class TestCliEntryPoint:
         if kind == "scores":
             lines = [{"metric_name": "length", "higher_is_easier": False}] + [
                 {"example_id": eid, "score": bad if eid == victim else float(i)}
-                for i, eid in enumerate(stats)
+                for i, eid in enumerate(stats.ids)
             ]
             path.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
         else:
-            setattr(stats[victim], field, bad)
+            getattr(stats, field)[7] = bad
             write_td_stats(stats, path)
         argv = {
             "student": ["student", "--config", str(config_path), "--out", str(out),
@@ -637,6 +662,10 @@ class TestCliEntryPoint:
         pytest.param("student-stats", "confidence", "0.5",
                      "field 'confidence' must be a number, got '0.5'",
                      id="student-stats-confidence-numeric-string"),
+        pytest.param("student-stats", "example_id", "train-000000",
+                     "duplicate example id 'train-000000'", id="student-stats-duplicate-id"),
+        pytest.param("student-scores", "example_id", "train-000000",
+                     "duplicate example id 'train-000000'", id="student-scores-duplicate-id"),
     ])
     def test_missing_field_named_with_line(self, run_dir, config_path, tmp_path,
                                            capsys, command, field, bad, message):
@@ -649,7 +678,8 @@ class TestCliEntryPoint:
             path = tmp_path / "scores.jsonl"
             records = [{"metric_name": "length", "higher_is_easier": False}] + [
                 {"example_id": eid, "score": float(i)}
-                for i, eid in enumerate(read_td_stats(run_dir / "teacher" / "td_stats.jsonl"))
+                for i, eid in enumerate(
+                    read_td_stats(run_dir / "teacher" / "td_stats.jsonl").ids)
             ]
         else:
             path = tmp_path / "td_stats.jsonl"
@@ -679,7 +709,7 @@ class TestCliEntryPoint:
                                       "summary-accuracy", "meta"])
     def test_bad_header_or_document_named(self, run_dir, config_path, tmp_path, capsys,
                                           kind):
-        ids = list(read_td_stats(run_dir / "teacher" / "td_stats.jsonl"))
+        ids = read_td_stats(run_dir / "teacher" / "td_stats.jsonl").ids
         out = tmp_path / "o"
         student = ["student", "--config", str(config_path), "--out", str(out)]
         if kind in ("scores-header", "cross-review-header"):
@@ -725,6 +755,15 @@ class TestCliEntryPoint:
         assert message in capsys.readouterr().err
         assert not (out / "students").exists()
         assert not list(out.glob("cmp*"))
+
+    def test_widest_hash_dim_loads(self, tmp_path):
+        # 2^62 is the widest width validate_config accepts
+        lines = [json.dumps({"id": f"r{i}", "text_a": f"w{i} x", "label": f"c{i % 2}"})
+                 for i in range(8)]
+        cfg = write_data_config(tmp_path, lines, lines, hash_dim=2 ** 62)
+        assert main(["teacher", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--metric", "length"]) == 0
+        assert (tmp_path / "o" / "teacher" / "scores_length.jsonl").exists()
 
     def test_train_split_fixes_feature_dim(self, tmp_path, capsys):
         # validation uses columns 0-2 of the train split's 0-3

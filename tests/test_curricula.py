@@ -18,13 +18,24 @@ from currikit.curricula import (
 from currikit.difficulty import DifficultyScores
 
 
+def scores_of(metric_name, by_id, higher_is_easier, variability=None):
+    """DifficultyScores whose rows are the keys of ``by_id``, in order."""
+    ids = list(by_id)
+    return DifficultyScores(
+        metric_name=metric_name, ids=ids,
+        scores=np.array([by_id[eid] for eid in ids], dtype=np.float64),
+        higher_is_easier=higher_is_easier,
+        variability=None if variability is None else np.array(
+            [variability[eid] for eid in ids], dtype=np.float64),
+    )
+
+
 def int_scores(value_to_count, higher_is_easier=True):
     scores = {}
     for value, count in value_to_count.items():
         for i in range(count):
             scores[f"v{value}_{i:04d}"] = float(value)
-    return DifficultyScores(metric_name="correctness", scores=scores,
-                            higher_is_easier=higher_is_easier)
+    return scores_of("correctness", scores, higher_is_easier)
 
 
 def served_ids(plan, batches):
@@ -75,20 +86,20 @@ class TestAnnealingPlan:
         assert [len(b) for b in plan.buckets] == [2, 4]
 
     def test_non_integer_scores_rejected(self):
-        scores = DifficultyScores(metric_name="confidence",
-                                  scores={"a": 0.5}, higher_is_easier=True)
+        scores = scores_of("confidence", {"a": 0.5}, higher_is_easier=True)
         with pytest.raises(ValueError, match="competence"):
             build_annealing_plan(scores, num_epochs=5)
 
     def test_buckets_partition_the_ids(self):
         scores = int_scores({0: 7, 1: 7, 2: 7})
         plan = build_annealing_plan(scores, num_epochs=2)
-        assert plan.ids == list(scores.scores)
-        assert sorted(served_ids(plan, plan.buckets)) == sorted(scores.scores)
+        assert plan.ids == scores.ids
+        assert sorted(served_ids(plan, plan.buckets)) == sorted(scores.ids)
 
     def test_buckets_are_sorted_by_id(self):
         scores = int_scores({0: 7, 1: 7})
-        scores.scores = dict(reversed(scores.scores.items()))
+        scores.ids.reverse()
+        scores.scores = scores.scores[::-1]
         plan = build_annealing_plan(scores, num_epochs=1)
         for bucket in plan.buckets:
             assert served_ids(plan, [bucket]) == sorted(served_ids(plan, [bucket]))
@@ -152,7 +163,7 @@ class TestAnnealingSampler:
         plan = build_annealing_plan(scores, num_epochs=3)
         sampler = AnnealingSampler(plan, batch_size=10, seed=5)
         first_epoch = [sampler.next_batch(i) for i in range(5)]
-        assert sorted(served_ids(plan, first_epoch)) == sorted(scores.scores)
+        assert sorted(served_ids(plan, first_epoch)) == sorted(scores.ids)
         assert sampler.phase == "curriculum"
         sampler.next_batch(5)
         assert sampler.phase == "post-curriculum"
@@ -164,7 +175,7 @@ class TestAnnealingSampler:
         for i in range(3):  # curriculum stage: 30 ids
             sampler.next_batch(i)
         epoch = [sampler.next_batch(3 + i) for i in range(3)]
-        assert sorted(served_ids(plan, epoch)) == sorted(scores.scores)
+        assert sorted(served_ids(plan, epoch)) == sorted(scores.ids)
 
     def test_batch_larger_than_pool_rejected(self):
         scores = int_scores({2: 4, 1: 40})
@@ -174,9 +185,9 @@ class TestAnnealingSampler:
 
     def test_weighted_stage_is_permutation_of_pool(self):
         scores = int_scores({4: 30, 2: 10})
-        weights = {eid: 0.01 * i for i, eid in enumerate(sorted(scores.scores))}
-        plan = build_annealing_plan(scores, num_epochs=4, variability=weights,
-                                    variability_weighted=True)
+        weights = {eid: 0.01 * i for i, eid in enumerate(sorted(scores.ids))}
+        scores.variability = np.array([weights[eid] for eid in scores.ids])
+        plan = build_annealing_plan(scores, num_epochs=4, variability_weighted=True)
         sampler = AnnealingSampler(plan, batch_size=10, seed=2)
         stages = self.serve_stages(sampler, plan, 10)
         for served, pool in zip(stages, sampler.stage_log):
@@ -185,11 +196,8 @@ class TestAnnealingSampler:
 
 
 def confidence_scores(n):
-    return DifficultyScores(
-        metric_name="confidence",
-        scores={f"e{i:04d}": 1.0 - i / n for i in range(n)},
-        higher_is_easier=True,
-    )
+    return scores_of("confidence", {f"e{i:04d}": 1.0 - i / n for i in range(n)},
+                     higher_is_easier=True)
 
 
 class TestCompetencePlan:
@@ -198,19 +206,14 @@ class TestCompetencePlan:
         assert served_ids(plan, [plan.ordering]) == [f"e{i:04d}" for i in range(10)]
 
     def test_tie_break_by_variability_then_id(self):
-        scores = DifficultyScores(
-            metric_name="confidence",
-            scores={"a": 0.5, "b": 0.5, "c": 0.5},
-            higher_is_easier=True,
-        )
-        plan = build_competence_plan(scores, c0=0.1, duration=10,
-                                     variability={"a": 0.3, "b": 0.1, "c": 0.3})
+        scores = scores_of("confidence", {"a": 0.5, "b": 0.5, "c": 0.5},
+                           higher_is_easier=True,
+                           variability={"a": 0.3, "b": 0.1, "c": 0.3})
+        plan = build_competence_plan(scores, c0=0.1, duration=10)
         assert served_ids(plan, [plan.ordering]) == ["b", "a", "c"]
 
     def test_heuristic_orientation(self):
-        scores = DifficultyScores(metric_name="length",
-                                  scores={"a": 9.0, "b": 2.0},
-                                  higher_is_easier=False)
+        scores = scores_of("length", {"a": 9.0, "b": 2.0}, higher_is_easier=False)
         plan = build_competence_plan(scores, c0=0.5, duration=10)
         assert served_ids(plan, [plan.ordering]) == ["b", "a"]
 
@@ -261,11 +264,11 @@ class TestCompetenceSampler:
         # chi-square goodness-of-fit over 1e5 draws
         n = 20
         scores = confidence_scores(n)
-        weights = {eid: 0.2 for eid in scores.scores}
+        scores.variability = np.full(n, 0.2)
         plan = build_competence_plan(scores, c0=1.0, duration=10 ** 9,
-                                     variability=weights, variability_weighted=True)
+                                     variability_weighted=True)
         sampler = CompetenceSampler(plan, batch_size=100, steps_per_epoch=10, seed=11)
-        counts = {eid: 0 for eid in scores.scores}
+        counts = {eid: 0 for eid in scores.ids}
         for t in range(1000):
             for eid in served_ids(plan, [sampler.next_batch(t)]):
                 counts[eid] += 1
@@ -277,11 +280,12 @@ class TestCompetenceSampler:
         n = 10
         scores = confidence_scores(n)
         weights = {eid: (0.5 if i < 5 else 0.05)
-                   for i, eid in enumerate(sorted(scores.scores))}
+                   for i, eid in enumerate(sorted(scores.ids))}
+        scores.variability = np.array([weights[eid] for eid in scores.ids])
         plan = build_competence_plan(scores, c0=1.0, duration=10 ** 9,
-                                     variability=weights, variability_weighted=True)
+                                     variability_weighted=True)
         sampler = CompetenceSampler(plan, batch_size=100, steps_per_epoch=10, seed=2)
-        counts = {eid: 0 for eid in scores.scores}
+        counts = {eid: 0 for eid in scores.ids}
         for t in range(200):
             for eid in served_ids(plan, [sampler.next_batch(t)]):
                 counts[eid] += 1

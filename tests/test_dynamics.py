@@ -7,22 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from currikit.dynamics import (
-    DynamicsTrace,
     compute_all,
     confidence,
     correctness,
     read_td_stats,
-    stats_for,
     variability,
     write_td_stats,
 )
 from currikit.trainer import Probes
-
-
-def trace(probs, corrects=None):
-    if corrects is None:
-        corrects = [False] * len(probs)
-    return DynamicsTrace(example_id="e", probs=list(probs), corrects=list(corrects))
 
 
 # independent brute-force evaluation, deliberately loop-based
@@ -51,45 +43,45 @@ def oracle_variability(probs):
 
 class TestConfidence:
     def test_constant(self):
-        assert confidence(trace([0.5, 0.5, 0.5])) == 0.5
+        assert confidence([0.5, 0.5, 0.5]) == 0.5
 
     def test_single_epoch(self):
-        assert confidence(trace([0.37])) == 0.37
+        assert confidence([0.37]) == 0.37
 
     def test_mean(self):
-        assert confidence(trace([0.9, 0.8, 0.7, 0.6])) == pytest.approx(0.75)
+        assert confidence([0.9, 0.8, 0.7, 0.6]) == pytest.approx(0.75)
 
     def test_empty(self):
         with pytest.raises(ValueError):
-            confidence(trace([]))
+            confidence([])
 
 
 class TestCorrectness:
     def test_all_true(self):
-        assert correctness(trace([0.5] * 5, [True] * 5)) == 5
+        assert correctness([True] * 5) == 5
 
     def test_all_false(self):
-        assert correctness(trace([0.5] * 5, [False] * 5)) == 0
+        assert correctness([False] * 5) == 0
 
     def test_count(self):
-        assert correctness(trace([0.5] * 5, [True, False, True, True, False])) == 3
+        assert correctness([True, False, True, True, False]) == 3
 
 
 class TestVariability:
     def test_constant_is_zero(self):
-        assert variability(trace([0.4, 0.4, 0.4])) == 0.0
+        assert variability([0.4, 0.4, 0.4]) == 0.0
 
     def test_two_points(self):
-        assert variability(trace([0.2, 0.8])) == pytest.approx(0.3)
+        assert variability([0.2, 0.8]) == pytest.approx(0.3)
 
     def test_three_points(self):
-        assert variability(trace([1.0, 0.0, 0.5])) == pytest.approx(0.40825, abs=1e-5)
+        assert variability([1.0, 0.0, 0.5]) == pytest.approx(0.40825, abs=1e-5)
 
     def test_bounded_by_half(self):
         rng = random.Random(0)
         for _ in range(100):
             probs = [rng.random() for _ in range(rng.randint(1, 12))]
-            assert variability(trace(probs)) <= 0.5 + 1e-12
+            assert variability(probs) <= 0.5 + 1e-12
 
 
 class TestAgainstOracle:
@@ -99,10 +91,9 @@ class TestAgainstOracle:
             n = rng.randint(1, 12)
             probs = [rng.random() for _ in range(n)]
             flags = [rng.random() < 0.5 for _ in range(n)]
-            tr = trace(probs, flags)
-            assert abs(confidence(tr) - oracle_confidence(probs)) < 1e-12
-            assert correctness(tr) == oracle_correctness(flags)
-            assert abs(variability(tr) - oracle_variability(probs)) < 1e-12
+            assert abs(confidence(probs) - oracle_confidence(probs)) < 1e-12
+            assert correctness(flags) == oracle_correctness(flags)
+            assert abs(variability(probs) - oracle_variability(probs)) < 1e-12
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=20),
            st.randoms())
@@ -113,15 +104,13 @@ class TestAgainstOracle:
         rnd.shuffle(shuffled)
         sp = [p for p, _ in shuffled]
         sf = [f for _, f in shuffled]
-        assert confidence(trace(sp, sf)) == pytest.approx(
-            confidence(trace(probs, flags)), abs=1e-12)
-        assert correctness(trace(sp, sf)) == correctness(trace(probs, flags))
-        assert variability(trace(sp, sf)) == pytest.approx(
-            variability(trace(probs, flags)), abs=1e-12)
+        assert confidence(sp) == pytest.approx(confidence(probs), abs=1e-12)
+        assert correctness(sf) == correctness(flags)
+        assert variability(sp) == pytest.approx(variability(probs), abs=1e-12)
 
     def test_variability_zero_iff_constant(self):
-        assert variability(trace([0.3, 0.3])) == 0.0
-        assert variability(trace([0.3, 0.30001])) > 0.0
+        assert variability([0.3, 0.3]) == 0.0
+        assert variability([0.3, 0.30001]) > 0.0
 
 
 def probes(*epochs):
@@ -137,9 +126,10 @@ def probes(*epochs):
 class TestComputeAll:
     def test_single_epoch(self):
         stats = compute_all(probes([("a", 0.4, False)]))
-        assert stats["a"].confidence == 0.4
-        assert stats["a"].correctness == 0
-        assert stats["a"].variability == 0.0
+        assert stats.ids == ["a"]
+        assert stats.confidence[0] == 0.4
+        assert stats.correctness[0] == 0
+        assert stats.variability[0] == 0.0
 
     def test_zero_epochs_rejected(self):
         empty = Probes(ids=["a"], gold_prob=np.empty((0, 1)),
@@ -157,13 +147,15 @@ class TestComputeAll:
             [(eid, probs[eid][e], flags[eid][e]) for eid in ids]
             for e in range(epochs)
         )))
-        for eid in ids:
-            assert abs(stats[eid].confidence - oracle_confidence(probs[eid])) < 1e-12
-            assert stats[eid].correctness == oracle_correctness(flags[eid])
-            assert abs(stats[eid].variability - oracle_variability(probs[eid])) < 1e-12
+        assert stats.ids == ids
+        for i, eid in enumerate(ids):
+            assert abs(stats.confidence[i] - oracle_confidence(probs[eid])) < 1e-12
+            assert stats.correctness[i] == oracle_correctness(flags[eid])
+            assert abs(stats.variability[i] - oracle_variability(probs[eid])) < 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_equals_stats_for_on_every_column(self, seed):
+        """Column i holds the three per-example functions of probe column i."""
         rng = np.random.default_rng(seed)
         epochs, n = int(rng.integers(1, 13)), 40
         gold = rng.random((epochs, n))
@@ -171,12 +163,15 @@ class TestComputeAll:
         correct = rng.random((epochs, n)) < 0.5
         ids = [f"e{i}" for i in range(n)]
         stats = compute_all(Probes(ids=ids, gold_prob=gold, correct=correct))
-        assert list(stats) == ids
-        for i, eid in enumerate(ids):
-            trace = DynamicsTrace(example_id=eid, probs=gold[:, i].tolist(),
-                                  corrects=correct[:, i].tolist())
-            assert stats[eid] == stats_for(trace)
-        assert all(stats[eid].variability == 0.0 for eid in ids[:5])
+        assert stats.ids == ids
+        assert (stats.confidence.dtype, stats.correctness.dtype,
+                stats.variability.dtype) == (np.float64, np.int64, np.float64)
+        for i in range(n):
+            probs, flags = gold[:, i].tolist(), correct[:, i].tolist()
+            assert stats.confidence[i] == confidence(probs)
+            assert stats.correctness[i] == correctness(flags)
+            assert stats.variability[i] == variability(probs)
+        assert all(stats.variability[:5] == 0.0)
 
     def test_round_trip(self, tmp_path):
         stats = compute_all(probes(
@@ -185,4 +180,7 @@ class TestComputeAll:
         ))
         write_td_stats(stats, tmp_path / "stats.jsonl")
         back = read_td_stats(tmp_path / "stats.jsonl")
-        assert back == stats
+        assert back.ids == stats.ids
+        for column in ("confidence", "correctness", "variability"):
+            assert getattr(back, column).dtype == getattr(stats, column).dtype
+            assert getattr(back, column).tobytes() == getattr(stats, column).tobytes()
