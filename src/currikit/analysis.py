@@ -22,18 +22,28 @@ from .trainer import RunLog
 
 
 def rank_average_ties(values) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
+    """1-based ranks with ties sharing their average rank. Values tie when
+    they compare equal, so -0.0 ties with 0.0 and each NaN ranks alone
+    (last, in input order)."""
     a = np.asarray(values, dtype=np.float64).reshape(-1)
     order = np.argsort(a, kind="mergesort")
+    s = a[order]
+    new_group = np.ones(a.size, dtype=bool)
+    new_group[1:] = s[1:] != s[:-1]
+    first = np.flatnonzero(new_group)
+    counts = np.diff(np.append(first, a.size))
     ranks = np.empty(a.size, dtype=np.float64)
-    i = 0
-    while i < a.size:
-        j = i
-        while j + 1 < a.size and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i: j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # A group at sorted positions i..j shares rank 0.5 * (i + j) + 1.0.
+    ranks[order] = np.repeat(0.5 * (2 * first + counts - 1) + 1.0, counts)
     return ranks
+
+
+def _centered_ranks(values) -> tuple[np.ndarray, float]:
+    """Average ranks minus their mean, and their sum of squares (0.0 only
+    for constant input)."""
+    r = rank_average_ties(values)
+    r -= r.mean()
+    return r, float(np.sum(r * r))
 
 
 def spearman(xs, ys) -> float:
@@ -43,11 +53,8 @@ def spearman(xs, ys) -> float:
     y = np.asarray(ys, dtype=np.float64).reshape(-1)
     if x.size == 0 or x.size != y.size:
         raise ValueError(f"need equal nonzero lengths, got {x.size} and {y.size}")
-    rx = rank_average_ties(x)
-    ry = rank_average_ties(y)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    denom = math.sqrt(float(np.sum(rx * rx)) * float(np.sum(ry * ry)))
+    (rx, sx), (ry, sy) = _centered_ranks(x), _centered_ranks(y)
+    denom = math.sqrt(sx * sy)
     if denom == 0.0:
         raise ValueError("spearman is undefined for constant input")
     return float(np.sum(rx * ry) / denom)
@@ -74,13 +81,19 @@ def correlation_matrix(metric_scores: dict[str, dict[str, float]]) -> Correlatio
     ids = sorted(common)
     if len(ids) < 3:
         raise ValueError("fewer than 3 shared example ids across metrics")
-    columns = {name: [metric_scores[name][eid] for eid in ids] for name in names}
+    ranked = []  # each metric ranked once; rho as spearman() computes it
+    for name in names:
+        r, ss = _centered_ranks([metric_scores[name][eid] for eid in ids])
+        if ss == 0.0:
+            raise ValueError(f"metric {name!r} is constant over the {len(ids)} shared "
+                             f"example ids: spearman is undefined")
+        ranked.append((r, ss))
     n = len(names)
     rho = [[1.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            r = spearman(columns[names[i]], columns[names[j]])
-            rho[i][j] = rho[j][i] = r
+            (ri, si), (rj, sj) = ranked[i], ranked[j]
+            rho[i][j] = rho[j][i] = float(np.sum(ri * rj) / math.sqrt(si * sj))
     return CorrelationMatrix(names=names, rho=rho)
 
 

@@ -297,19 +297,23 @@ def cmd_teacher(config: dict, out_dir: Path, metric: str = "dynamics",
                                 extra_header={"num_subsets": cr_cfg.num_subsets})
         return out_path
 
-    if metric == "length":
-        scores = difficulty.length_metric(train_corpus)
-    elif metric == "rarity":
-        scores = difficulty.rarity_metric(train_corpus)
-    else:
-        curr = config.get("curriculum", {})
-        scores = difficulty.perplexity_metric(
-            train_corpus,
-            order=int(curr.get("ngram_order", 2)),
-            add_k=float(curr.get("add_k", 1.0)),
-        )
-    difficulty.write_scores(scores, out_path)
+    difficulty.write_scores(_heuristic_scores(config, train_corpus, metric), out_path)
     return out_path
+
+
+def _heuristic_scores(config: dict, train_corpus: Corpus,
+                      metric: str) -> difficulty.DifficultyScores:
+    """The scores of a heuristic teacher: one of HEURISTICS."""
+    if metric == "length":
+        return difficulty.length_metric(train_corpus)
+    if metric == "rarity":
+        return difficulty.rarity_metric(train_corpus)
+    curr = config.get("curriculum", {})
+    return difficulty.perplexity_metric(
+        train_corpus,
+        order=int(curr.get("ngram_order", 2)),
+        add_k=float(curr.get("add_k", 1.0)),
+    )
 
 
 def _teacher_artifact(out_dir: Path, metric: str) -> Path:
@@ -767,20 +771,22 @@ def cmd_datamap(out_dir: Path, stats_path: Path | None = None) -> tuple[Path, Pa
 
 def cmd_correlate(config: dict, out_dir: Path) -> analysis.CorrelationMatrix:
     """Spearman matrix between every available difficulty metric: the three
-    dynamics statistics, the heuristics (computed on the fly) and
-    cross-review votes when present in the run directory."""
+    dynamics statistics, the heuristics and cross-review votes when present
+    in the run directory. A heuristic teacher's scores file is read when the
+    run directory holds one (its config snapshot is this config); otherwise
+    the heuristic is computed, and only then is the train split loaded."""
     snapshot_config(config, out_dir)
     stats = _read_td_stats(_teacher_artifact(out_dir, "dynamics"))
-    train_corpus = resolve_corpora(config, splits=("train",))["train"]
-    curr = config.get("curriculum", {})
     metrics = {name: difficulty.from_td(stats, name) for name in difficulty.TD_METRICS}
-    metrics["length"] = difficulty.length_metric(train_corpus)
-    metrics["rarity"] = difficulty.rarity_metric(train_corpus)
-    metrics["ppl"] = difficulty.perplexity_metric(
-        train_corpus,
-        order=int(curr.get("ngram_order", 2)),
-        add_k=float(curr.get("add_k", 1.0)),
-    )
+    train_corpus = None
+    for name in HEURISTICS:
+        path = _teacher_artifact(out_dir, name)
+        if path.exists():
+            metrics[name] = difficulty.read_scores(path, stats.ids)
+            continue
+        if train_corpus is None:
+            train_corpus = resolve_corpora(config, splits=("train",))["train"]
+        metrics[name] = _heuristic_scores(config, train_corpus, name)
     cr_path = _teacher_artifact(out_dir, "cross-review")
     if cr_path.exists():
         metrics["cross_review"] = difficulty.read_scores(cr_path)

@@ -125,14 +125,13 @@ def rarity_metric(corpus: Corpus, train_corpus: Corpus | None = None) -> Difficu
     training falls back to 1/(total + V + 1)."""
     ref = train_corpus if train_corpus is not None else corpus
     counts, total = _train_token_counts(ref)
-    vocab = len(counts)
-    unseen = 1.0 / (total + vocab + 1)
+    log_freq = {tok: math.log(count / total) for tok, count in counts.items()}
+    log_unseen = math.log(1.0 / (total + len(counts) + 1))
 
     def score(tokens_a: list[str], tokens_b: list[str]) -> float:
         s = 0.0
         for tok in chain(tokens_a, tokens_b):
-            f = counts[tok] / total if counts[tok] else unseen
-            s -= math.log(f)
+            s -= log_freq.get(tok, log_unseen)
         return s
 
     return DifficultyScores(
@@ -156,18 +155,12 @@ class NGramModel:
             raise ValueError("add_k must be > 0")
         self.order = order
         self.add_k = add_k
-        self.unigram = Counter()
-        self.bigram = Counter()
-        self.context = Counter()
-        for segment in chain.from_iterable(train_corpus.tokens):
-            if not segment:
-                continue
-            self.unigram.update(segment)
-            prev = _BOS
-            for tok in segment:
-                self.bigram[(prev, tok)] += 1
-                self.context[prev] += 1
-                prev = tok
+        segments = [seg for seg in chain.from_iterable(train_corpus.tokens) if seg]
+        self.unigram = Counter(chain.from_iterable(segments))
+        self.bigram = Counter(chain.from_iterable(zip(chain((_BOS,), seg), seg)
+                                                  for seg in segments))
+        self.context = Counter(chain.from_iterable(chain((_BOS,), seg[:-1])
+                                                   for seg in segments))
         self.total = sum(self.unigram.values())
         self.vocab_size = len(self.unigram)
 
@@ -181,15 +174,30 @@ class NGramModel:
             den = self.context[prev] + self.add_k * v
         return math.log(num / den)
 
-    def segment_perplexity(self, segment: list[str]) -> float:
-        """exp(mean negative log-probability); empty segments contribute 0."""
+    def log_probs(self) -> dict:
+        """log_prob of every key the train segments hold, one math.log each:
+        the token for order 1, (previous token, token) for order 2."""
+        k, v = self.add_k, self.vocab_size
+        if self.order == 1:
+            den = self.total + k * v
+            return {tok: math.log((n + k) / den) for tok, n in self.unigram.items()}
+        return {key: math.log((n + k) / (self.context[key[0]] + k * v))
+                for key, n in self.bigram.items()}
+
+    def segment_perplexity(self, segment: list[str], log_probs: dict) -> float:
+        """exp(mean negative log-probability), summed in token order; empty
+        segments contribute 0. ``log_probs`` starts as ``self.log_probs()``
+        and takes each other key's log_prob when first met."""
         if not segment:
             return 0.0
+        keys = segment if self.order == 1 else zip(chain((_BOS,), segment), segment)
         nll = 0.0
-        prev = _BOS
-        for tok in segment:
-            nll -= self.log_prob(tok, prev)
-            prev = tok
+        for key in keys:
+            lp = log_probs.get(key)
+            if lp is None:
+                lp = log_probs[key] = (self.log_prob(key, _BOS) if self.order == 1
+                                       else self.log_prob(key[1], key[0]))
+            nll -= lp
         return math.exp(nll / len(segment))
 
 
@@ -202,7 +210,9 @@ def perplexity_metric(
     """Sum of per-segment n-gram perplexities; high perplexity = harder."""
     ref = train_corpus if train_corpus is not None else corpus
     lm = NGramModel(ref, order=order, add_k=add_k)
-    scores = np.array([lm.segment_perplexity(seg_a) + lm.segment_perplexity(seg_b)
+    log_probs = lm.log_probs()
+    scores = np.array([lm.segment_perplexity(seg_a, log_probs)
+                       + lm.segment_perplexity(seg_b, log_probs)
                        for seg_a, seg_b in corpus.tokens], dtype=np.float64)
     return DifficultyScores(metric_name="ppl", ids=corpus.ids(), scores=scores,
                             higher_is_easier=False)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 from scipy import sparse
@@ -191,26 +191,22 @@ def loss_and_grad(
 
 def clip_gradients(
     wgrads: list[np.ndarray], bgrads: list[np.ndarray], max_norm: float,
-    squares: tuple[np.ndarray, np.ndarray] | None = None,
+    square_sum: Callable[[np.ndarray], float] | None = None,
 ) -> float:
     """Scale all gradients in place to a global L2 norm of at most
     ``max_norm``; returns the pre-clip norm.
 
-    ``squares`` is (index, buffer) when ``wgrads[0]`` holds only some rows
-    of a full gradient that is zero elsewhere: ``buffer`` is a zero array of
-    the full shape and ``index`` the flat position in it of each element of
-    ``wgrads[0]``. The squares are written there and the whole buffer is
-    summed, so the norm equals the full gradient's bit for bit (summing the
-    compact rows alone groups the terms differently).
+    ``square_sum`` is given when ``wgrads[0]`` holds only some rows of a full
+    gradient that is zero elsewhere: it maps the flat squares of
+    ``wgrads[0]`` to ``float(np.sum(...))`` of the full-shape squares, so the
+    norm equals the full gradient's bit for bit (summing the compact rows
+    alone groups the terms differently).
     """
     total = 0.0
     for i, g in enumerate(wgrads + bgrads):
         sq = g * g
-        if i == 0 and squares is not None:
-            index, sq_full = squares
-            sq_full.reshape(-1)[index] = sq.reshape(-1)
-            sq = sq_full
-        total += float(np.sum(sq))
+        total += (square_sum(sq.reshape(-1)) if i == 0 and square_sum is not None
+                  else float(np.sum(sq)))
     norm = math.sqrt(total)
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
@@ -219,6 +215,140 @@ def clip_gradients(
     return norm
 
 
+# numpy sums a contiguous float64 array pairwise: a block of more than this
+# many elements is split in two, the first part n//2 rounded down to a
+# multiple of 8; a block of 8 to this many runs 8 accumulators.
+_PAIRWISE_BLOCK = 128
+
+
+class _PairwiseSum:
+    """``float(np.sum(a))`` for a contiguous float64 array ``a`` of ``size``
+    non-negative elements that is zero except at the ascending flat
+    positions ``index``, computed from the values at those positions alone.
+
+    It replays numpy's pairwise grouping. A block of fewer than 8 elements
+    is summed left to right from 0.0; a block of 8 to ``_PAIRWISE_BLOCK``
+    seeds accumulator j with element j, adds element j + 8k to it for each
+    whole group of 8, combines the eight as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` and then adds the
+    last ``len % 8`` elements one at a time; a larger block is the sum of its
+    two halves. Every skipped element is +0.0 and every partial sum is
+    non-negative, so ``x + 0.0 == x`` makes skipping exact provided each
+    accumulator still adds its non-zero terms in position order. The layout
+    is built once; a call is a few gather/scatter passes over the touched
+    blocks and one pass per level of the tree.
+    """
+
+    def __init__(self, index: np.ndarray, size: int):
+        index = np.asarray(index, dtype=np.int64)
+        # Walk the tree a level at a time, splitting every block larger than
+        # _PAIRWISE_BLOCK; record which nodes of each level are leaves.
+        starts, lens = np.zeros(1, dtype=np.int64), np.array([size], dtype=np.int64)
+        levels, leaf_starts, leaf_lens = [], [], []
+        while len(starts):
+            leaf = lens <= _PAIRWISE_BLOCK
+            levels.append((len(starts), np.flatnonzero(leaf), np.flatnonzero(~leaf)))
+            leaf_starts.append(starts[leaf])
+            leaf_lens.append(lens[leaf])
+            split_starts, split_lens = starts[~leaf], lens[~leaf]
+            half = split_lens // 2 - (split_lens // 2) % 8
+            starts = np.column_stack([split_starts, split_starts + half]).reshape(-1)
+            lens = np.column_stack([half, split_lens - half]).reshape(-1)
+        # Number the leaves level by level, and each level's leaves in order.
+        offsets = np.cumsum([0] + [len(s) for s in leaf_starts]).tolist()
+        self._levels = [(*level, slice(offsets[k], offsets[k + 1]))
+                        for k, level in enumerate(levels)]
+        self._n_leaves = int(offsets[-1])
+        all_starts = np.concatenate(leaf_starts)
+        all_lens = np.concatenate(leaf_lens)
+        by_start = np.argsort(all_starts)
+
+        # Place each element: its leaf, and in it a lane (accumulator) or the
+        # tail. Elements are ascending, so stable sorts keep position order.
+        leaf = by_start[np.searchsorted(all_starts[by_start], index, side="right") - 1]
+        self._touched, t = np.unique(leaf, return_inverse=True)
+        offset = index - all_starts[leaf]
+        lens = all_lens[leaf]
+        grouped = np.where(lens >= 8, lens - lens % 8, 0)
+        in_lane = offset < grouped
+        n_touched = len(self._touched)
+        lane = np.where(in_lane, (offset % 8) * n_touched + t, t)
+        self._n_lanes = 8 * n_touched
+        # Pass r adds the r-th element of each lane (then of each tail) to
+        # it, so no pass adds twice to one target. A call gathers the
+        # elements once, pass by pass, and each pass reads one slice.
+        self._order, self._lane_passes, self._tail_passes = [], [], []
+        start = 0
+        for passes, elements in ((self._lane_passes, np.flatnonzero(in_lane)),
+                                 (self._tail_passes, np.flatnonzero(~in_lane))):
+            keys = lane[elements]
+            order = np.argsort(keys, kind="stable")
+            run_start = np.r_[True, keys[order][1:] != keys[order][:-1]]
+            first = np.flatnonzero(run_start)
+            rank = np.arange(len(keys)) - np.repeat(first, np.diff(np.r_[first, len(keys)]))
+            for r in range(int(rank.max(initial=-1)) + 1):
+                sel = elements[order[rank == r]]
+                self._order.append(sel)
+                passes.append((slice(start, start + len(sel)), lane[sel]))
+                start += len(sel)
+        self._order = np.concatenate(self._order) if self._order else index[:0]
+
+    def __call__(self, values: np.ndarray) -> float:
+        v = values[self._order]
+        lanes = np.zeros(self._n_lanes)
+        for part, target in self._lane_passes:
+            lanes[target] += v[part]
+        r = lanes.reshape(8, -1)
+        r = r[0::2] + r[1::2]  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        r = r[0::2] + r[1::2]
+        sums = r[0] + r[1]
+        for part, target in self._tail_passes:
+            sums[target] += v[part]
+        leaves = np.zeros(self._n_leaves)
+        leaves[self._touched] = sums
+        node = leaves[:0]
+        for n_nodes, leaf_pos, split_pos, level_leaves in reversed(self._levels):
+            pairs = node[0::2] + node[1::2]
+            if not len(leaf_pos):
+                node = pairs
+            elif not len(split_pos):
+                node = leaves[level_leaves]
+            else:
+                node = np.empty(n_nodes)
+                node[leaf_pos] = leaves[level_leaves]
+                node[split_pos] = pairs
+        return float(node[0])
+
+
+class _BufferSum:
+    """The same sum as _PairwiseSum, by writing the values into a zero
+    buffer of the full size and summing it."""
+
+    def __init__(self, index: np.ndarray, size: int):
+        self.index, self.buffer = index, np.zeros(size)
+
+    def __call__(self, values: np.ndarray) -> float:
+        self.buffer[self.index] = values
+        return float(np.sum(self.buffer))
+
+
+def _pairwise_sum_is_numpys() -> bool:
+    """Whether _PairwiseSum equals np.sum on a probe whose grouping matters,
+    with an unbalanced tree, blocks with a tail and untouched blocks. Its
+    values are 20 ones among terms near a quarter of the ulp of 1.0: each
+    such term added to a one alone is lost, so the sum depends on which
+    terms meet first. A numpy that groups its sums differently makes the
+    trainer fall back to _BufferSum."""
+    rng = np.random.default_rng(0)
+    size = 3 * 1000 + 5
+    index = np.flatnonzero(rng.random(size) < 0.5)
+    index = index[(index < 1000) | (index > 1500)]
+    values = 2.0 ** -54 * (1 + rng.integers(0, 8, len(index)) / 8)
+    values[rng.choice(len(index), 20, replace=False)] = 1.0
+    return _PairwiseSum(index, size)(values) == _BufferSum(index, size)(values)
+
+
+_PAIRWISE_EXACT = _pairwise_sum_is_numpys()
 def predict(params: ModelParams, corpus: Corpus) -> np.ndarray:
     """Argmax class per example; ties go to the lowest class index."""
     probs, _ = _forward_matrix(params, corpus.feature_matrix())
@@ -242,27 +372,30 @@ class _ActiveRows:
     compact model: its ``weights[0]`` holds the active rows, and it shares
     every other array with ``full``. ``X`` is the train matrix with its
     columns renumbered to match; its rows keep their entries in order, so
-    products with it equal the full-width ones bit for bit.
+    products with it equal the full-width ones bit for bit. ``square_sum``
+    sums the squares of a compact ``weights[0]`` gradient as numpy sums the
+    full-width one, and ``decayed`` counts the decays ``sync`` has applied.
     """
 
     def __init__(self, X, full: ModelParams, rows: np.ndarray):
         self.full = full
         self.rows = rows
-        col_of = np.empty(X.shape[1], dtype=X.indices.dtype)
-        col_of[rows] = np.arange(len(rows))
-        self.X = sparse.csr_matrix((X.data, col_of[X.indices], X.indptr),
+        cols = np.unique(X.indices, return_inverse=True)[1].astype(X.indices.dtype)
+        self.X = sparse.csr_matrix((X.data, cols, X.indptr),
                                    shape=(X.shape[0], len(rows)))
         self.params = ModelParams(weights=[full.weights[0][rows], *full.weights[1:]],
                                   biases=full.biases, hidden_size=full.hidden_size)
-        width = full.weights[0].shape[1]
-        self.squares = ((rows[:, None] * width + np.arange(width)).reshape(-1),
-                        np.zeros_like(full.weights[0]))
+        W = full.weights[0]
+        index = (rows[:, None] * W.shape[1] + np.arange(W.shape[1])).reshape(-1)
+        self.square_sum = (_PairwiseSum if _PAIRWISE_EXACT else _BufferSum)(index, W.size)
         self.owed = 0  # decay steps not yet applied to the frozen rows
+        self.decayed = 0  # decay steps applied to the frozen rows
 
     def sync(self, decay: float) -> None:
         W = self.full.weights[0]
         for _ in range(self.owed):
             W *= decay
+        self.decayed += self.owed
         self.owed = 0
         W[self.rows] = self.params.weights[0]
 
@@ -300,10 +433,13 @@ def train(
     # but scatters the used ones. On a 2-core x86-64 host the compact step
     # beat the full-width one at 23% of columns used, tied at 41% and lost by
     # 9-17% at 65% and above, so it runs only when at most a quarter is used.
-    used = np.flatnonzero(np.bincount(X.indices, minlength=X.shape[1]))
+    # The used columns come from sorting the matrix's indices, not from a
+    # count per column, so W stays the only array as wide as the columns.
+    used = np.sort(X.indices)
+    used = used[np.diff(used, prepend=-1) != 0]
     active = _ActiveRows(X, params, used) if 4 * len(used) <= X.shape[1] else None
-    step_params, step_X, squares = ((params, X, None) if active is None
-                                    else (active.params, active.X, active.squares))
+    step_params, step_X, square_sum = ((params, X, None) if active is None
+                                       else (active.params, active.X, active.square_sum))
     # A 32-row scipy gather costs about 100 us, an array one about 5 us. So a
     # matrix at least half non-zero is copied dense once (no larger than its
     # CSR data and int64 indices) and batches are gathered from the copy;
@@ -332,7 +468,9 @@ def train(
         shape = (config.epochs, corpus.size)
         probes = Probes(ids=corpus.ids(), gold_prob=np.empty(shape),
                         correct=np.empty(shape, dtype=bool))
-    best_params = params.copy()
+    # The best checkpoint is a copy of step_params (the compact rows when
+    # some are frozen) and the decays its frozen rows had taken.
+    best_params, best_decayed = None, 0
     best_acc = -math.inf
     best_step = 0
     step = 0  # batches served so far; sampler sees the pre-batch count
@@ -350,7 +488,7 @@ def train(
                 raise FloatingPointError(
                     f"non-finite training loss {loss} at step {step + 1}"
                 )
-            clip_gradients(wgrads, bgrads, config.grad_clip, squares)
+            clip_gradients(wgrads, bgrads, config.grad_clip, square_sum)
             for i in range(len(step_params.weights)):
                 vel_w[i] = momentum * vel_w[i] + wgrads[i]
                 step_params.weights[i] -= config.learning_rate * vel_w[i]
@@ -372,7 +510,8 @@ def train(
                 if acc > best_acc:
                     best_acc = acc
                     best_step = step
-                    best_params = params.copy()
+                    best_params = step_params.copy()
+                    best_decayed = active.decayed if active is not None else 0
 
         if probes is not None:
             probs, _ = _forward_matrix(step_params, step_X)
@@ -382,9 +521,19 @@ def train(
     if val_corpus is None:
         if active is not None:
             active.sync(decay)
-        best_params = params.copy()
+        best_params = params
         best_step = step
         best_acc = math.nan
+    elif active is not None:
+        W = params.weights[0]
+        if active.decayed > best_decayed:  # rebuild the frozen rows at the best step
+            W = init_params(corpus.feature_dim, corpus.num_classes, hidden_size,
+                            config.seed).weights[0]
+            for _ in range(best_decayed):
+                W *= decay
+        W[active.rows] = best_params.weights[0]
+        best_params = ModelParams(weights=[W, *best_params.weights[1:]],
+                                  biases=best_params.biases, hidden_size=params.hidden_size)
     return best_params, RunLog(records=records, best_step=best_step,
                                best_val_metric=best_acc), probes
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from currikit.analysis import (
@@ -12,11 +14,51 @@ from currikit.analysis import (
     correlation_matrix,
     datamap_export,
     learning_curve,
+    rank_average_ties,
     spearman,
     time_ratio,
 )
 from currikit.dynamics import TDStats
 from currikit.trainer import RunLog
+
+
+def loop_rank_average_ties(values) -> np.ndarray:
+    """Reference: the per-group while loop that rank_average_ties replaced."""
+    a = np.asarray(values, dtype=np.float64).reshape(-1)
+    order = np.argsort(a, kind="mergesort")
+    ranks = np.empty(a.size, dtype=np.float64)
+    i = 0
+    while i < a.size:
+        j = i
+        while j + 1 < a.size and a[order[j + 1]] == a[order[i]]:
+            j += 1
+        ranks[order[i: j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestRankAverageTies:
+    SPECIAL = [0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf, 0.5, 1e-300]
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True),
+                              st.integers(-3, 3).map(float)), max_size=60))
+    def test_equals_loop(self, values):
+        got, want = rank_average_ties(values), loop_rank_average_ties(values)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("values", [
+        [], [7.0], [2.0] * 5, [0.0, -0.0, 0.0], [math.nan, 1.0, math.nan, 1.0],
+        [3.0, 1.0, 3.0, 2.0, 1.0, 3.0], [-0.0, math.nan, 0.0, -math.inf],
+    ], ids=["empty", "one", "constant", "signed-zeros", "nan", "ties", "mixed"])
+    def test_edge_cases_equal_loop(self, values):
+        assert rank_average_ties(values).tobytes() == loop_rank_average_ties(values).tobytes()
+
+    def test_large_input_equals_loop(self):
+        rng = np.random.default_rng(9)
+        values = rng.integers(0, 300, size=5000).astype(float)
+        values[rng.random(5000) < 0.01] = math.nan
+        assert rank_average_ties(values).tobytes() == loop_rank_average_ties(values).tobytes()
 
 
 class TestSpearman:
@@ -244,6 +286,25 @@ class TestCorrelationMatrix:
             for j in range(3):
                 assert matrix.rho[i][j] == matrix.rho[j][i]
                 assert -1.0 <= matrix.rho[i][j] <= 1.0
+
+    def test_entries_are_spearman_bits(self):
+        rng = np.random.default_rng(2)
+        ids = [f"e{i}" for i in range(50)]
+        metrics = {name: dict(zip(ids, rng.integers(0, 8, size=50).astype(float).tolist()))
+                   for name in ("m1", "m2", "m3", "m4")}
+        matrix = correlation_matrix(metrics)
+        for (i, a), (j, b) in itertools.combinations(enumerate(metrics.values()), 2):
+            want = spearman([a[e] for e in sorted(ids)], [b[e] for e in sorted(ids)])
+            assert matrix.rho[i][j] == matrix.rho[j][i] == want
+
+    def test_constant_metric_named(self):
+        ids = [f"e{i}" for i in range(6)]
+        metrics = {"m1": dict(zip(ids, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])),
+                   "flat": dict.fromkeys(ids + ["extra"], 5.0),
+                   "m3": dict(zip(ids, [6.0, 5.0, 4.0, 3.0, 2.0, 1.0]))}
+        with pytest.raises(ValueError, match=r"metric 'flat' is constant over the 6 shared "
+                                             r"example ids: spearman is undefined"):
+            correlation_matrix(metrics)
 
     def test_alignment_on_common_ids(self):
         m1 = {"a": 1.0, "b": 2.0, "c": 3.0, "d": 9.0}

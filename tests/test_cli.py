@@ -862,6 +862,37 @@ class TestCliEntryPoint:
         assert all(payload["spearman"][i][i] == 1.0 for i in range(n))
 
 
+class TestCorrelate:
+    def test_same_bytes_whether_heuristics_read_or_computed(self, tmp_path, data_config):
+        """correlate reads each heuristic teacher's scores file that exists
+        and computes the rest; correlations.json does not change."""
+        written = {}
+        for present in ((), ("rarity",), cli.HEURISTICS):
+            out = ["--config", str(data_config), "--out", str(tmp_path / "-".join(present))]
+            assert main(["teacher", *out]) == 0
+            for metric in present:
+                assert main(["teacher", *out, "--metric", metric]) == 0
+            assert main(["correlate", *out]) == 0
+            written[present] = (tmp_path / "-".join(present) / "correlations.json").read_bytes()
+        assert len(set(written.values())) == 1
+
+    def test_constant_metric_named(self, tmp_path, capsys):
+        """Every train text has 5 tokens, so the length metric is constant."""
+        lines = [json.dumps({"id": f"r{i}", "text_a": f"w{i // 2} a{i % 7} b{i % 3} c d",
+                             "label": f"c{i % 2}"}) for i in range(60)]
+        cfg = write_data_config(tmp_path, lines, lines[:20])
+        config = json.loads(cfg.read_text())
+        config["train"] = {"epochs": 3, "batch_size": 8, "learning_rate": 0.5,
+                           "eval_per_epoch": 2}  # correctness is not constant
+        cfg.write_text(json.dumps(config))
+        out = ["--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(["teacher", *out]) == 0
+        assert main(["correlate", *out]) == 1
+        assert ("metric 'length' is constant over the 60 shared example ids: "
+                "spearman is undefined") in capsys.readouterr().err
+        assert not (tmp_path / "o" / "correlations.json").exists()
+
+
 class TestConfigResolution:
     def test_file_based_corpora_share_label_map(self, tmp_path, config_path):
         out = tmp_path / "files"
@@ -930,6 +961,19 @@ class TestSplitsLoaded:
                             loaded.append(split_name) or real(path, split_name, **kwargs))
         assert main([argv[0], *out, *argv[1:]]) == 0, capsys.readouterr().err
         assert sorted(loaded) == splits  # each once: a sweep resolves them once
+
+    def test_correlate_after_heuristic_teachers_loads_no_split(self, tmp_path, data_config,
+                                                               capsys, monkeypatch):
+        out = ["--config", str(data_config), "--out", str(tmp_path / "o")]
+        assert main(["teacher", *out]) == 0
+        for metric in cli.HEURISTICS:
+            assert main(["teacher", *out, "--metric", metric]) == 0
+        loaded = []
+        real = cli.load_jsonl
+        monkeypatch.setattr(cli, "load_jsonl", lambda path, split_name, **kwargs:
+                            loaded.append(split_name) or real(path, split_name, **kwargs))
+        assert main(["correlate", *out]) == 0, capsys.readouterr().err
+        assert loaded == []
 
     def _bad_test_ood(self, tmp_path, data_config):
         config = json.loads(data_config.read_text())

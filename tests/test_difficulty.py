@@ -1,12 +1,15 @@
 import json
 import math
 import tempfile
+from collections import Counter
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from currikit import difficulty
 from currikit.corpus import SynthSpec, generate_synthetic, load_jsonl
 from currikit.curricula import RandomSampler, build_competence_plan
 from currikit.difficulty import (
@@ -243,6 +246,99 @@ class TestPerplexity:
     def test_invalid_order(self):
         with pytest.raises(ValueError, match="order"):
             perplexity_metric(text_corpus(["a"]), order=3)
+
+
+def loop_rarity(corpus, train):
+    """Reference: one math.log per token occurrence, as rarity_metric was."""
+    counts = Counter(tok for pair in train.tokens for seg in pair for tok in seg)
+    total = sum(counts.values())
+    unseen = 1.0 / (total + len(counts) + 1)
+    scores = []
+    for tokens_a, tokens_b in corpus.tokens:
+        s = 0.0
+        for tok in chain(tokens_a, tokens_b):
+            s -= math.log(counts[tok] / total if counts[tok] else unseen)
+        scores.append(s)
+    return np.array(scores)
+
+
+def loop_perplexity(corpus, train, order, add_k):
+    """Reference: per-token counting and one math.log per token occurrence,
+    as NGramModel was."""
+    unigram, bigram, context = Counter(), Counter(), Counter()
+    for segment in chain.from_iterable(train.tokens):
+        unigram.update(segment)
+        prev = "<s>"
+        for tok in segment:
+            bigram[(prev, tok)] += 1
+            context[prev] += 1
+            prev = tok
+    total, v = sum(unigram.values()), len(unigram)
+
+    def ppl(segment):
+        if not segment:
+            return 0.0
+        nll, prev = 0.0, "<s>"
+        for tok in segment:
+            if order == 1:
+                num, den = unigram[tok] + add_k, total + add_k * v
+            else:
+                num, den = bigram[(prev, tok)] + add_k, context[prev] + add_k * v
+            nll -= math.log(num / den)
+            prev = tok
+        return math.exp(nll / len(segment))
+
+    return np.array([ppl(a) + ppl(b) for a, b in corpus.tokens])
+
+
+class TestHeuristicsSameBits:
+    """Heuristics take one math.log per distinct token or token pair and
+    still equal the per-occurrence loops bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def corpora(self):
+        rng = np.random.default_rng(6)
+        words = [f"w{i}" for i in range(40)]
+
+        def texts(n, vocab):
+            return [(" ".join(rng.choice(vocab, size=int(rng.integers(0, 12)))),
+                     " ".join(rng.choice(vocab, size=int(rng.integers(0, 4)))) or None)
+                    for _ in range(n)]
+
+        # the target split holds tokens and pairs the train split never does
+        return text_corpus(texts(80, words[:30])), text_corpus(texts(30, words))
+
+    def test_rarity(self, corpora):
+        train, target = corpora
+        for corpus in (train, target):
+            got = rarity_metric(corpus, train_corpus=train).scores
+            assert got.tobytes() == loop_rarity(corpus, train).tobytes()
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("add_k", [1.0, 0.3])
+    def test_perplexity(self, corpora, order, add_k):
+        train, target = corpora
+        for corpus in (train, target):
+            got = perplexity_metric(corpus, order=order, add_k=add_k, train_corpus=train)
+            want = loop_perplexity(corpus, train, order, add_k)
+            assert got.scores.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_one_log_per_distinct_key(self, monkeypatch, corpora, order):
+        train, target = corpora
+        logs = []
+        monkeypatch.setattr(difficulty, "math", type("M", (), {
+            "log": staticmethod(lambda x: logs.append(x) or math.log(x)),
+            "exp": staticmethod(math.exp)}))
+        perplexity_metric(target, order=order, train_corpus=train)
+        keys = set()
+        for segment in chain.from_iterable(chain(train.tokens, target.tokens)):
+            keys.update(segment if order == 1 else zip(chain(["<s>"], segment), segment))
+        assert len(logs) == len(keys)
+        logs.clear()
+        rarity_metric(target, train_corpus=train)
+        train_tokens = {tok for pair in train.tokens for seg in pair for tok in seg}
+        assert len(logs) == len(train_tokens) + 1  # and one for every unseen token
 
 
 class TestScoresFormat:

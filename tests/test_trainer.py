@@ -1,8 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from currikit import trainer as trainer_module
@@ -11,6 +14,8 @@ from currikit.curricula import RandomSampler
 from currikit.trainer import (
     ModelParams,
     TrainConfig,
+    _BufferSum,
+    _PairwiseSum,
     _eval_offsets,
     _forward_matrix,
     _ordered_tdot,
@@ -137,6 +142,68 @@ class TestOrderedProducts:
             want = np.asarray(want)
             assert got.flags.c_contiguous and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+def squares(n, low, high, seed):
+    """n squares of normals scaled by 10**uniform(low, high)."""
+    rng = np.random.default_rng(seed)
+    return np.square(rng.normal(size=n) * 10.0 ** rng.uniform(low, high, n))
+
+
+class TestPairwiseSum:
+    """The replica of numpy's pairwise sum equals ``float(np.sum(buffer))``
+    bit for bit, from the non-zero positions alone."""
+
+    @staticmethod
+    def full_sum(size, index, values):
+        buffer = np.zeros(size)
+        buffer[index] = values
+        return float(np.sum(buffer))
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(size=st.one_of(st.integers(1, 300), st.integers(1, 20_000),
+                          st.sampled_from([12_345 * 7, 2 ** 12 * 3, 1021 * 3])),
+           density=st.sampled_from([0.0, 1e-4, 0.01, 0.3, 1.0]),
+           low=st.integers(-8, 3), span=st.integers(0, 11), seed=st.integers(0, 2 ** 16))
+    def test_equals_numpy_sum(self, size, density, low, span, seed):
+        rng = np.random.default_rng(seed)
+        index = np.flatnonzero(rng.random(size) < density)
+        if len(index) > 2:  # an untouched stretch, whole blocks of it
+            gap = np.sort(rng.integers(0, size, 2))
+            index = index[(index < gap[0]) | (index >= gap[1])]
+        values = squares(len(index), low, min(low + span, 3), seed)
+        assert _PairwiseSum(index, size)(values) == self.full_sum(size, index, values)
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 100, 127, 128, 129, 136, 12_345 * 7,
+                                      2 ** 18 * 3])
+    def test_single_position_and_none(self, size):
+        for pos in {0, size // 3, size - 1}:
+            value = np.array([2.5e-7])
+            assert _PairwiseSum(np.array([pos]), size)(value) == 2.5e-7
+        assert _PairwiseSum(np.array([], dtype=np.int64), size)(np.zeros(0)) == 0.0
+
+    @pytest.mark.parametrize("rows", [1, 37, 4183, 20_000])
+    def test_compact_rows_of_a_wide_matrix(self, rows):
+        """The trainer's case: whole rows of a (2^18, 3) gradient."""
+        rng = np.random.default_rng(rows)
+        used = np.sort(rng.choice(2 ** 18, rows, replace=False))
+        index = (used[:, None] * 3 + np.arange(3)).reshape(-1)
+        values = squares(len(index), -8, 3, rows)
+        pairwise = _PairwiseSum(index, 2 ** 18 * 3)
+        want = self.full_sum(2 ** 18 * 3, index, values)
+        assert pairwise(values) == want == _BufferSum(index, 2 ** 18 * 3)(values)
+        assert pairwise(values * 0.5) == self.full_sum(2 ** 18 * 3, index, values * 0.5)
+
+    def test_probe_passes_on_installed_numpy(self):
+        """Fails when a numpy upgrade groups its sums differently: the
+        trainer would then fall back to the slower buffer sum."""
+        assert trainer_module._pairwise_sum_is_numpys()
+        assert trainer_module._PAIRWISE_EXACT
+
+    @pytest.mark.parametrize("block", [16, 32, 64, 256, 512])
+    def test_probe_rejects_another_grouping(self, monkeypatch, block):
+        monkeypatch.setattr(trainer_module, "_PAIRWISE_BLOCK", block)
+        assert not trainer_module._pairwise_sum_is_numpys()
 
 
 class TestEvaluate:
@@ -329,7 +396,12 @@ class TestActiveRows:
     SPARSE_COLS = (0, 2, 5, 9, 17, 20)  # a quarter: the compact step
     DENSE_COLS = tuple(range(0, 24, 2))  # half: the full-width step
 
-    def corpora(self, train_cols):
+    # 1000 x 3 squares span five levels of numpy's pairwise tree (24 x 3 is
+    # one leaf), with tails in some leaves and untouched leaves.
+    WIDE_DIM = 1000
+    WIDE_COLS = (0, 2, 5, 9, 17, 20, 130, 131, 400, 401, 402, 517, 998, 999)
+
+    def corpora(self, train_cols, dim=DIM):
         rng = np.random.default_rng(5)
 
         def records(n, cols):
@@ -339,8 +411,8 @@ class TestActiveRows:
                 out.append(({int(j): float(rng.normal()) for j in picked}, i % 3))
             return out
 
-        train = make_corpus(records(30, train_cols), 3, self.DIM)
-        val = make_corpus(records(15, range(self.DIM)), 3, self.DIM, split="validation")
+        train = make_corpus(records(30, train_cols), 3, dim)
+        val = make_corpus(records(15, range(dim)), 3, dim, split="validation")
         return train, val
 
     @pytest.mark.parametrize("hidden", [0, 4])
@@ -376,6 +448,109 @@ class TestActiveRows:
         assert log.best_step == best_step
         assert probes.gold_prob.tobytes() == gold.tobytes()
         assert np.array_equal(probes.correct, correct)
+
+    def train_and_compare(self, train_c, val_c, cfg, hidden):
+        """Train compactly and check every output against dense_reference;
+        returns the run log."""
+        params, log, probes = train(train_c, val_c, cfg, random_sampler(train_c, 7, seed=2),
+                                    hidden_size=hidden)
+        ref, records, best_step, gold, correct, clipped = dense_reference(
+            train_c, val_c, cfg, random_sampler(train_c, 7, seed=2), hidden)
+        assert 0 < clipped < len([r for r in records if r[1] == "train"])
+        for got, want in zip(params.weights + params.biases, ref.weights + ref.biases,
+                             strict=True):
+            assert got.tobytes() == want.tobytes()
+        assert (log.records, log.best_step) == (records, best_step)
+        assert probes.gold_prob.tobytes() == gold.tobytes()
+        assert np.array_equal(probes.correct, correct)
+        return log
+
+    @pytest.mark.parametrize("hidden", [0, 4])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    @pytest.mark.parametrize("with_validation", [True, False])
+    def test_wide_matches_full_width_step(self, monkeypatch, hidden, weight_decay,
+                                          with_validation):
+        train_c, val_c = self.corpora(self.WIDE_COLS, dim=self.WIDE_DIM)
+        assert set(np.unique(train_c.feature_matrix().indices).tolist()) == set(self.WIDE_COLS)
+        sums = []
+        pairwise = trainer_module._PairwiseSum
+        monkeypatch.setattr(trainer_module, "_PairwiseSum",
+                            lambda *args: sums.append(pairwise(*args)) or sums[-1])
+        cfg = TrainConfig(epochs=3, batch_size=7, learning_rate=0.8,
+                          weight_decay=weight_decay, grad_clip=0.5,
+                          eval_per_epoch=3, seed=4)
+        self.train_and_compare(train_c, val_c if with_validation else None, cfg, hidden)
+        assert len(sums) == 1 and len(sums[0]._levels) >= 5
+
+    @pytest.mark.parametrize("hidden", [0, 4])
+    def test_decayed_best_checkpoint_before_last_eval(self, monkeypatch, hidden):
+        """The frozen rows of a best checkpoint that precedes the last eval
+        are rebuilt from init_params with the decays of the best step."""
+        train_c, val_c = self.corpora(self.SPARSE_COLS)
+        inits = []
+        init = trainer_module.init_params
+        monkeypatch.setattr(trainer_module, "init_params",
+                            lambda *args: inits.append(args) or init(*args))
+        cfg = TrainConfig(epochs=3, batch_size=7, learning_rate=0.8, weight_decay=0.05,
+                          grad_clip=0.5, eval_per_epoch=3, seed=4)
+        log = self.train_and_compare(train_c, val_c, cfg, hidden)
+        last_eval = max(step for step, split, _, _ in log.records if split == "validation")
+        assert log.best_step < last_eval
+        assert len(inits) == 2
+
+    @pytest.mark.parametrize("with_validation", [True, False])
+    def test_buffer_sum_fallback_same_bits(self, monkeypatch, with_validation):
+        train_c, val_c = self.corpora(self.WIDE_COLS, dim=self.WIDE_DIM)
+        val_c = val_c if with_validation else None
+        cfg = TrainConfig(epochs=2, batch_size=7, learning_rate=0.8, weight_decay=0.05,
+                          grad_clip=0.5, eval_per_epoch=3, seed=4)
+        runs = []
+        for exact in (True, False):
+            monkeypatch.setattr(trainer_module, "_PAIRWISE_EXACT", exact)
+            built = []
+            for name in ("_PairwiseSum", "_BufferSum"):
+                real = getattr(trainer_module, name)
+                monkeypatch.setattr(trainer_module, name, lambda *args, real=real, name=name:
+                                    built.append(name) or real(*args))
+            params, log, probes = train(train_c, val_c, cfg, random_sampler(train_c, 7, seed=2))
+            runs.append((built, params.weights[0].tobytes(), params.biases[0].tobytes(),
+                         log.records, probes.gold_prob.tobytes()))
+            monkeypatch.undo()
+        assert runs[0][0] == ["_PairwiseSum"] and runs[1][0] == ["_BufferSum"]
+        assert runs[0][1:] == runs[1][1:]
+
+
+class TestMemory:
+    """A compact-rows training at hash_dim 2^18 holds one full-width array,
+    the weights: no squares buffer and no full-width checkpoint copies."""
+
+    def corpus(self, n, dim, cols, seed, split):
+        rng = np.random.default_rng(seed)
+        indices = np.sort(rng.choice(cols, size=(n, 12)), axis=1)
+        matrix = sparse.csr_matrix((rng.random(n * 12), indices.reshape(-1),
+                                    np.arange(0, n * 12 + 1, 12)), shape=(n, dim))
+        matrix.sum_duplicates()
+        return Corpus(ids=[f"e{i}" for i in range(n)], labels=(np.arange(n) % 3).tolist(),
+                      matrix=matrix, texts=[("t", None)] * n, tokens=[(["t"], [])] * n,
+                      num_classes=3, split_name=split, label_names=["a", "b", "c"])
+
+    @pytest.mark.parametrize("with_validation", [True, False])
+    def test_peak_below_two_weight_arrays(self, with_validation):
+        dim = 2 ** 18
+        cols = np.sort(np.random.default_rng(3).choice(dim, 4000, replace=False))
+        train_c = self.corpus(300, dim, cols, 1, "train")
+        val_c = self.corpus(100, dim, np.arange(dim), 2, "validation") if with_validation else None
+        cfg = TrainConfig(epochs=2, batch_size=32, eval_per_epoch=5, seed=1)
+        tracemalloc.start()
+        try:
+            params, log, _ = train(train_c, val_c, cfg, random_sampler(train_c, 32, seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert params.weights[0].shape == (dim, 3)
+        assert peak < 2 * params.weights[0].nbytes
+        if with_validation:
+            assert sum(split == "validation" for _, split, _, _ in log.records) == 10
 
 
 class TestDenseBatches:
