@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import math
 import sys
@@ -85,95 +86,110 @@ def load_config(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"config file not found: {path}")
-    with path.open("r", encoding="utf-8") as fh:
-        try:
-            config = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config is not valid JSON: {exc}") from None
+    try:
+        config = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"config is not valid JSON: {exc}") from None
     validate_config(config)
     return config
 
 
-# JSON type of each config field, top level and per section; all are optional.
-_CONFIG_SCHEMA = {"data": dict, "synth": dict, "train": dict, "seeds": list,
-                  "teacher_seed": int, "model": dict, "curriculum": dict,
-                  "cross_review": dict}
-_SECTION_SCHEMAS = {
-    "data": {**dict.fromkeys(("train", *EVAL_SPLITS, "label_map"), str), "hash_dim": int},
-    "synth": get_type_hints(SynthSpec),
-    "train": get_type_hints(trainer.TrainConfig),
-    "model": {"hidden_size": int},
-    "curriculum": {"c0": float, "duration": int, "baseline_dir": str,
-                   "competence_form": str, "ngram_order": int, "add_k": float},
-    "cross_review": {"num_subsets": int, "seed": int},
+def _dataclass_fields(cls, skip: tuple[str, ...] = ()) -> dict[str, tuple]:
+    hints = get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default)
+            for f in dataclasses.fields(cls) if f.name not in skip}
+
+
+# Every config field, per section ("config" is the top level), as (JSON type,
+# default); a None default marks a field that is required or derived from
+# others. No other field is allowed, and train has no seed: run seeds come
+# from seeds and teacher_seed.
+_FIELDS = {
+    "data": {**dict.fromkeys(("train", *EVAL_SPLITS, "label_map"), (str, None)),
+             "hash_dim": (int, DEFAULT_HASH_DIM)},
+    "synth": _dataclass_fields(SynthSpec),
+    "train": _dataclass_fields(trainer.TrainConfig, skip=("seed",)),
+    "model": {"hidden_size": (int, 0)},
+    "curriculum": {"c0": (float, 0.01), "duration": (int, None),
+                   "baseline_dir": (str, None), "competence_form": (str, "sqrt"),
+                   "ngram_order": (int, 2), "add_k": (float, 1.0)},
+    "cross_review": {"num_subsets": (int, 10), "seed": (int, None)},
 }
+_FIELDS = {"config": {**dict.fromkeys(_FIELDS, (dict, None)),
+                      "seeds": (list, [1, 2, 3]), "teacher_seed": (int, None)},
+           **_FIELDS}
+
+
+def _value(config: dict, section: str, name: str, derived=None):
+    """Config field ``section.name`` as given, else its ``_FIELDS`` default,
+    else ``derived``; a float field as a float."""
+    kind, default = _FIELDS[section][name]
+    value = (config if section == "config" else config.get(section, {})).get(name, default)
+    value = derived if value is None else value
+    return float(value) if kind is float and value is not None else value
 
 
 def validate_config(config: dict) -> None:
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
-    _check_given(config, _CONFIG_SCHEMA, "config")
-    for name, schema in _SECTION_SCHEMAS.items():
-        if name in config:
-            _check_given(config[name], schema, name)
-    seeds = _seeds(config)
+    _check_fields(config, "config")
+    seeds = _value(config, "config", "seeds")
     _check_items(seeds, int, "seeds", "config")
     if not seeds or len(set(seeds)) != len(seeds):
         raise ValidationError("seeds must be a nonempty list of distinct integers")
-    has_data = "data" in config
-    has_synth = "synth" in config
-    if has_data == has_synth:
+    if ("data" in config) == ("synth" in config):
         raise ValidationError("config needs exactly one of 'data' or 'synth'")
-    if has_data:
-        data = config["data"]
+    if "data" in config:
         for fld in ("train", "validation"):
-            if fld not in data:
+            if _value(config, "data", fld) is None:
                 raise ValidationError(f"data.{fld} is required")
-        hash_dim = data.get("hash_dim", DEFAULT_HASH_DIM)
+        hash_dim = _value(config, "data", "hash_dim")
         if hash_dim <= 0 or hash_dim & (hash_dim - 1):
             raise ValidationError(f"data.hash_dim must be a positive power of two, "
                                   f"got {hash_dim}")
         if hash_dim > 2 ** 62:  # 2^63 columns overflow the int64 matrix shape
             raise ValidationError(f"data.hash_dim must be at most 2^62, got {hash_dim}")
     else:
-        try:
-            SynthSpec(**config["synth"])
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"synth: {exc}") from None
-    try:
-        _train_config(config, seed=0)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"train: {exc}") from None
-    if _hidden_size(config) < 0:
+        _check_bounds("synth", SynthSpec, **config["synth"])
+    _check_bounds("train", _train_config, config, seed=0)
+    if _value(config, "model", "hidden_size") < 0:
         raise ValidationError("model.hidden_size must be a nonnegative integer")
-    curr = config.get("curriculum", {})
-    try:
-        curricula.CompetencePlan(ordering=[], ids=[], c0=curr.get("c0", 0.01),
-                                 duration=curr.get("duration") or 1,
-                                 form=curr.get("competence_form", "sqrt"))
-    except ValueError as exc:
-        raise ValidationError(f"curriculum: {exc}") from None
-    if curr.get("ngram_order", 2) not in (1, 2):
+    _check_bounds("curriculum", curricula.CompetencePlan, ordering=[], ids=[],
+                  c0=_value(config, "curriculum", "c0"),
+                  duration=_value(config, "curriculum", "duration", 1),
+                  form=_value(config, "curriculum", "competence_form"))
+    if _value(config, "curriculum", "ngram_order") not in (1, 2):
         raise ValidationError("curriculum.ngram_order must be 1 or 2")
-    if curr.get("add_k", 1.0) <= 0:
+    if _value(config, "curriculum", "add_k") <= 0:
         raise ValidationError("curriculum.add_k must be a number > 0")
+    _check_bounds("cross_review", difficulty.CrossReviewConfig,
+                  num_subsets=_value(config, "cross_review", "num_subsets"))
+
+
+def _check_bounds(section: str, build: Callable, *args, **kwargs) -> None:
+    """Call ``build``; the ValueError of a value out of bounds names ``section``."""
     try:
-        difficulty.CrossReviewConfig(
-            num_subsets=config.get("cross_review", {}).get("num_subsets", 10))
+        build(*args, **kwargs)
     except ValueError as exc:
-        raise ValidationError(f"cross_review: {exc}") from None
+        raise ValidationError(f"{section}: {exc}") from None
 
 
-def _check_given(section: dict, schema: dict, name: str) -> None:
-    """Type-check the fields of ``section`` that ``schema`` names, on a copy
-    (the check stores an int given for a float back as a float); a number
-    field must also be finite (``json`` reads NaN and Infinity)."""
-    given = {k: t for k, t in schema.items() if k in section}
-    artifacts.check(dict(section), given, name)
-    for key, kind in given.items():
-        if kind is float and not math.isfinite(section[key]):
+def _check_fields(section: dict, name: str) -> None:
+    """Each field of section ``name`` must be in ``_FIELDS[name]``, have its
+    JSON type (checked on a copy: the check stores an int given for a float
+    as a float) and be finite if a number (``json`` reads NaN and Infinity);
+    an object field is a section, checked in turn."""
+    fields = _FIELDS[name]
+    for key in section:
+        if key not in fields:
+            raise ValidationError(f"{name}: unknown field '{key}'")
+    artifacts.check(dict(section), {key: fields[key][0] for key in section}, name)
+    for key, value in section.items():
+        if fields[key][0] is float and not math.isfinite(value):
             raise ValidationError(f"{name}: field '{key}' must be a finite number, "
-                                  f"got {section[key]!r}")
+                                  f"got {value!r}")
+        if fields[key][0] is dict:
+            _check_fields(value, key)
 
 
 def _check_items(values: list, kind: type, name: str, source) -> None:
@@ -183,28 +199,10 @@ def _check_items(values: list, kind: type, name: str, source) -> None:
 
 
 def _train_config(config: dict, seed: int, epochs_override: int | None = None):
-    section = dict(config.get("train", {}))
+    section = {name: _value(config, "train", name) for name in _FIELDS["train"]}
     if epochs_override is not None:
         section["epochs"] = epochs_override
-    section["seed"] = seed
-    allowed = {"epochs", "batch_size", "learning_rate", "weight_decay",
-               "grad_clip", "eval_per_epoch", "seed"}
-    unknown = set(section) - allowed
-    if unknown:
-        raise ValueError(f"unknown train field(s): {sorted(unknown)}")
-    return trainer.TrainConfig(**section)
-
-
-def _seeds(config: dict) -> list[int]:
-    return list(config.get("seeds", [1, 2, 3]))
-
-
-def _teacher_seed(config: dict) -> int:
-    return int(config.get("teacher_seed", _seeds(config)[0]))
-
-
-def _hidden_size(config: dict) -> int:
-    return int(config.get("model", {}).get("hidden_size", 0))
+    return trainer.TrainConfig(**section, seed=seed)
 
 
 def resolve_corpora(config: dict,
@@ -220,15 +218,16 @@ def resolve_corpora(config: dict,
         train, val, test_id, test_ood = generate_synthetic(SynthSpec(**config["synth"]))
         return {"train": train, "validation": val,
                 "test_id": test_id, "test_ood": test_ood}
-    data = config["data"]
-    dim = int(data.get("hash_dim", DEFAULT_HASH_DIM))
-    label_map = load_label_map(data["label_map"]) if data.get("label_map") else None
-    train = load_jsonl(data["train"], "train", dim=dim, label_map=label_map)
+    dim = _value(config, "data", "hash_dim")
+    label_map = _value(config, "data", "label_map")
+    train = load_jsonl(_value(config, "data", "train"), "train", dim=dim,
+                       label_map=load_label_map(label_map) if label_map else None)
     fixed = {name: i for i, name in enumerate(train.label_names)}
     corpora = {"train": train}
     for split in EVAL_SPLITS:
-        if data.get(split) and split in splits:
-            corpora[split] = load_jsonl(data[split], split, dim=dim, label_map=fixed,
+        path = _value(config, "data", split)
+        if path and split in splits:
+            corpora[split] = load_jsonl(path, split, dim=dim, label_map=fixed,
                                         feature_dim=train.feature_dim)
     return corpora
 
@@ -265,32 +264,30 @@ def cmd_teacher(config: dict, out_dir: Path, metric: str = "dynamics",
     out_path = _teacher_artifact(out_dir, metric)
     teacher_dir = out_path.parent
     train_corpus = corpora["train"]
+    seed = _value(config, "config", "teacher_seed", _value(config, "config", "seeds")[0])
 
     if metric == "dynamics":
-        cfg = _train_config(config, seed=_teacher_seed(config),
-                            epochs_override=teacher_epochs)
+        cfg = _train_config(config, seed=seed, epochs_override=teacher_epochs)
         sampler = curricula.RandomSampler(np.arange(train_corpus.size), cfg.batch_size,
                                           seed=cfg.seed)
         params, runlog, probes = trainer.train(
             train_corpus, corpora["validation"], cfg, sampler,
-            hidden_size=_hidden_size(config), collect_probes=True,
+            hidden_size=_value(config, "model", "hidden_size"), collect_probes=True,
         )
         trainer.write_runlog(runlog, teacher_dir / "runlog.jsonl")
         trainer.write_probes(probes, teacher_dir / "probes.jsonl")
         # td_stats.jsonl marks the teacher done for a resumed sweep: write it last.
         artifacts.write_json(teacher_dir / "meta.json",
                              {"metric": "dynamics", "epochs": cfg.epochs,
-                              "seed": cfg.seed, "hidden_size": _hidden_size(config)})
+                              "seed": cfg.seed, "hidden_size": params.hidden_size})
         dynamics.write_td_stats(dynamics.compute_all(probes), out_path)
         return out_path
 
     if metric == "cross-review":
-        cr = config.get("cross_review", {})
         cr_cfg = difficulty.CrossReviewConfig(
-            num_subsets=int(cr.get("num_subsets", 10)),
-            seed=int(cr.get("seed", _teacher_seed(config))),
-            train=_train_config(config, seed=_teacher_seed(config),
-                                epochs_override=teacher_epochs),
+            num_subsets=_value(config, "cross_review", "num_subsets"),
+            seed=_value(config, "cross_review", "seed", seed),
+            train=_train_config(config, seed=seed, epochs_override=teacher_epochs),
         )
         scores = difficulty.cross_review(train_corpus, cr_cfg)
         difficulty.write_scores(scores, out_path,
@@ -308,11 +305,10 @@ def _heuristic_scores(config: dict, train_corpus: Corpus,
         return difficulty.length_metric(train_corpus)
     if metric == "rarity":
         return difficulty.rarity_metric(train_corpus)
-    curr = config.get("curriculum", {})
     return difficulty.perplexity_metric(
         train_corpus,
-        order=int(curr.get("ngram_order", 2)),
-        add_k=float(curr.get("add_k", 1.0)),
+        order=_value(config, "curriculum", "ngram_order"),
+        add_k=_value(config, "curriculum", "add_k"),
     )
 
 
@@ -336,12 +332,13 @@ def _first_record(path: Path) -> dict:
     return first
 
 
-def _read_scores(path: Path, scheduler: str,
-                 ids: list[str]) -> difficulty.DifficultyScores:
+def _read_scores(path: Path, scheduler: str, ids: list[str],
+                 first: dict | None = None) -> difficulty.DifficultyScores:
     """The scores ``scheduler`` orders by, for exactly ``ids`` in that order,
-    from a dynamics-stats file or a scores file."""
+    from a dynamics-stats file or a scores file (first record: ``first``)."""
     spec = _SCHEDULER_TABLE[scheduler]
-    first = _first_record(path)
+    if first is None:
+        first = _first_record(path)
     if "confidence" in first:
         if spec.teacher != "dynamics":
             raise ValidationError(
@@ -351,7 +348,7 @@ def _read_scores(path: Path, scheduler: str,
         return difficulty.from_td(dynamics.read_td_stats(path, ids), spec.score)
     if "metric_name" not in first:
         raise ValidationError(f"{path}: neither a dynamics-stats nor a scores file")
-    scores = difficulty.read_scores(path, ids)
+    scores = difficulty.read_scores(path, ids, header=first)
     if spec.teacher != "dynamics" and scores.metric_name != spec.score:
         print(
             f"warning: scheduler {scheduler!r} usually reads "
@@ -366,11 +363,11 @@ def _read_scores(path: Path, scheduler: str,
     return scores
 
 
-def _annealing_epochs(path: Path, out_dir: Path,
+def _annealing_epochs(header: dict, path: Path, out_dir: Path,
                       scores: difficulty.DifficultyScores) -> int:
-    """E of the annealing carryover fraction 1/(E+1): cross-review votes lie
-    in [0, num_subsets - 1], correctness in [0, teacher epochs]."""
-    header = _first_record(path)
+    """E of the annealing carryover fraction 1/(E+1) for the teacher artifact
+    ``path`` with first record ``header``: cross-review votes lie in
+    [0, num_subsets - 1], correctness in [0, teacher epochs]."""
     if "num_subsets" in header:
         return artifacts.check(header, {"num_subsets": int}, path, 1)["num_subsets"] - 1
     meta = out_dir / "teacher" / "meta.json"
@@ -380,11 +377,12 @@ def _annealing_epochs(path: Path, out_dir: Path,
 
 
 def _competence_duration(config: dict, seed: int, total_steps: int) -> int:
-    curr = config.get("curriculum", {})
-    if curr.get("duration"):
-        return int(curr["duration"])
-    if curr.get("baseline_dir"):
-        summary_path = Path(curr["baseline_dir"]) / "summary.json"
+    duration = _value(config, "curriculum", "duration")
+    if duration is not None:
+        return duration
+    baseline_dir = _value(config, "curriculum", "baseline_dir")
+    if baseline_dir:
+        summary_path = Path(baseline_dir) / "summary.json"
         if not summary_path.exists():
             raise ValidationError(f"curriculum.baseline_dir: {summary_path} not found")
         summary = _load_student_dir(summary_path.parent)
@@ -411,13 +409,12 @@ def _build_sampler(scheduler: str, scores: difficulty.DifficultyScores | None,
                                               variability_weighted=spec.weighted)
         return curricula.AnnealingSampler(plan, batch_size, seed=seed), plan
 
-    curr = config.get("curriculum", {})
     plan = curricula.build_competence_plan(
         scores,
-        c0=float(curr.get("c0", 0.01)),
+        c0=_value(config, "curriculum", "c0"),
         duration=_competence_duration(config, seed, total_steps),
         variability_weighted=spec.weighted,
-        form=str(curr.get("competence_form", "sqrt")),
+        form=_value(config, "curriculum", "competence_form"),
     )
     sampler = curricula.CompetenceSampler(plan, batch_size, steps_per_epoch, seed=seed)
     return sampler, plan
@@ -436,7 +433,7 @@ def _run_student_seed(config: dict, corpora: dict[str, Corpus], scheduler: str,
     )
     params, runlog, _ = trainer.train(
         train_corpus, corpora["validation"], cfg, sampler,
-        hidden_size=_hidden_size(config), collect_probes=False,
+        hidden_size=_value(config, "model", "hidden_size"), collect_probes=False,
     )
     trainer.write_runlog(runlog, seed_dir / "runlog.jsonl")
     summary = curricula.plan_summary(plan)
@@ -484,13 +481,14 @@ def cmd_student(config: dict, out_dir: Path, scheduler: str,
                   file=sys.stderr)
     else:
         path = scores_path or _teacher_artifact(out_dir, spec.teacher)
-        scores = _read_scores(path, scheduler, corpora["train"].ids())
+        first = _first_record(path)
+        scores = _read_scores(path, scheduler, corpora["train"].ids(), first)
         if spec.family == "annealing":
-            annealing_epochs = _annealing_epochs(path, out_dir, scores)
+            annealing_epochs = _annealing_epochs(first, path, out_dir, scores)
 
     sched_dir = out_dir / "students" / scheduler
     per_seed = {}
-    for seed in _seeds(config):
+    for seed in _value(config, "config", "seeds"):
         per_seed[seed] = _run_student_seed(
             config, corpora, scheduler, scores, annealing_epochs, seed,
             sched_dir / f"seed_{seed}",

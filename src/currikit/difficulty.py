@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_columns, read_jsonl, write_jsonl
+from .artifacts import check, read_columns, read_jsonl, write_jsonl
 from .corpus import Corpus
 from .dynamics import TDStats
 from .trainer import TrainConfig, predict, train
@@ -246,10 +246,13 @@ def read_scores_header(path: str | Path) -> dict:
     return header
 
 
-def read_scores(path: str | Path, ids: list[str] | None = None) -> DifficultyScores:
+def read_scores(path: str | Path, ids: list[str] | None = None,
+                header: dict | None = None) -> DifficultyScores:
     """Inverse of write_scores, for exactly ``ids`` in that order when given;
-    rejects a repeated or missing id and a non-finite score."""
-    header = read_scores_header(path)
+    rejects a repeated or missing id and a non-finite score. ``header`` is
+    the file's first record when the caller has read it."""
+    header = (read_scores_header(path) if header is None
+              else check(header, _HEADER_SCHEMA, path, 1))
     ids, columns = read_columns(path, _SCORE_SCHEMA, ids, skip=1)
     return DifficultyScores(
         metric_name=header["metric_name"],

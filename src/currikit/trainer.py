@@ -106,6 +106,22 @@ def init_params(
     return ModelParams(weights=weights, biases=biases, hidden_size=max(hidden_size, 0))
 
 
+def _redraw_first_weights(W: np.ndarray, seed: int, decay: float, decays: int,
+                          chunk_rows: int = 4096) -> None:
+    """Overwrite ``W`` with ``init_params``' first weight matrix for ``seed``
+    times ``decays`` sequential ``decay`` factors. The rows are drawn in
+    chunks from the same stream, so no second full-width array is made;
+    chunked normal draws equal one draw bit for bit."""
+    rng = np.random.default_rng(seed)
+    scale = 1.0 / math.sqrt(W.shape[0])
+    for start in range(0, W.shape[0], chunk_rows):
+        rows = min(chunk_rows, W.shape[0] - start)
+        chunk = rng.normal(0.0, scale, size=(rows, W.shape[1]))
+        for _ in range(decays):
+            chunk *= decay
+        W[start:start + rows] = chunk
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -527,10 +543,7 @@ def train(
     elif active is not None:
         W = params.weights[0]
         if active.decayed > best_decayed:  # rebuild the frozen rows at the best step
-            W = init_params(corpus.feature_dim, corpus.num_classes, hidden_size,
-                            config.seed).weights[0]
-            for _ in range(best_decayed):
-                W *= decay
+            _redraw_first_weights(W, config.seed, decay, best_decayed)
         W[active.rows] = best_params.weights[0]
         best_params = ModelParams(weights=[W, *best_params.weights[1:]],
                                   biases=best_params.biases, hidden_size=params.hidden_size)

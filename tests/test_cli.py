@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from currikit import cli
+from currikit import cli, difficulty
 from currikit.cli import (
     SCHEDULERS,
     ValidationError,
@@ -15,10 +15,12 @@ from currikit.cli import (
     load_config,
     main,
     resolve_corpora,
+    validate_config,
 )
-from currikit.corpus import load_jsonl
+from currikit.corpus import DEFAULT_HASH_DIM, SynthSpec, load_jsonl
 from currikit.difficulty import read_scores, read_scores_header
 from currikit.dynamics import read_td_stats, write_td_stats
+from currikit.trainer import TrainConfig
 
 MISSING = object()  # a field deleted from a record rather than given a value
 
@@ -229,6 +231,28 @@ class TestStudentCommand:
         with pytest.raises(ValidationError, match="length"):
             cmd_student(config, run_dir, "length",
                         scores_path=run_dir / "teacher" / "td_stats.jsonl")
+
+    @pytest.mark.parametrize("scheduler, metric", [("cr_anneal", "cross-review"),
+                                                   ("length", "length")])
+    def test_scores_header_read_once(self, tmp_path, config_path, monkeypatch,
+                                     scheduler, metric):
+        """A student reads the first line of its scores file once: the header
+        goes from the stats-or-scores sniff to the reader and to the
+        annealing carry-over."""
+        config = load_config(config_path)
+        path = cmd_teacher(config, tmp_path, metric=metric)
+        starts = []
+        for module in (cli.artifacts, difficulty):
+            real = module.read_jsonl
+
+            def counted(file, *args, real=real, **kwargs):
+                skip = kwargs.get("skip", args[1] if len(args) > 1 else 0)
+                starts.append((Path(file), skip))
+                return real(file, *args, **kwargs)
+            monkeypatch.setattr(module, "read_jsonl", counted)
+        cmd_student(config, tmp_path, scheduler)
+        assert starts.count((path, 0)) == 1
+        assert (path, 1) in starts
 
     def test_student_without_teacher_fails(self, tmp_path, config_path):
         config = load_config(config_path)
@@ -536,9 +560,15 @@ class TestCliEntryPoint:
          "train: field 'learning_rate' must be a finite number, got nan"),
         ({"curriculum": {"add_k": math.inf}},
          "curriculum: field 'add_k' must be a finite number, got inf"),
+        ({"train": {**BASE_CONFIG["train"], "seed": 5}}, "train: unknown field 'seed'"),
+        ({"curriculum": {"duration": 0}},
+         "curriculum: duration must be a positive step count"),
+        ({"synth": {**BASE_CONFIG["synth"], "classes": 3}},
+         "synth: unknown field 'classes'"),
     ], ids=["model-array", "curriculum-number", "cross_review-string",
             "teacher_seed-float", "seeds-bool", "hash_dim-3", "hash_dim-0",
-            "hash_dim-float", "hash_dim-2^63", "learning_rate-nan", "add_k-inf"])
+            "hash_dim-float", "hash_dim-2^63", "learning_rate-nan", "add_k-inf",
+            "train-seed", "duration-0", "synth-unknown"])
     def test_bad_value_rejected_before_any_artifact(self, tmp_path, capsys, update,
                                                     message):
         bad = json.loads(json.dumps(BASE_CONFIG))
@@ -910,6 +940,38 @@ class TestConfigResolution:
         assert corpora["train"].label_names == corpora["test_id"].label_names
         assert corpora["train"].num_classes == 3
         assert set(corpora) == {"train", "validation", "test_id"}
+
+    def test_defaults_come_from_the_table(self):
+        assert cli._train_config({}, seed=11) == TrainConfig(seed=11)
+        synth = {name: cli._value({}, "synth", name) for name in cli._FIELDS["synth"]}
+        assert SynthSpec(**synth) == SynthSpec()
+        assert cli._value({}, "config", "seeds") == [1, 2, 3]
+        assert cli._value({}, "data", "hash_dim") == DEFAULT_HASH_DIM
+        assert cli._value({}, "curriculum", "duration") is None
+        assert cli._value({}, "curriculum", "duration", 7) == 7
+        assert cli._value({"curriculum": {"duration": 3}}, "curriculum", "duration", 7) == 3
+
+    def test_float_field_read_as_float(self):
+        c0 = cli._value({"curriculum": {"c0": 1}}, "curriculum", "c0")
+        assert type(c0) is float and c0 == 1.0
+        lr = cli._train_config({"train": {"learning_rate": 2}}, seed=0).learning_rate
+        assert type(lr) is float
+
+    def test_int_c0_writes_the_float_plan(self, tmp_path, run_dir):
+        plans = []
+        for c0 in (1, 1.0):
+            config = json.loads(json.dumps(BASE_CONFIG))
+            config["curriculum"] = {"c0": c0}
+            validate_config(config)
+            out = tmp_path / f"c0_{c0!r}"
+            (out / "teacher").mkdir(parents=True)
+            stats = (run_dir / "teacher" / "td_stats.jsonl").read_bytes()
+            (out / "teacher" / "td_stats.jsonl").write_bytes(stats)
+            cmd_student(config, out, "conf_comp")
+            plans.append((out / "students" / "conf_comp" / "seed_1" / "plan.json")
+                         .read_bytes())
+        assert plans[0] == plans[1]
+        assert json.loads(plans[0])["c0"] == 1.0
 
     def test_snapshot_conflict_detected(self, tmp_path, config_path):
         config = load_config(config_path)

@@ -4,8 +4,10 @@ Each example takes a good run's file, deletes one field of one record or
 gives it a value of another JSON type, runs the command that reads the file
 and expects exit 1 naming the file, no traceback, and no artifact beyond
 ``config.json``. A config example gives one field a value of another JSON
-type, NaN or an infinity and expects the field named instead. The examples
-are drawn deterministically, so every run of the suite tries the same ones.
+type, NaN or an infinity and expects the field named instead; a config with
+an unknown field, top level or in a section, must exit 1 naming it. The
+examples are drawn deterministically, so every run of the suite tries the
+same ones.
 """
 
 import contextlib
@@ -192,12 +194,20 @@ def test_corpus_record(base, index, edit):
 
 # Every config field, top level and per section, with the config it is set in
 # (the data section needs a data config) and its JSON type.
-CONFIG_FIELDS = sorted(
-    [("config", name, kind) for name, kind in cli._CONFIG_SCHEMA.items()]
-    + [(section, name, kind) for section, schema in cli._SECTION_SCHEMAS.items()
-       for name, kind in schema.items()])
+CONFIG_FIELDS = sorted((section, name, kind)
+                       for section, fields in cli._FIELDS.items()
+                       for name, (kind, _) in fields.items())
 DATA_CONFIG = {"data": {"train": "train.jsonl", "validation": "validation.jsonl"},
                "train": CONFIG["train"], "seeds": [1]}
+
+
+def write_config(work: Path, section: str, name: str, value) -> Path:
+    """The base config of ``section`` with field ``section.name`` set."""
+    config = json.loads(json.dumps(DATA_CONFIG if section == "data" else CONFIG))
+    (config if section == "config" else config.setdefault(section, {}))[name] = value
+    path = work / "bad.json"
+    path.write_text(json.dumps(config))
+    return path
 
 
 @pytest.mark.parametrize("section, name, kind", CONFIG_FIELDS,
@@ -207,11 +217,27 @@ DATA_CONFIG = {"data": {"train": "train.jsonl", "validation": "validation.jsonl"
 def test_config_field(section, name, kind, data):
     value = data.draw(st.sampled_from([*(v for v in VALUES if not takes(kind, v)),
                                        math.nan, math.inf, -math.inf]))
-    config = json.loads(json.dumps(DATA_CONFIG if section == "data" else CONFIG))
-    (config if section == "config" else config.setdefault(section, {}))[name] = value
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        path = work / "bad.json"
-        path.write_text(json.dumps(config))
+        path = write_config(work, section, name, value)
         expect_named_failure(work, f"{section}: field '{name}'", [
             "teacher", "--config", str(path), "--out", str(work / "o")])
+
+
+# A misspelt field, top level and per section; "seed" is no train field (run
+# seeds come from seeds and teacher_seed).
+UNKNOWN_FIELDS = [("config", "sede"), ("data", "hash_dims"), ("synth", "num_class"),
+                  ("train", "seed"), ("model", "hidden"), ("curriculum", "c_0"),
+                  ("cross_review", "num_subset")]
+
+
+@pytest.mark.parametrize("section, name", UNKNOWN_FIELDS,
+                         ids=[f"{section}.{name}" for section, name in UNKNOWN_FIELDS])
+def test_unknown_config_field(section, name):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        path = write_config(work, section, name, 5)
+        out = work / "o"
+        expect_named_failure(work, f"{section}: unknown field '{name}'", [
+            "teacher", "--config", str(path), "--out", str(out)])
+        assert not out.exists()

@@ -485,18 +485,22 @@ class TestActiveRows:
     @pytest.mark.parametrize("hidden", [0, 4])
     def test_decayed_best_checkpoint_before_last_eval(self, monkeypatch, hidden):
         """The frozen rows of a best checkpoint that precedes the last eval
-        are rebuilt from init_params with the decays of the best step."""
+        are redrawn from init_params' stream, in row chunks (5 rows here, so
+        the 24 rows take several), with the decays of the best step."""
         train_c, val_c = self.corpora(self.SPARSE_COLS)
-        inits = []
+        inits, redraws = [], []
         init = trainer_module.init_params
         monkeypatch.setattr(trainer_module, "init_params",
                             lambda *args: inits.append(args) or init(*args))
+        redraw = trainer_module._redraw_first_weights
+        monkeypatch.setattr(trainer_module, "_redraw_first_weights",
+                            lambda *args: redraws.append(args) or redraw(*args, chunk_rows=5))
         cfg = TrainConfig(epochs=3, batch_size=7, learning_rate=0.8, weight_decay=0.05,
                           grad_clip=0.5, eval_per_epoch=3, seed=4)
         log = self.train_and_compare(train_c, val_c, cfg, hidden)
         last_eval = max(step for step, split, _, _ in log.records if split == "validation")
         assert log.best_step < last_eval
-        assert len(inits) == 2
+        assert len(inits) == 1 and len(redraws) == 1
 
     @pytest.mark.parametrize("with_validation", [True, False])
     def test_buffer_sum_fallback_same_bits(self, monkeypatch, with_validation):
@@ -551,6 +555,29 @@ class TestMemory:
         assert peak < 2 * params.weights[0].nbytes
         if with_validation:
             assert sum(split == "validation" for _, split, _, _ in log.records) == 10
+
+    def test_decayed_early_best_below_two_weight_arrays(self):
+        """With weight decay and a best checkpoint before the last eval, the
+        frozen rows are rebuilt in row chunks (64 at 2^18): the peak stays
+        below 2 x W.nbytes and the weights equal the full-width reference."""
+        dim = 2 ** 18
+        cols = np.sort(np.random.default_rng(3).choice(dim, 4000, replace=False))
+        train_c = self.corpus(300, dim, cols, 1, "train")
+        val_c = self.corpus(100, dim, np.arange(dim), 2, "validation")
+        cfg = TrainConfig(epochs=2, batch_size=32, eval_per_epoch=5, weight_decay=0.05,
+                          seed=1)
+        tracemalloc.start()
+        try:
+            params, log, _ = train(train_c, val_c, cfg, random_sampler(train_c, 32, seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert log.best_step < max(s for s, split, _, _ in log.records if split == "validation")
+        assert peak < 2 * params.weights[0].nbytes
+        ref = dense_reference(train_c, val_c, cfg, random_sampler(train_c, 32, seed=1), 0)[0]
+        for got, want in zip(params.weights + params.biases, ref.weights + ref.biases,
+                             strict=True):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestDenseBatches:
