@@ -98,12 +98,13 @@ def correlation_matrix(metric_scores: dict[str, dict[str, float]]) -> Correlatio
 
 
 def approx_randomization(
-    outcomes_a: dict, outcomes_b: dict, rounds: int = 10000, seed: int = 0
+    outcomes_a: np.ndarray, outcomes_b: np.ndarray, rounds: int = 10000, seed: int = 0
 ) -> float:
     """Approximate-randomization p-value for paired binary per-unit outcomes.
 
-    Units are arbitrary hashable keys (typically (example_id, seed) pairs,
-    pooling all seeds). The statistic is |#correct(a) - #correct(b)|; each
+    The outcomes are two equal-length bool arrays, entry i of each belonging
+    to unit i (typically the (example, seed) pairs of every seed, pooled
+    seed-major). The statistic is |#correct(a) - #correct(b)|; each
     round swaps the two systems' outcomes per unit with probability 0.5;
     p = (#rounds with statistic >= observed + 1) / (rounds + 1).
 
@@ -115,12 +116,14 @@ def approx_randomization(
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    if outcomes_a.keys() != outcomes_b.keys():
-        raise ValueError("outcome unit sets differ between the two systems")
-    if not outcomes_a:
+    a, b = np.asarray(outcomes_a), np.asarray(outcomes_b)
+    if a.dtype != bool or b.dtype != bool or a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"need two bool arrays over the same units, got "
+                         f"{a.dtype} {a.shape} and {b.dtype} {b.shape}")
+    if not a.size:
         raise ValueError("no units to test")
-    a_only = sum(1 for u, a in outcomes_a.items() if a and not outcomes_b[u])
-    b_only = sum(1 for u, b in outcomes_b.items() if b and not outcomes_a[u])
+    a_only = int(np.count_nonzero(a > b))
+    b_only = int(np.count_nonzero(b > a))
     k = a_only + b_only
     swapped = np.random.default_rng(seed).binomial(k, 0.5, size=rounds)
     hits = int(np.count_nonzero(np.abs(2 * swapped - k) >= abs(a_only - b_only)))

@@ -118,6 +118,8 @@ _FIELDS = {
 _FIELDS = {"config": {**dict.fromkeys(_FIELDS, (dict, None)),
                       "seeds": (list, [1, 2, 3]), "teacher_seed": (int, None)},
            **_FIELDS}
+_PATH_FIELDS = [("data", name) for name in ("train", *EVAL_SPLITS, "label_map")] + [
+    ("curriculum", "baseline_dir")]
 
 
 def _value(config: dict, section: str, name: str, derived=None):
@@ -133,6 +135,9 @@ def validate_config(config: dict) -> None:
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
     _check_fields(config, "config")
+    for section, name in _PATH_FIELDS:
+        if _value(config, section, name) == "":
+            raise ValidationError(f"{section}: field '{name}' must be a nonempty path")
     seeds = _value(config, "config", "seeds")
     _check_items(seeds, int, "seeds", "config")
     if not seeds or len(set(seeds)) != len(seeds):
@@ -221,12 +226,12 @@ def resolve_corpora(config: dict,
     dim = _value(config, "data", "hash_dim")
     label_map = _value(config, "data", "label_map")
     train = load_jsonl(_value(config, "data", "train"), "train", dim=dim,
-                       label_map=load_label_map(label_map) if label_map else None)
+                       label_map=None if label_map is None else load_label_map(label_map))
     fixed = {name: i for i, name in enumerate(train.label_names)}
     corpora = {"train": train}
     for split in EVAL_SPLITS:
         path = _value(config, "data", split)
-        if path and split in splits:
+        if path is not None and split in splits:
             corpora[split] = load_jsonl(path, split, dim=dim, label_map=fixed,
                                         feature_dim=train.feature_dim)
     return corpora
@@ -381,7 +386,7 @@ def _competence_duration(config: dict, seed: int, total_steps: int) -> int:
     if duration is not None:
         return duration
     baseline_dir = _value(config, "curriculum", "baseline_dir")
-    if baseline_dir:
+    if baseline_dir is not None:
         summary_path = Path(baseline_dir) / "summary.json"
         if not summary_path.exists():
             raise ValidationError(f"curriculum.baseline_dir: {summary_path} not found")
@@ -449,11 +454,9 @@ def _run_student_seed(config: dict, corpora: dict[str, Corpus], scheduler: str,
         corpus = corpora[split]
         pred = trainer.predict(params, corpus)
         labels = corpus.labels()
-        metrics["accuracy"][split] = float((pred == labels).mean())
-        artifacts.write_jsonl(seed_dir / f"outcomes_{split}.jsonl", (
-            {"example_id": eid, "correct": bool(p == t)}
-            for eid, p, t in zip(corpus.ids(), pred, labels)
-        ))
+        correct = pred == labels
+        metrics["accuracy"][split] = float(correct.mean())
+        _write_outcomes(seed_dir / f"outcomes_{split}.jsonl", corpus.ids(), correct)
     artifacts.write_json(seed_dir / "metrics.json", metrics)
     return metrics
 
@@ -550,19 +553,44 @@ def _check_entries(summary: dict, path: Path) -> None:
                         f"{source}: accuracy.{split}")
 
 
-def _pooled_outcomes(path: Path, seeds: list[int], split: str) -> dict:
-    pooled = {}
-    for seed in seeds:
-        outcomes = path / f"seed_{seed}" / f"outcomes_{split}.jsonl"
-        for rec in artifacts.read_jsonl(outcomes, _OUTCOME_SCHEMA):
-            pooled[(rec["example_id"], seed)] = rec["correct"]
-    return pooled
+def _write_outcomes(path: Path, ids: list[str], correct: np.ndarray) -> None:
+    """One {example_id, correct} record per example."""
+    artifacts.write_columns(path, {"example_id": ids, "correct": correct})
+
+
+def _pooled_outcomes(path: Path, seeds: list[int],
+                     split: str) -> tuple[list[str], np.ndarray]:
+    """The example ids of the first seed's ``split`` outcomes and one
+    seed-major bool array over the (example, seed) units: entry
+    ``s * len(ids) + i`` says whether seed ``seeds[s]`` got ``ids[i]`` right.
+    Every seed's file must hold exactly these ids, in any order."""
+    files = [path / f"seed_{seed}" / f"outcomes_{split}.jsonl" for seed in seeds]
+    ids, pooled = None, []
+    for outcomes in files:
+        file_ids, columns = artifacts.read_columns(outcomes, _OUTCOME_SCHEMA)
+        ids = file_ids if ids is None else ids
+        pooled.append(_aligned(columns["correct"], file_ids, ids,
+                               f"{outcomes}: example ids differ from those of {files[0]}"))
+    return ids, np.concatenate(pooled)
+
+
+def _aligned(values: np.ndarray, have: list[str], want: list[str],
+             problem: str) -> np.ndarray:
+    """Seed-major ``values`` over the example ids ``have``, reordered to the
+    ids ``want``; ValidationError ``problem`` unless both hold the same ids."""
+    if have == want:
+        return values
+    row = dict(zip(have, range(len(have))))
+    if len(have) != len(want) or any(eid not in row for eid in want):
+        raise ValidationError(problem)
+    return values.reshape(-1, len(have))[:, [row[eid] for eid in want]].ravel()
 
 
 def cmd_compare(
     dir_a: Path, dir_b: Path, rounds: int = 10000, seed: int = 0,
     out_prefix: Path | None = None,
-    pooled_outcomes: Callable[[Path, list[int], str], dict] | None = None,
+    pooled_outcomes: Callable[[Path, list[int], str],
+                              tuple[list[str], np.ndarray]] | None = None,
 ) -> dict:
     """Per split: accuracies, AR-test p-value over pooled (example, seed)
     units, plus the time ratio best_step(a)/best_step(b) aggregated over
@@ -594,8 +622,11 @@ def cmd_compare(
         "splits": {},
     }
     for split in sum_a["splits"]:
-        pooled_a = pooled_outcomes(dir_a, seeds, split)
-        pooled_b = pooled_outcomes(dir_b, seeds, split)
+        ids_a, pooled_a = pooled_outcomes(dir_a, seeds, split)
+        ids_b, pooled_b = pooled_outcomes(dir_b, seeds, split)
+        pooled_b = _aligned(pooled_b, ids_b, ids_a,
+                            f"{split}: outcome example ids differ between {dir_a} "
+                            f"and {dir_b}")
         p = analysis.approx_randomization(pooled_a, pooled_b, rounds=rounds, seed=seed)
         report["splits"][split] = {
             "acc_a": sum_a["accuracy"][split],
@@ -668,9 +699,9 @@ def cmd_sweep(config: dict, out_dir: Path, schedulers: list[str],
                 cmd_student(config, out_dir, s, corpora=corpora)
 
     baselines = [b for b in _BASELINES if b in schedulers]
-    outcomes: dict[Path, dict[str, dict]] = {}  # student dir -> split -> pooled
+    outcomes: dict[Path, dict[str, tuple]] = {}  # student dir -> split -> pooled
 
-    def pooled_once(path: Path, seeds: list[int], split: str) -> dict:
+    def pooled_once(path: Path, seeds: list[int], split: str) -> tuple:
         by_split = outcomes.setdefault(path, {})
         if split not in by_split:
             by_split[split] = _pooled_outcomes(path, seeds, split)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import check, read_columns, read_jsonl, write_jsonl
+from .artifacts import check, read_columns, read_jsonl, write_columns
 from .corpus import Corpus
 from .dynamics import TDStats
 from .trainer import TrainConfig, predict, train
@@ -233,10 +233,7 @@ def write_scores(
               "higher_is_easier": scores.higher_is_easier}
     if extra_header:
         header.update(extra_header)
-    write_jsonl(path, chain([header], (
-        {"example_id": eid, "score": score}
-        for eid, score in zip(scores.ids, scores.scores.tolist(), strict=True)
-    )))
+    write_columns(path, {"example_id": scores.ids, "score": scores.scores}, header)
 
 
 def read_scores_header(path: str | Path) -> dict:

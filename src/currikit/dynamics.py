@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_columns, write_jsonl
+from .artifacts import read_columns, write_columns
 from .trainer import Probes
 
 
@@ -76,12 +76,9 @@ _TD_SCHEMA = {"example_id": str, "confidence": float, "correctness": int,
 def write_td_stats(stats: TDStats, path: str | Path) -> None:
     """JSONL {example_id, confidence, correctness, variability}; the Stage-1
     to Stage-2 hand-off artifact."""
-    write_jsonl(path, (
-        {"example_id": eid, "confidence": conf, "correctness": corr, "variability": var}
-        for eid, conf, corr, var in zip(
-            stats.ids, stats.confidence.tolist(), stats.correctness.tolist(),
-            stats.variability.tolist(), strict=True)
-    ))
+    write_columns(path, {"example_id": stats.ids, "confidence": stats.confidence,
+                         "correctness": stats.correctness,
+                         "variability": stats.variability})
 
 
 def read_td_stats(path: str | Path, ids: list[str] | None = None) -> TDStats:

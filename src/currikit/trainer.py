@@ -19,7 +19,7 @@ from typing import Callable, Protocol
 import numpy as np
 from scipy import sparse
 
-from .artifacts import read_jsonl, write_jsonl
+from .artifacts import read_jsonl, write_columns, write_jsonl
 from .corpus import Corpus
 
 
@@ -583,12 +583,11 @@ def read_runlog(path: str | Path) -> RunLog:
 def write_probes(probes: Probes, path: str | Path) -> None:
     """JSONL with one {epoch, example_id, gold_prob, correct} line per
     (epoch, example)."""
-    rows = zip(probes.gold_prob.tolist(), probes.correct.tolist())
-    write_jsonl(path, (
-        {"epoch": epoch, "example_id": eid, "gold_prob": gold, "correct": correct}
-        for epoch, (golds, corrects) in enumerate(rows, start=1)
-        for eid, gold, correct in zip(probes.ids, golds, corrects, strict=True)
-    ))
+    epochs, n = probes.gold_prob.shape
+    write_columns(path, {"epoch": np.repeat(np.arange(1, epochs + 1), n),
+                         "example_id": list(probes.ids) * epochs,
+                         "gold_prob": probes.gold_prob.ravel(),
+                         "correct": probes.correct.ravel()})
 
 
 def read_probes(path: str | Path) -> Probes:

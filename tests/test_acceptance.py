@@ -302,16 +302,16 @@ def test_08_statistics_unit_checks():
         assert spearman([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]) == pytest.approx(-1.0)
         assert spearman([1, 2, 3], [1, 3, 2]) == pytest.approx(0.5)
 
-        same = {f"u{i}": i % 3 == 0 for i in range(30)}
-        assert approx_randomization(same, dict(same), rounds=1000, seed=0) == 1.0
+        same = np.array([i % 3 == 0 for i in range(30)])
+        assert approx_randomization(same, same.copy(), rounds=1000, seed=0) == 1.0
 
         rng = random.Random(55)
         rounds = 20000
         for trial in range(5):
             n = rng.randint(4, 12)
-            a = {f"u{i}": rng.random() < 0.5 for i in range(n)}
-            b = {f"u{i}": rng.random() < 0.5 for i in range(n)}
-            d = [int(a[u]) - int(b[u]) for u in sorted(a)]
+            a = np.array([rng.random() < 0.5 for i in range(n)])
+            b = np.array([rng.random() < 0.5 for i in range(n)])
+            d = [int(x) - int(y) for x, y in zip(a, b)]
             observed = abs(sum(d))
             hits = sum(
                 1 for signs in itertools.product((1, -1), repeat=n)

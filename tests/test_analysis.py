@@ -100,10 +100,9 @@ class TestSpearman:
         assert spearman(xs, 3 * ys + 7) == pytest.approx(base, abs=1e-12)
 
 
-def exhaustive_ar_p(a: dict, b: dict) -> float:
+def exhaustive_ar_p(a: np.ndarray, b: np.ndarray) -> float:
     """Enumerate all 2^n sign patterns of the per-unit differences."""
-    units = sorted(a)
-    d = [int(a[u]) - int(b[u]) for u in units]
+    d = [int(x) - int(y) for x, y in zip(a, b, strict=True)]
     observed = abs(sum(d))
     hits = 0
     for signs in itertools.product((1, -1), repeat=len(d)):
@@ -114,12 +113,12 @@ def exhaustive_ar_p(a: dict, b: dict) -> float:
 
 class TestApproxRandomization:
     def test_identical_outcomes_give_p_one(self):
-        outcomes = {f"u{i}": i % 2 == 0 for i in range(20)}
-        assert approx_randomization(outcomes, dict(outcomes), rounds=500) == 1.0
+        outcomes = np.array([i % 2 == 0 for i in range(20)])
+        assert approx_randomization(outcomes, outcomes.copy(), rounds=500) == 1.0
 
     def test_maximal_difference_is_significant(self):
-        a = {f"u{i}": True for i in range(20)}
-        b = {f"u{i}": False for i in range(20)}
+        a = np.ones(20, dtype=bool)
+        b = np.zeros(20, dtype=bool)
         assert approx_randomization(a, b, rounds=10000, seed=1) <= 0.01
 
     def test_matches_exhaustive_enumeration(self):
@@ -127,8 +126,8 @@ class TestApproxRandomization:
         rounds = 20000
         for trial in range(6):
             n = int(rng.integers(5, 13))
-            a = {f"u{i}": bool(rng.integers(2)) for i in range(n)}
-            b = {f"u{i}": bool(rng.integers(2)) for i in range(n)}
+            a = np.array([bool(rng.integers(2)) for i in range(n)])
+            b = np.array([bool(rng.integers(2)) for i in range(n)])
             exact = exhaustive_ar_p(a, b)
             estimate = approx_randomization(a, b, rounds=rounds, seed=trial)
             # the estimator's expectation includes the +1 smoothing
@@ -138,18 +137,27 @@ class TestApproxRandomization:
 
     def test_symmetry_exact_for_fixed_seed(self):
         rng = np.random.default_rng(9)
-        a = {f"u{i}": bool(rng.integers(2)) for i in range(40)}
-        b = {f"u{i}": bool(rng.integers(2)) for i in range(40)}
+        a = np.array([bool(rng.integers(2)) for i in range(40)])
+        b = np.array([bool(rng.integers(2)) for i in range(40)])
         assert approx_randomization(a, b, rounds=3000, seed=5) == \
             approx_randomization(b, a, rounds=3000, seed=5)
 
     def test_unit_mismatch(self):
         with pytest.raises(ValueError, match="unit"):
-            approx_randomization({"a": True}, {"b": True})
+            approx_randomization(np.array([True]), np.array([True, False]))
+
+    @pytest.mark.parametrize("a, b", [
+        (np.array([1, 0]), np.array([True, True])),
+        (np.ones((2, 2), dtype=bool), np.ones((2, 2), dtype=bool)),
+    ], ids=["int-array", "two-dimensional"])
+    def test_outcomes_must_be_bool_vectors(self, a, b):
+        with pytest.raises(ValueError, match="need two bool arrays over the same units"):
+            approx_randomization(a, b)
 
     def test_pooled_seed_units(self):
-        a = {(f"e{i}", s): True for i in range(5) for s in (1, 2)}
-        b = {(f"e{i}", s): i > 1 for i in range(5) for s in (1, 2)}
+        # seed-major: entry s * 5 + i is example i under seed s
+        a = np.array([True for s in (1, 2) for i in range(5)])
+        b = np.array([i > 1 for s in (1, 2) for i in range(5)])
         p = approx_randomization(a, b, rounds=2000, seed=0)
         assert 0.0 < p <= 1.0
 
@@ -159,11 +167,12 @@ class TestApproxRandomization:
         # gives |2 * Binomial(k, 1/2) - k|, whose tail scipy computes exactly
         rng = np.random.default_rng(k)
         a_only = int(rng.integers(0, k + 1))
-        a, b = {}, {}
-        for i in range(k):
-            a[f"d{i}"], b[f"d{i}"] = i < a_only, i >= a_only
+        a = [i < a_only for i in range(k)]
+        b = [i >= a_only for i in range(k)]
         for i in range(int(rng.integers(0, 50))):
-            a[f"c{i}"] = b[f"c{i}"] = bool(rng.integers(2))
+            a.append(bool(rng.integers(2)))
+            b.append(a[-1])
+        a, b = np.array(a), np.array(b)
         rounds = 20000
         observed = abs(a_only - (k - a_only))
         swapped = np.arange(k + 1)
@@ -176,11 +185,11 @@ class TestApproxRandomization:
 
     def test_concordant_units_leave_p_unchanged(self):
         rng = np.random.default_rng(12)
-        a = {f"u{i}": bool(rng.integers(2)) for i in range(40)}
-        b = {f"u{i}": bool(rng.integers(2)) for i in range(40)}
+        a = np.array([bool(rng.integers(2)) for i in range(40)])
+        b = np.array([bool(rng.integers(2)) for i in range(40)])
         p = approx_randomization(a, b, rounds=5000, seed=3)
-        for i in range(10 ** 5):
-            a[f"c{i}"] = b[f"c{i}"] = i % 3 == 0
+        concordant = np.arange(10 ** 5) % 3 == 0
+        a, b = np.concatenate([a, concordant]), np.concatenate([b, concordant])
         assert approx_randomization(a, b, rounds=5000, seed=3) == p
 
 

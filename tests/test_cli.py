@@ -242,14 +242,17 @@ class TestStudentCommand:
         config = load_config(config_path)
         path = cmd_teacher(config, tmp_path, metric=metric)
         starts = []
-        for module in (cli.artifacts, difficulty):
-            real = module.read_jsonl
+        # (module, reader, position of its skip argument after the path)
+        for module, name, at in ((cli.artifacts, "read_jsonl", 1),
+                                 (difficulty, "read_jsonl", 1),
+                                 (difficulty, "read_columns", 2)):
+            real = getattr(module, name)
 
-            def counted(file, *args, real=real, **kwargs):
-                skip = kwargs.get("skip", args[1] if len(args) > 1 else 0)
+            def counted(file, *args, real=real, at=at, **kwargs):
+                skip = kwargs.get("skip", args[at] if len(args) > at else 0)
                 starts.append((Path(file), skip))
                 return real(file, *args, **kwargs)
-            monkeypatch.setattr(module, "read_jsonl", counted)
+            monkeypatch.setattr(module, name, counted)
         cmd_student(config, tmp_path, scheduler)
         assert starts.count((path, 0)) == 1
         assert (path, 1) in starts
@@ -339,6 +342,55 @@ class TestCompareCommand:
         report = cmd_compare(tmp_path / "good", tmp_path / "bad", rounds=2000)
         assert report["splits"]["test_id"]["p_value"] <= 0.05
         capsys.readouterr()
+
+    @staticmethod
+    def rewrite_outcomes(path, edit):
+        """Apply ``edit`` to the list of lines of an outcomes file."""
+        path.write_text("".join(edit(path.read_text().splitlines(True))))
+
+    def test_reordered_outcomes_give_the_same_report(self, tmp_path, capsys):
+        build_student_dir(tmp_path / "a", 0.9)
+        build_student_dir(tmp_path / "b", 0.5)
+        expected = cmd_compare(tmp_path / "a", tmp_path / "b", rounds=2000)
+        for seed in (1, 2, 3):  # b in another order than a, for every seed
+            self.rewrite_outcomes(tmp_path / "b" / f"seed_{seed}" / "outcomes_test_id.jsonl",
+                                  lambda lines: lines[::-1])
+        assert cmd_compare(tmp_path / "a", tmp_path / "b", rounds=2000) == expected
+        # one of a's seeds in another order than its first seed
+        self.rewrite_outcomes(tmp_path / "a" / "seed_2" / "outcomes_test_id.jsonl",
+                              lambda lines: lines[7:] + lines[:7])
+        assert cmd_compare(tmp_path / "a", tmp_path / "b", rounds=2000) == expected
+        capsys.readouterr()
+
+    def test_outcome_id_sets_differ_named(self, tmp_path, capsys):
+        build_student_dir(tmp_path / "a", 0.9)
+        build_student_dir(tmp_path / "b", 0.5)
+        for seed in (1, 2, 3):
+            self.rewrite_outcomes(tmp_path / "b" / f"seed_{seed}" / "outcomes_test_id.jsonl",
+                                  lambda lines: [line.replace('"t59"', '"u59"')
+                                                 for line in lines])
+        out = tmp_path / "o" / "cmp"
+        assert main(["compare", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "b"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert (f"test_id: outcome example ids differ between {tmp_path / 'a'} "
+                f"and {tmp_path / 'b'}") in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: [line.replace('"t59"', '"u59"') for line in lines],
+        lambda lines: lines[:-1],
+        lambda lines: lines + ['{"example_id": "u60", "correct": true}\n'],
+    ], ids=["other-id", "one-fewer", "one-more"])
+    def test_seed_outcome_ids_differ_named(self, tmp_path, capsys, edit):
+        build_student_dir(tmp_path / "a", 0.9)
+        build_student_dir(tmp_path / "b", 0.5)
+        seed_2 = tmp_path / "b" / "seed_2" / "outcomes_test_id.jsonl"
+        self.rewrite_outcomes(seed_2, edit)
+        assert main(["compare", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "b")]) == 1
+        seed_1 = tmp_path / "b" / "seed_1" / "outcomes_test_id.jsonl"
+        assert (f"{seed_2}: example ids differ from those of {seed_1}"
+                in capsys.readouterr().err)
 
     def test_mismatched_seeds_rejected(self, run_dir, tmp_path):
         other = tmp_path / "other"
@@ -565,10 +617,16 @@ class TestCliEntryPoint:
          "curriculum: duration must be a positive step count"),
         ({"synth": {**BASE_CONFIG["synth"], "classes": 3}},
          "synth: unknown field 'classes'"),
+        ({"synth": MISSING, "data": {"train": "t.jsonl", "validation": "v.jsonl",
+                                     "test_id": ""}},
+         "data: field 'test_id' must be a nonempty path"),
+        ({"curriculum": {"baseline_dir": ""}},
+         "curriculum: field 'baseline_dir' must be a nonempty path"),
     ], ids=["model-array", "curriculum-number", "cross_review-string",
             "teacher_seed-float", "seeds-bool", "hash_dim-3", "hash_dim-0",
             "hash_dim-float", "hash_dim-2^63", "learning_rate-nan", "add_k-inf",
-            "train-seed", "duration-0", "synth-unknown"])
+            "train-seed", "duration-0", "synth-unknown", "test_id-empty",
+            "baseline_dir-empty"])
     def test_bad_value_rejected_before_any_artifact(self, tmp_path, capsys, update,
                                                     message):
         bad = json.loads(json.dumps(BASE_CONFIG))
@@ -696,6 +754,8 @@ class TestCliEntryPoint:
                      "duplicate example id 'train-000000'", id="student-stats-duplicate-id"),
         pytest.param("student-scores", "example_id", "train-000000",
                      "duplicate example id 'train-000000'", id="student-scores-duplicate-id"),
+        pytest.param("compare", "example_id", "t0", "duplicate example id 't0'",
+                     id="compare-duplicate-id"),
     ])
     def test_missing_field_named_with_line(self, run_dir, config_path, tmp_path,
                                            capsys, command, field, bad, message):

@@ -5,7 +5,8 @@ gives it a value of another JSON type, runs the command that reads the file
 and expects exit 1 naming the file, no traceback, and no artifact beyond
 ``config.json``. A config example gives one field a value of another JSON
 type, NaN or an infinity and expects the field named instead; a config with
-an unknown field, top level or in a section, must exit 1 naming it. The
+an unknown field, top level or in a section, or an empty path field, must
+exit 1 naming it. The
 examples are drawn deterministically, so every run of the suite tries the
 same ones.
 """
@@ -229,6 +230,24 @@ def test_config_field(section, name, kind, data):
 UNKNOWN_FIELDS = [("config", "sede"), ("data", "hash_dims"), ("synth", "num_class"),
                   ("train", "seed"), ("model", "hidden"), ("curriculum", "c_0"),
                   ("cross_review", "num_subset")]
+
+
+# Every path field: "" must not read as "not given".
+PATH_FIELDS = [("data", name) for name in ("train", "validation", "test_id", "test_ood",
+                                           "test_transfer", "label_map")] + [
+    ("curriculum", "baseline_dir")]
+
+
+@pytest.mark.parametrize("section, name", PATH_FIELDS,
+                         ids=[f"{section}.{name}" for section, name in PATH_FIELDS])
+def test_empty_path_field(section, name):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        path = write_config(work, section, name, "")
+        out = work / "o"
+        expect_named_failure(work, f"{section}: field '{name}' must be a nonempty path", [
+            "student", "--config", str(path), "--out", str(out), "--scheduler", "random"])
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("section, name", UNKNOWN_FIELDS,

@@ -1,6 +1,6 @@
 """Byte goldens for the scoring layer: plan summaries and served batches of
-the curriculum samplers, and the bytes of the scores, dynamics-stats and
-data-map writers, all built from fixed inputs.
+the curriculum samplers, and the bytes of the scores, dynamics-stats,
+outcomes, probes and data-map writers, all built from fixed inputs.
 
 The inputs go through the same edges a student run uses (a dynamics-stats
 or scores file read back for a train id order) so that these digests pin
@@ -16,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from currikit import analysis, cli, difficulty, dynamics
+from currikit import analysis, cli, difficulty, dynamics, trainer
 from currikit.curricula import plan_summary
 from currikit.trainer import Probes
 
@@ -167,6 +167,10 @@ WRITER_GOLDENS = {
         "3b1f3c955d6888a62cfade10ceb113114d7614c508e93edc342c3fc0018fb468",
     "datamap_svg":
         "822abef663a0ea12ce0cecf97c0310964d32d976229aec8a1835d1285e30652e",
+    "outcomes":
+        "fc3e250988933a6c660eca7d92c6483dfd1df609307ca67674b964fe4a48bbcc",
+    "probes":
+        "1d9057ce4e4be9f62a28404ec0a9a718c47b001886f73fe03162282fd8767b40",
 }
 
 
@@ -180,8 +184,12 @@ def test_writer_bytes_golden(tmp_path, cr_file):
                             extra_header={"num_subsets": 4})
     analysis.datamap_export(dynamics.read_td_stats(tmp_path / "out" / "td_stats.jsonl"),
                             tmp_path / "out")
+    cli._write_outcomes(tmp_path / "out" / "outcomes_test_id.jsonl", list(TRAIN_IDS),
+                        probes().correct[-1])
+    trainer.write_probes(probes(), tmp_path / "out" / "probes.jsonl")
     files = {"td_stats": "td_stats.jsonl", "scores_confidence": "scores_confidence.jsonl",
              "scores_cross_review": "scores_cross_review.jsonl",
-             "datamap_csv": "datamap.csv", "datamap_svg": "datamap.svg"}
+             "datamap_csv": "datamap.csv", "datamap_svg": "datamap.svg",
+             "outcomes": "outcomes_test_id.jsonl", "probes": "probes.jsonl"}
     digests = {k: sha((tmp_path / "out" / f).read_bytes()) for k, f in files.items()}
     assert digests == WRITER_GOLDENS
