@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -237,15 +238,50 @@ def resolve_corpora(config: dict,
     return corpora
 
 
+_MISSING_FILE = "missing"  # the digest of a named file that does not exist
+
+
+def _input_files(config: dict) -> dict[str, Path]:
+    """The files the config names, by field: the data files and
+    ``curriculum.baseline_dir``'s summary.json. A synthetic config's data is
+    the config itself."""
+    files = {}
+    for section, name in _PATH_FIELDS:
+        value = _value(config, section, name)
+        if value is not None:
+            files[f"{section}.{name}"] = (Path(value) / "summary.json"
+                                          if name == "baseline_dir" else Path(value))
+    return files
+
+
 def snapshot_config(config: dict, out_dir: Path) -> None:
-    snap = out_dir / "config.json"
+    """Snapshot the config as config.json, and the sha256 of each file it
+    names as inputs.json, before a command writes anything into ``out_dir``.
+    A later command must bring the same config and the same files, so resume
+    never trusts an artifact made from other inputs. A file missing at the
+    first snapshot, from which nothing can have been made, is recorded when
+    it appears."""
+    snap, inputs = out_dir / "config.json", out_dir / "inputs.json"
     text = json.dumps(config, indent=2, sort_keys=True) + "\n"
-    if not snap.exists():
-        artifacts.write_text(snap, text)
-    elif snap.read_text(encoding="utf-8") != text:  # an identical one is not rewritten
+    if snap.exists() and snap.read_text(encoding="utf-8") != text:
         raise ValidationError(
             f"{snap} already holds a different config; use a fresh --out directory"
         )
+    files = _input_files(config)
+    digests = {field: hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file()
+               else _MISSING_FILE for field, path in files.items()}
+    recorded = (artifacts.read_json(inputs, dict.fromkeys(files, str)) if inputs.exists()
+                else dict.fromkeys(files, _MISSING_FILE))
+    for field, path in files.items():
+        if recorded[field] not in (_MISSING_FILE, digests[field]):
+            raise ValidationError(
+                f"{field}: {path} changed since {inputs} was written: sha256 "
+                f"{recorded[field]} then, {digests[field]} now; use a fresh --out directory"
+            )
+    if files and (digests != recorded or not inputs.exists()):
+        artifacts.write_json(inputs, digests)
+    if not snap.exists():  # an identical one is not rewritten
+        artifacts.write_text(snap, text)
 
 
 # --- stage 1: teacher / scoring ----------------------------------------------

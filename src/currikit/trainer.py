@@ -14,10 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, NamedTuple, Protocol
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .artifacts import read_jsonl, write_columns, write_jsonl
 from .corpus import Corpus
@@ -122,46 +123,65 @@ def _redraw_first_weights(W: np.ndarray, seed: int, decay: float, decays: int,
         W[start:start + rows] = chunk
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+class _CSR(NamedTuple):
+    """The buffers of a CSR matrix with ``n_cols`` columns; ``indptr`` and
+    ``indices`` share one integer dtype. Its products make the calls into
+    scipy's compiled loops that ``S @ W`` and ``S.T @ D`` make (see
+    ``_compressed._matmul_multivector``), so they equal those bit for bit:
+    each output starts at 0.0 and adds its terms in stored order."""
 
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    n_cols: int
 
-def _ordered_tdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``A.T @ B`` as a C-ordered array, each output summed over the rows
-    of ``A`` and ``B`` in index order, starting from 0.0.
+    @classmethod
+    def of(cls, X) -> "_CSR":
+        """``X`` as is, or a scipy matrix or an array as CSR buffers."""
+        if isinstance(X, cls):
+            return X
+        X = X.tocsr() if sparse.issparse(X) else sparse.csr_matrix(X)
+        return cls(X.indptr, X.indices, X.data, X.shape[1])
 
-    That is the order of scipy's CSR and CSC matvec loops, so for an array
-    ``X``, a canonical CSR ``S`` with the same entries and finite ``W`` and
-    ``D``, ``_ordered_tdot(X.T, W)`` equals ``S @ W`` and
-    ``_ordered_tdot(X, D)`` equals ``S.T @ D`` bit for bit: a term that ``S``
-    does not store is a zero product, which only changes the sign of a zero
-    sum, and the final ``+ 0.0`` maps -0.0 to scipy's 0.0 start. BLAS ``@``
-    groups the terms differently, and ``np.add.reduce`` sums pairwise when
-    the output has one element. (Equality also needs scipy's loops compiled
-    without fused multiply-adds, as in its x86-64 wheels.)
-    """
-    terms = np.multiply(B[:, :, None], A[:, None, :])  # (terms, out, rows)
-    np.add.accumulate(terms, axis=0, out=terms)
-    return np.add(terms[-1].T, 0.0, order="C")
+    def take(self, rows: np.ndarray) -> "_CSR":
+        """The buffers of ``S[rows]``; rows may repeat."""
+        starts = self.indptr[rows]
+        lens = self.indptr[1:][rows]
+        lens -= starts
+        indptr = np.zeros(len(rows) + 1, dtype=self.indptr.dtype)
+        np.add.accumulate(lens, out=indptr[1:])
+        pos = (starts - indptr[:-1]).repeat(lens)
+        pos += np.arange(indptr[-1], dtype=pos.dtype)
+        return _CSR(indptr, self.indices.take(pos), self.data.take(pos), self.n_cols)
+
+    def dot(self, W: np.ndarray) -> np.ndarray:
+        """``S @ W``; a ``W`` of other than ``n_cols`` rows raises."""
+        if W.shape[0] != self.n_cols:
+            raise ValueError(f"feature dim {self.n_cols} does not match model input "
+                             f"dim {W.shape[0]}")
+        out = np.zeros((len(self.indptr) - 1, W.shape[1]))
+        _sparsetools.csr_matvecs(len(self.indptr) - 1, self.n_cols, W.shape[1], self.indptr,
+                                 self.indices, self.data, W.ravel(), out.ravel())
+        return out
+
+    def tdot(self, D: np.ndarray) -> np.ndarray:
+        """``S.T @ D`` for a ``D`` with one row per row of ``S``: scipy's CSC
+        loop over ``S.T``, which shares the buffers."""
+        out = np.zeros((self.n_cols, D.shape[1]))
+        _sparsetools.csc_matvecs(self.n_cols, len(self.indptr) - 1, D.shape[1], self.indptr,
+                                 self.indices, self.data, D.ravel(), out.ravel())
+        return out
 
 
 def _forward_matrix(params: ModelParams, X) -> tuple[np.ndarray, np.ndarray | None]:
-    """Probabilities for a (N, dim) CSR matrix or array, the same bits for
-    either; returns hidden activations too."""
-    if X.shape[1] != params.weights[0].shape[0]:
-        raise ValueError(
-            f"feature dim {X.shape[1]} does not match model input "
-            f"dim {params.weights[0].shape[0]}"
-        )
-    first = (_ordered_tdot(X.T, params.weights[0]) if isinstance(X, np.ndarray)
-             else np.asarray(X @ params.weights[0]))
+    """Softmax probabilities for a (N, dim) CSR matrix, array or _CSR, and
+    the hidden activations (None for a linear model)."""
+    logits, hidden = _CSR.of(X).dot(params.weights[0]) + params.biases[0], None
     if params.hidden_size > 0:
-        hidden = np.tanh(first + params.biases[0])
+        hidden = np.tanh(logits)
         logits = hidden @ params.weights[1] + params.biases[1]
-        return _softmax(logits), hidden
-    return _softmax(first + params.biases[0]), None
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True), hidden
 
 
 def loss_and_grad(
@@ -169,38 +189,32 @@ def loss_and_grad(
 ) -> tuple[float, tuple[list[np.ndarray], list[np.ndarray]]]:
     """Mean cross-entropy over the batch and its analytic gradients.
 
-    With ``weight_decay`` > 0 an L2 penalty (weights only) is added to both
-    the loss and the gradients; the trainer instead applies decay decoupled
-    in its update step and calls this with 0.
+    ``X`` is a CSR matrix, an array (converted once to CSR) or a _CSR. With
+    ``weight_decay`` > 0 an L2 penalty (weights only) is added to both the
+    loss and the gradients; the trainer instead applies decay decoupled in
+    its update step and calls this with 0.
     """
-    n = X.shape[0]
+    X = _CSR.of(X)
+    n = len(X.indptr) - 1
     if n == 0:
         raise ValueError("empty batch")
-    probs, hidden = _forward_matrix(params, X)
-    gold = probs[np.arange(n), y]
-    loss = float(-np.mean(np.log(np.clip(gold, 1e-300, None))))
-
-    dlogits = probs.copy()
-    dlogits[np.arange(n), y] -= 1.0
+    dlogits, hidden = _forward_matrix(params, X)  # probabilities, turned into the gradient
+    at_gold = (np.arange(n), y)
+    gold = dlogits[at_gold]
+    loss = float(-(np.add.reduce(np.log(np.maximum(gold, 1e-300))) / n))
+    dlogits[at_gold] = gold - 1.0
     dlogits /= n
 
-    def input_grad(D: np.ndarray) -> np.ndarray:
-        return _ordered_tdot(X, D) if isinstance(X, np.ndarray) else np.asarray(X.T @ D)
-
     if params.hidden_size > 0:
-        g_w2 = hidden.T @ dlogits
-        g_b2 = dlogits.sum(axis=0)
         dh = (dlogits @ params.weights[1].T) * (1.0 - hidden * hidden)
-        g_w1 = input_grad(dh)
-        g_b1 = dh.sum(axis=0)
-        wgrads, bgrads = [g_w1, g_w2], [g_b1, g_b2]
+        wgrads = [X.tdot(dh), hidden.T @ dlogits]
+        bgrads = [np.add.reduce(dh, axis=0), np.add.reduce(dlogits, axis=0)]
     else:
-        wgrads = [input_grad(dlogits)]
-        bgrads = [dlogits.sum(axis=0)]
+        wgrads, bgrads = [X.tdot(dlogits)], [np.add.reduce(dlogits, axis=0)]
 
     if weight_decay > 0.0:
         for i, w in enumerate(params.weights):
-            loss += 0.5 * weight_decay * float(np.sum(w * w))
+            loss += 0.5 * weight_decay * float(np.add.reduce(w * w, axis=None))
             wgrads[i] = wgrads[i] + weight_decay * w
     return loss, (wgrads, bgrads)
 
@@ -222,7 +236,7 @@ def clip_gradients(
     for i, g in enumerate(wgrads + bgrads):
         sq = g * g
         total += (square_sum(sq.reshape(-1)) if i == 0 and square_sum is not None
-                  else float(np.sum(sq)))
+                  else float(np.add.reduce(sq, axis=None)))
     norm = math.sqrt(total)
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
@@ -397,8 +411,7 @@ class _ActiveRows:
         self.full = full
         self.rows = rows
         cols = np.unique(X.indices, return_inverse=True)[1].astype(X.indices.dtype)
-        self.X = sparse.csr_matrix((X.data, cols, X.indptr),
-                                   shape=(X.shape[0], len(rows)))
+        self.X = _CSR(X.indptr, cols, X.data, len(rows))
         self.params = ModelParams(weights=[full.weights[0][rows], *full.weights[1:]],
                                   biases=full.biases, hidden_size=full.hidden_size)
         W = full.weights[0]
@@ -454,21 +467,8 @@ def train(
     used = np.sort(X.indices)
     used = used[np.diff(used, prepend=-1) != 0]
     active = _ActiveRows(X, params, used) if 4 * len(used) <= X.shape[1] else None
-    step_params, step_X, square_sum = ((params, X, None) if active is None
+    step_params, step_X, square_sum = ((params, _CSR.of(X), None) if active is None
                                        else (active.params, active.X, active.square_sum))
-    # A 32-row scipy gather costs about 100 us, an array one about 5 us. So a
-    # matrix at least half non-zero is copied dense once (no larger than its
-    # CSR data and int64 indices) and batches are gathered from the copy;
-    # loss_and_grad sums their products in CSR order, for the same bits. That
-    # needs CSR entries in column order with no duplicates (canonical format).
-    # Those ordered sums cost about 6 ns a term against scipy's 1 ns, so the
-    # copy pays only for small products: on a 2-core x86-64 host the dense
-    # step won up to 9,216 terms (batch x columns x outputs), tied at 12,288
-    # and lost from 16,384. Probes keep the CSR products, faster on a split.
-    terms = config.batch_size * X.shape[1] * params.weights[0].shape[1]
-    dense = (2 * X.nnz >= X.shape[0] * X.shape[1] and terms <= 8192
-             and X.has_canonical_format)
-    batch_X = X.toarray() if dense else step_X
     vel_w = [np.zeros_like(w) for w in step_params.weights]
     vel_b = [np.zeros_like(b) for b in step_params.biases]
     decay = 1.0 - config.learning_rate * config.weight_decay
@@ -499,22 +499,22 @@ def train(
                 raise RuntimeError(
                     f"sampler exhausted mid-epoch at step {step} (contract violation)"
                 )
-            loss, (wgrads, bgrads) = loss_and_grad(step_params, batch_X[rows], y[rows])
+            loss, (wgrads, bgrads) = loss_and_grad(step_params, step_X.take(rows), y[rows])
             if not math.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite training loss {loss} at step {step + 1}"
                 )
             clip_gradients(wgrads, bgrads, config.grad_clip, square_sum)
-            for i in range(len(step_params.weights)):
-                vel_w[i] = momentum * vel_w[i] + wgrads[i]
-                step_params.weights[i] -= config.learning_rate * vel_w[i]
-                if config.weight_decay > 0.0:
-                    step_params.weights[i] *= decay
-            if active is not None and config.weight_decay > 0.0:
-                active.owed += 1
-            for i in range(len(step_params.biases)):
-                vel_b[i] = momentum * vel_b[i] + bgrads[i]
-                step_params.biases[i] -= config.learning_rate * vel_b[i]
+            for v, g in zip(vel_w + vel_b, wgrads + bgrads):
+                v *= momentum
+                v += g
+            for p, v in zip(step_params.weights + step_params.biases, vel_w + vel_b):
+                p -= config.learning_rate * v
+            if config.weight_decay > 0.0:
+                for w in step_params.weights:
+                    w *= decay
+                if active is not None:
+                    active.owed += 1
             step += 1
             records.append((step, "train", "loss", loss))
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -23,6 +24,7 @@ from currikit.dynamics import read_td_stats, write_td_stats
 from currikit.trainer import TrainConfig
 
 MISSING = object()  # a field deleted from a record rather than given a value
+SNAPSHOT = {"config.json", "inputs.json"}  # written before a command reads its inputs
 
 BASE_CONFIG = {
     "synth": {
@@ -792,7 +794,7 @@ class TestCliEntryPoint:
         }[command]
         assert main(argv) == 1
         assert f"{path}:8: {message}" in capsys.readouterr().err
-        assert {p.name for p in out.rglob("*")} <= {"config.json"}
+        assert {p.name for p in out.rglob("*")} <= SNAPSHOT
 
     @pytest.mark.parametrize("kind", ["scores-header", "cross-review-header",
                                       "summary", "summary-best_steps",
@@ -865,7 +867,7 @@ class TestCliEntryPoint:
         assert main(["teacher", "--config", str(cfg), "--out", str(out)]) == 1
         assert (f"{validation}:5: feature index 4 is not below the feature dimension 4"
                 in capsys.readouterr().err)
-        assert {p.name for p in out.rglob("*")} <= {"config.json"}
+        assert {p.name for p in out.rglob("*")} <= SNAPSHOT
 
     @pytest.mark.parametrize("label_map, message", [
         ({"c0": 0, "c1": 5}, "label indices must be 0..1, each used once; got [0, 5]"),
@@ -881,7 +883,7 @@ class TestCliEntryPoint:
         out = tmp_path / "o"
         assert main(["teacher", "--config", str(cfg), "--out", str(out)]) == 1
         assert f"{path}: {message}" in capsys.readouterr().err
-        assert {p.name for p in out.rglob("*")} <= {"config.json"}
+        assert {p.name for p in out.rglob("*")} <= SNAPSHOT
 
     @pytest.mark.parametrize("line, message", [
         ('{"id": "r4", "text_a": "t", "label": "c0", "features": {"-3": 1.0}}',
@@ -916,7 +918,7 @@ class TestCliEntryPoint:
         out = tmp_path / "o"
         assert main(["teacher", "--config", str(cfg), "--out", str(out)]) == 1
         assert f"{tmp_path / 'train.jsonl'}:5: {message}" in capsys.readouterr().err
-        assert {p.name for p in out.rglob("*")} <= {"config.json"}
+        assert {p.name for p in out.rglob("*")} <= SNAPSHOT
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_exits_2_with_step(self, tmp_path, capsys):
@@ -1057,6 +1059,68 @@ def data_config(tmp_path_factory, config_path):
     return path
 
 
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestInputDigests:
+    """inputs.json holds the sha256 of every file the config names; a later
+    command on the same --out with a changed file exits 1 before writing."""
+
+    @staticmethod
+    def text_config(tmp_path):
+        lines = [json.dumps({"id": f"r{i}", "text_a": " ".join(f"w{j}" for j in range(i % 6 + 1)),
+                             "label": f"c{i % 2}"}) for i in range(40)]
+        return write_data_config(tmp_path, lines, lines[:10])
+
+    def test_changed_train_file_is_not_resumed(self, tmp_path, capsys):
+        """A length teacher, then longer train texts: the length student must
+        not train on the old scores."""
+        out = tmp_path / "o"
+        argv = ["--config", str(self.text_config(tmp_path)), "--out", str(out)]
+        assert main(["teacher", *argv, "--metric", "length"]) == 0
+        train = tmp_path / "train.jsonl"
+        then = sha256(train)
+        records = [json.loads(line) for line in train.read_text().splitlines()]
+        train.write_text("".join(json.dumps({**rec, "text_a": rec["text_a"] + " more words"})
+                                 + "\n" for rec in records))
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert main(["student", *argv, "--scheduler", "length"]) == 1
+        assert (f"data.train: {train} changed since {out / 'inputs.json'} was written: "
+                f"sha256 {then} then, {sha256(train)} now") in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    def test_same_files_resume(self, tmp_path):
+        out = tmp_path / "o"
+        argv = ["--config", str(self.text_config(tmp_path)), "--out", str(out)]
+        assert main(["teacher", *argv, "--metric", "length"]) == 0
+        inputs = (out / "inputs.json").read_bytes()
+        assert json.loads(inputs) == {"data.train": sha256(tmp_path / "train.jsonl"),
+                                      "data.validation": sha256(tmp_path / "validation.jsonl")}
+        assert main(["student", *argv, "--scheduler", "length"]) == 0
+        assert (out / "inputs.json").read_bytes() == inputs
+
+    def test_synthetic_config_writes_no_digests(self, run_dir):
+        assert (run_dir / "config.json").exists()
+        assert not (run_dir / "inputs.json").exists()
+
+    def test_baseline_summary_recorded_when_it_appears(self, tmp_path):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        baseline = tmp_path / "baseline"
+        config["curriculum"] = {"baseline_dir": str(baseline)}
+        out = tmp_path / "o"
+        cmd_teacher(config, out, metric="dynamics")
+        inputs = out / "inputs.json"
+        assert json.loads(inputs.read_text()) == {"curriculum.baseline_dir": "missing"}
+        build_student_dir(baseline, 0.5)
+        cmd_student(config, out, "conf_comp")
+        then = sha256(baseline / "summary.json")
+        assert json.loads(inputs.read_text()) == {"curriculum.baseline_dir": then}
+        (baseline / "summary.json").unlink()
+        with pytest.raises(ValidationError, match=f"sha256 {then} then, missing now"):
+            cmd_student(config, out, "conf_comp")
+
+
 ALL_SPLITS = ["test_id", "test_ood", "train", "validation"]
 
 
@@ -1118,4 +1182,4 @@ class TestSplitsLoaded:
         assert main(["student", "--config", str(cfg), "--out", str(out),
                      "--scheduler", "random"]) == 1
         assert f"{bad}:3: invalid JSON" in capsys.readouterr().err
-        assert {p.name for p in out.rglob("*")} <= {"config.json"}
+        assert {p.name for p in out.rglob("*")} <= SNAPSHOT

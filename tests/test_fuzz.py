@@ -95,7 +95,7 @@ def rewrite(path: Path, index: int, edit) -> None:
 
 def expect_named_failure(work: Path, name: Path | str, argv: list[str]) -> None:
     """Exit 1 naming ``name`` (a path, or a config field); no traceback and
-    no new file but ``config.json``."""
+    no new file but the snapshot, ``config.json`` and ``inputs.json``."""
     before = {p for p in work.rglob("*") if p.is_file()}
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -104,7 +104,7 @@ def expect_named_failure(work: Path, name: Path | str, argv: list[str]) -> None:
     assert str(name) in err.getvalue(), err.getvalue()
     assert "Traceback" not in err.getvalue()
     after = {p for p in work.rglob("*") if p.is_file()}
-    assert {p.name for p in after - before} <= {"config.json"}
+    assert {p.name for p in after - before} <= {"config.json", "inputs.json"}
 
 
 def copy(src: Path, dst: Path) -> Path:

@@ -14,11 +14,11 @@ from currikit.curricula import RandomSampler
 from currikit.trainer import (
     ModelParams,
     TrainConfig,
+    _CSR,
     _BufferSum,
     _PairwiseSum,
     _eval_offsets,
     _forward_matrix,
-    _ordered_tdot,
     evaluate,
     init_params,
     loss_and_grad,
@@ -113,35 +113,80 @@ def test_train_config_rejects_non_finite(field, value):
         TrainConfig(**{field: value})
 
 
+def stored_matrix(rng, n, d, index_dtype=np.int32, empty_rows=()):
+    """An (n, d) CSR matrix whose stored entries include explicit 0.0 and
+    -0.0, with ``index_dtype`` indices and nothing stored in ``empty_rows``."""
+    X = rng.normal(size=(n, d))
+    stored = rng.random((n, d)) < 0.7
+    stored[list(empty_rows)] = False
+    X[stored & (rng.random((n, d)) < 0.15)] = 0.0   # explicit zeros
+    X[stored & (rng.random((n, d)) < 0.1)] = -0.0   # explicit negative zeros
+    X[~stored] = 0.0
+    rows, cols = np.nonzero(stored)
+    S = sparse.csr_matrix((X[rows, cols], (rows, cols)), shape=(n, d))
+    assert S.has_canonical_format and S.nnz == stored.sum()
+    # scipy's constructors pick int32 for small matrices; set the dtype.
+    S.indices, S.indptr = S.indices.astype(index_dtype), S.indptr.astype(index_dtype)
+    return S
+
+
 class TestOrderedProducts:
-    """The dense products sum in the order of scipy's CSR and CSC loops, so
-    they equal the CSR products byte for byte."""
+    """The _CSR products call scipy's compiled CSR and CSC loops as ``@``
+    does, so they equal the public products byte for byte."""
 
     SIZES = (1, 2, 9, 33)
+
+    @staticmethod
+    def assert_products(X, S, W, D):
+        for got, want in ((X.dot(W), S @ W), (X.tdot(D), S.T @ D)):
+            want = np.asarray(want)
+            assert got.flags.c_contiguous and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k", SIZES)
     @pytest.mark.parametrize("d", SIZES)
     @pytest.mark.parametrize("n", SIZES)
     def test_equals_csr_products(self, n, d, k):
         rng = np.random.default_rng(n * 10_000 + d * 100 + k)
-        X = rng.normal(size=(n, d))
-        stored = rng.random((n, d)) < 0.7
-        X[stored & (rng.random((n, d)) < 0.15)] = 0.0   # explicit zeros
-        X[stored & (rng.random((n, d)) < 0.1)] = -0.0   # explicit negative zeros
-        X[~stored] = 0.0
-        rows, cols = np.nonzero(stored)
-        S = sparse.csr_matrix((X[rows, cols], (rows, cols)), shape=(n, d))
-        assert S.has_canonical_format and S.nnz == stored.sum()
+        S = stored_matrix(rng, n, d)
         W, D = rng.normal(size=(d, k)), rng.normal(size=(n, k))
         # Zero factors make -0.0 products, some of them first terms.
         W[rng.random((d, k)) < 0.2] = 0.0
         D[rng.random((n, k)) < 0.2] = 0.0
         if k > 1:
             W[:, -1] = D[:, -1] = 0.0
-        for got, want in ((_ordered_tdot(X.T, W), S @ W), (_ordered_tdot(X, D), S.T @ D)):
-            want = np.asarray(want)
-            assert got.flags.c_contiguous and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+        self.assert_products(_CSR.of(S), S, W, D)
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_gathered_batches(self, index_dtype, k):
+        """Batches as the trainer gathers them: empty rows, a repeated row,
+        the matrix's index dtype, and one-column outputs (where ``@`` takes
+        scipy's single-vector loops)."""
+        rng = np.random.default_rng(k)
+        S = stored_matrix(rng, 12, 9, index_dtype, empty_rows=(3, 4))
+        rows = np.array([4, 0, 7, 7, 3, 11, 0])
+        batch = _CSR.of(S).take(rows)
+        assert batch.indptr.dtype == batch.indices.dtype == index_dtype
+        self.assert_products(batch, S[rows], rng.normal(size=(9, k)), rng.normal(size=(7, k)))
+
+
+class TestGather:
+    """``_CSR.take`` gathers the buffers of ``S[rows]``."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(n=st.integers(1, 40), d=st.integers(1, 20), seed=st.integers(0, 2 ** 16),
+           batch=st.integers(0, 50), index_dtype=st.sampled_from([np.int32, np.int64]))
+    def test_equals_scipy_row_index(self, n, d, seed, batch, index_dtype):
+        rng = np.random.default_rng(seed)
+        S = stored_matrix(rng, n, d, index_dtype)
+        rows = rng.integers(0, n, batch)
+        got, want = _CSR.of(S).take(rows), S[rows]
+        assert got.n_cols == d
+        assert got.indptr.dtype == got.indices.dtype == index_dtype
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
 
 
 def squares(n, low, high, seed):
@@ -581,9 +626,9 @@ class TestMemory:
 
 
 class TestDenseBatches:
-    """When at least half the train matrix is non-zero, the trainer gathers
-    its batches from a dense copy; the result must equal the CSR-batch step
-    bit for bit."""
+    """A train matrix at least half non-zero (the synthetic pilot's form)
+    takes the same CSR step as any other; the result must equal the
+    full-width reference bit for bit."""
 
     DIM = 12
 
@@ -607,22 +652,17 @@ class TestDenseBatches:
     @pytest.mark.parametrize("hidden", [0, 4])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
     @pytest.mark.parametrize("with_validation", [True, False])
-    def test_matches_csr_batches(self, monkeypatch, hidden, weight_decay,
+    def test_matches_csr_batches(self, hidden, weight_decay,
                                  with_validation):
         train_c, val_c = self.corpora()
         X = train_c.feature_matrix()
         assert 2 * X.nnz >= X.shape[0] * X.shape[1] and 0.0 in X.data
         val_c = val_c if with_validation else None
-        batches = []
-        step = trainer_module.loss_and_grad
-        monkeypatch.setattr(trainer_module, "loss_and_grad",
-                            lambda params, X, *a: batches.append(type(X)) or step(params, X, *a))
         cfg = TrainConfig(epochs=3, batch_size=7, learning_rate=0.8,
                           weight_decay=weight_decay, grad_clip=1.0,
                           eval_per_epoch=3, seed=4)
         params, log, probes = train(train_c, val_c, cfg, random_sampler(train_c, 7, seed=2),
                                     hidden_size=hidden)
-        assert batches and set(batches) == {np.ndarray}
         ref, records, best_step, gold, correct, clipped = dense_reference(
             train_c, val_c, cfg, random_sampler(train_c, 7, seed=2), hidden)
         assert 0 < clipped < len([r for r in records if r[1] == "train"])
@@ -634,20 +674,21 @@ class TestDenseBatches:
         assert probes.gold_prob.tobytes() == gold.tobytes()
         assert np.array_equal(probes.correct, correct)
 
-    @pytest.mark.parametrize("dim, dense", [(256, True), (257, False)])
-    def test_large_products_keep_csr_batches(self, monkeypatch, dim, dense):
-        """batch 8 x dim columns x 4 classes: dense batches up to 8192 terms."""
+    @pytest.mark.parametrize("dim", [256, 257])
+    def test_large_products_match_reference(self, dim):
+        """batch 8 x dim columns x 4 classes, every column used."""
         rng = np.random.default_rng(3)
         train_c = make_corpus([(dict(enumerate(rng.normal(size=dim).tolist())), i % 4)
                                for i in range(24)], 4, dim)
-        batches = []
-        step = trainer_module.loss_and_grad
-        monkeypatch.setattr(trainer_module, "loss_and_grad",
-                            lambda params, X, *a: batches.append(type(X)) or step(params, X, *a))
-        train(train_c, None, TrainConfig(epochs=1, batch_size=8, seed=1),
-              random_sampler(train_c, 8, seed=1), collect_probes=False)
-        assert len(batches) == 3
-        assert set(batches) == {np.ndarray if dense else sparse.csr_matrix}
+        cfg = TrainConfig(epochs=1, batch_size=8, seed=1)
+        params, log, _ = train(train_c, None, cfg, random_sampler(train_c, 8, seed=1),
+                               collect_probes=False)
+        ref, records = dense_reference(train_c, None, cfg, random_sampler(train_c, 8, seed=1),
+                                       0)[:2]
+        assert len(records) == 3 and log.records == records
+        for got, want in zip(params.weights + params.biases, ref.weights + ref.biases,
+                             strict=True):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestIO:
