@@ -143,6 +143,12 @@ def validate_config(config: dict) -> None:
     _check_items(seeds, int, "seeds", "config")
     if not seeds or len(set(seeds)) != len(seeds):
         raise ValidationError("seeds must be a nonempty list of distinct integers")
+    named_seeds = [("config", f"seeds[{i}]", seed) for i, seed in enumerate(seeds)] + [
+        (section, name, _value(config, section, name)) for section, name in
+        (("config", "teacher_seed"), ("synth", "seed"), ("cross_review", "seed"))]
+    for section, name, seed in named_seeds:  # numpy takes no negative seed
+        if seed is not None and seed < 0:
+            raise ValidationError(f"{section}: field '{name}' must be >= 0, got {seed}")
     if ("data" in config) == ("synth" in config):
         raise ValidationError("config needs exactly one of 'data' or 'synth'")
     if "data" in config:

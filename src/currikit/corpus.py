@@ -16,6 +16,7 @@ import numpy as np
 from scipy import sparse
 
 from .artifacts import check, read_json, write_json, write_jsonl
+from .curricula import cumulative, weighted_draw
 
 DEFAULT_HASH_DIM = 2 ** 18
 
@@ -369,16 +370,9 @@ def load_label_map(path: str | Path) -> dict[str, int]:
 # --- synthetic data -------------------------------------------------------
 
 _SYNTH_VOCAB = 120
-
-
-def _synth_text(rng: np.random.Generator, label: int) -> str:
-    # Zipf-ish word draw, rolled per class so classes differ in word usage.
-    length = int(rng.integers(4, 16))
-    ranks = np.arange(1, _SYNTH_VOCAB + 1, dtype=np.float64)
-    weights = 1.0 / ranks
-    weights /= weights.sum()
-    word_ids = (rng.choice(_SYNTH_VOCAB, size=length, p=weights) + 7 * label) % _SYNTH_VOCAB
-    return " ".join(f"w{int(w):03d}" for w in word_ids)
+_SYNTH_WORDS = np.array([f"w{w:03d}" for w in range(_SYNTH_VOCAB)], dtype=object)
+_ZIPF = 1.0 / np.arange(1, _SYNTH_VOCAB + 1)  # word weight 1/rank
+_SYNTH_CDF = cumulative(_ZIPF / _ZIPF.sum())
 
 
 def generate_synthetic(spec: SynthSpec) -> tuple[Corpus, Corpus, Corpus, Corpus]:
@@ -402,22 +396,27 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Corpus, Corpus, Corpus, Corpus]
     label_names = [f"c{i}" for i in range(C)]
 
     def draw_split(prefix, n, centers):
-        """Ids, labels, unit-norm feature rows and texts of n examples."""
+        """Ids, labels, unit-norm feature rows and word lists of n examples."""
         rows = np.zeros((n, dim))
-        texts = []
+        words = []
         for i in range(n):
             label = i % C
             point = centers[label] + rng.normal(size=dim)
-            texts.append(_synth_text(rng, label))
+            # Zipf-ish words, rolled per class so classes differ in word usage.
+            picks = weighted_draw(rng, _SYNTH_CDF, int(rng.integers(4, 16))) + 7 * label
+            words.append(_SYNTH_WORDS[picks % _SYNTH_VOCAB].tolist())
             norm = np.linalg.norm(point)
             if norm:
                 rows[i] = point / norm
         ids = [f"{prefix}-{i:06d}" for i in range(n)]
-        return ids, np.arange(n) % C, rows, texts
+        return ids, np.arange(n) % C, rows, words
 
-    def build(split_name, ids, labels, rows, texts):
-        return Corpus(ids, labels, sparse.csr_matrix(rows), [(t, None) for t in texts],
-                      [(tokenize(t), []) for t in texts], C, split_name, list(label_names))
+    def build(split_name, ids, labels, rows, words):
+        # Every word is one lowercase \w+ token, so the words are the
+        # tokenization of their join.
+        return Corpus(ids, labels, sparse.csr_matrix(rows),
+                      [(" ".join(w), None) for w in words], [(w, []) for w in words],
+                      C, split_name, list(label_names))
 
     train = draw_split("train", spec.train_size, means)
     val = draw_split("val", spec.val_size, means)

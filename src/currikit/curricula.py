@@ -56,6 +56,22 @@ def linear_competence(t: float, c0: float, duration: float) -> float:
 _COMPETENCE_FORMS = {"sqrt": competence, "linear": linear_competence}
 
 
+def cumulative(p: np.ndarray) -> np.ndarray:
+    """The normalized running sum of the probabilities ``p``, built as
+    ``Generator.choice`` builds it."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def weighted_draw(rng: np.random.Generator, cdf: np.ndarray, size: int) -> np.ndarray:
+    """``size`` indices drawn with replacement from ``cdf = cumulative(p)``:
+    the draw ``rng.choice(len(p), size, replace=True, p=p)`` makes, index for
+    index and leaving the same stream, without the checks ``choice`` runs on
+    ``p`` at every call (the caller's to run once)."""
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
 def _weighted_order(rng: np.random.Generator, rows: np.ndarray,
                     weights: np.ndarray) -> np.ndarray:
     # Weighted shuffle (Efraimidis-Spirakis): sorting by log(u)/w descending
@@ -293,8 +309,14 @@ class CompetenceSampler:
         self.rng = np.random.default_rng(seed)
         self._n = len(plan.ordering)
         self._pacing = _COMPETENCE_FORMS[plan.form]
-        self._weights = (plan.weights[plan.ordering] + VARIABILITY_EPS
-                         if plan.variability_weighted else None)
+        self._weights = None
+        if plan.variability_weighted:
+            self._weights = plan.weights[plan.ordering] + VARIABILITY_EPS
+            with np.errstate(over="ignore"):  # a sum past the float range is inf
+                total = self._weights.sum()
+            if not (np.all(self._weights > 0) and np.isfinite(total)):
+                raise ValueError("variability weights must be finite and > 0")
+        self._cdf = np.empty(0)  # over the rows admitted when it was built
         self._post: _EpochShuffler | None = None
 
     @property
@@ -315,8 +337,9 @@ class CompetenceSampler:
             return self._post.next_batch()
         m = self.available_count(step)
         if self._weights is not None:
-            p = self._weights[:m] / self._weights[:m].sum()
-            picks = self.rng.choice(m, size=self.batch_size, replace=True, p=p)
+            if len(self._cdf) != m:
+                self._cdf = cumulative(self._weights[:m] / self._weights[:m].sum())
+            picks = weighted_draw(self.rng, self._cdf, self.batch_size)
         else:
             picks = self.rng.integers(0, m, size=self.batch_size)
         return self.plan.ordering[picks]

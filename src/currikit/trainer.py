@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
-from .artifacts import read_jsonl, write_columns, write_jsonl
+from .artifacts import read_jsonl, write_columns
 from .corpus import Corpus
 
 
@@ -561,12 +561,11 @@ _PROBE_SCHEMA = {"epoch": int, "example_id": str, "gold_prob": float, "correct":
 def write_runlog(log: RunLog, path: str | Path) -> None:
     """JSONL of {step, split, metric, value} records; a final marker record
     carries the best checkpoint (metric "best_accuracy")."""
-    write_jsonl(path, [
-        *({"step": step, "split": split, "metric": metric, "value": value}
-          for step, split, metric, value in log.records),
-        {"step": log.best_step, "split": "validation",
-         "metric": _BEST_MARKER, "value": log.best_val_metric},
-    ])
+    steps, splits, metrics, values = zip(
+        *log.records, (log.best_step, "validation", _BEST_MARKER, log.best_val_metric))
+    write_columns(path, {"step": np.array(steps, dtype=np.int64), "split": list(splits),
+                         "metric": list(metrics),
+                         "value": np.array(values, dtype=np.float64)})
 
 
 def read_runlog(path: str | Path) -> RunLog:

@@ -624,11 +624,17 @@ class TestCliEntryPoint:
          "data: field 'test_id' must be a nonempty path"),
         ({"curriculum": {"baseline_dir": ""}},
          "curriculum: field 'baseline_dir' must be a nonempty path"),
+        ({"seeds": [1, -1]}, "config: field 'seeds[1]' must be >= 0, got -1"),
+        ({"teacher_seed": -3}, "config: field 'teacher_seed' must be >= 0, got -3"),
+        ({"synth": {**BASE_CONFIG["synth"], "seed": -1}},
+         "synth: field 'seed' must be >= 0, got -1"),
+        ({"cross_review": {"seed": -2}}, "cross_review: field 'seed' must be >= 0, got -2"),
     ], ids=["model-array", "curriculum-number", "cross_review-string",
             "teacher_seed-float", "seeds-bool", "hash_dim-3", "hash_dim-0",
             "hash_dim-float", "hash_dim-2^63", "learning_rate-nan", "add_k-inf",
             "train-seed", "duration-0", "synth-unknown", "test_id-empty",
-            "baseline_dir-empty"])
+            "baseline_dir-empty", "seeds-negative", "teacher_seed-negative",
+            "synth.seed-negative", "cross_review.seed-negative"])
     def test_bad_value_rejected_before_any_artifact(self, tmp_path, capsys, update,
                                                     message):
         bad = json.loads(json.dumps(BASE_CONFIG))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from currikit.corpus import (
     NOISY_SUFFIX,
@@ -25,6 +26,53 @@ from currikit.corpus import (
 # test_hashed_matrix_golden's digest, computed when each record was featurized
 # on its own.
 GOLDEN_SHA256 = "461d3ef3d57d5dd06c5f11b9d4f9f7b97a3a2acaad3e582fee5e58b7da11ab11"
+
+
+def reference_generate_synthetic(spec):
+    """``generate_synthetic`` as first written, one ``Generator.choice`` and
+    one ``tokenize`` per text: (ids, labels, matrix, texts, tokens,
+    label_names) per split."""
+    rng = np.random.default_rng(spec.seed)
+    C, dim = spec.num_classes, spec.feature_dim
+    dirs = rng.normal(size=(C, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    means = spec.class_separation * dirs
+    ood_dirs = rng.normal(size=(C, dim))
+    ood_dirs /= np.linalg.norm(ood_dirs, axis=1, keepdims=True)
+    ood_means = means + spec.ood_shift * ood_dirs
+
+    def text(label):
+        length = int(rng.integers(4, 16))
+        weights = 1.0 / np.arange(1, 121, dtype=np.float64)
+        weights /= weights.sum()
+        word_ids = (rng.choice(120, size=length, p=weights) + 7 * label) % 120
+        return " ".join(f"w{int(w):03d}" for w in word_ids)
+
+    def draw_split(prefix, n, centers):
+        rows, texts = np.zeros((n, dim)), []
+        for i in range(n):
+            point = centers[i % C] + rng.normal(size=dim)
+            texts.append(text(i % C))
+            norm = np.linalg.norm(point)
+            if norm:
+                rows[i] = point / norm
+        return [f"{prefix}-{i:06d}" for i in range(n)], np.arange(n) % C, rows, texts
+
+    splits = [draw_split("train", spec.train_size, means),
+              draw_split("val", spec.val_size, means),
+              draw_split("testid", spec.test_size, means),
+              draw_split("testood", spec.test_size, ood_means)]
+    num_noisy = int(math.floor(spec.label_noise_fraction * spec.train_size))
+    if num_noisy > 0:
+        ids, labels = splits[0][:2]
+        for i in sorted(int(j) for j in rng.choice(spec.train_size, size=num_noisy,
+                                                   replace=False)):
+            wrong = [c for c in range(C) if c != labels[i]]
+            labels[i] = wrong[int(rng.integers(len(wrong)))]
+            ids[i] += NOISY_SUFFIX
+    return [(ids, labels, sparse.csr_matrix(rows), [(t, None) for t in texts],
+             [(tokenize(t), []) for t in texts], [f"c{i}" for i in range(C)])
+            for ids, labels, rows, texts in splits]
 
 
 def csr_equal(a, b):
@@ -317,6 +365,28 @@ class TestSynthetic:
     def test_non_finite_number_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             self.spec(**{field: value})
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(num_classes=st.integers(2, 6), train_size=st.integers(1, 60),
+           val_size=st.integers(1, 20), test_size=st.integers(1, 20),
+           feature_dim=st.integers(1, 40),
+           class_separation=st.floats(0.1, 5.0),
+           label_noise_fraction=st.floats(0.0, 0.49),
+           ood_shift=st.sampled_from([0.0, 1.0, 2.5]), seed=st.integers(0, 2 ** 32))
+    def test_same_bytes_as_reference(self, **fields):
+        spec = SynthSpec(**fields)
+        for corpus, (ids, labels, matrix, texts, tokens, label_names) in zip(
+                generate_synthetic(spec), reference_generate_synthetic(spec)):
+            assert corpus.ids() == ids
+            assert corpus.labels().tobytes() == labels.astype(np.int64).tobytes()
+            assert corpus.texts == texts
+            assert corpus.tokens == tokens
+            assert corpus.label_names == label_names
+            X = corpus.feature_matrix()
+            for name in ("data", "indices", "indptr"):
+                got, want = getattr(X, name), getattr(matrix, name)
+                assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
+            assert X.shape == matrix.shape
 
     def test_feature_dim_invariant(self):
         train, *_ = generate_synthetic(self.spec())

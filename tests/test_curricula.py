@@ -5,6 +5,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from currikit.curricula import (
+    VARIABILITY_EPS,
     AnnealingSampler,
     CompetenceSampler,
     RandomSampler,
@@ -12,8 +13,10 @@ from currikit.curricula import (
     build_annealing_plan,
     build_competence_plan,
     competence,
+    cumulative,
     linear_competence,
     plan_summary,
+    weighted_draw,
 )
 from currikit.difficulty import DifficultyScores
 
@@ -198,6 +201,64 @@ class TestAnnealingSampler:
 def confidence_scores(n):
     return scores_of("confidence", {f"e{i:04d}": 1.0 - i / n for i in range(n)},
                      higher_is_easier=True)
+
+
+class TestWeightedDraw:
+    @pytest.mark.parametrize("weights", [
+        [1.0, 0.0, 2.0, 0.0, 0.5], [0.0, 0.0, 3.0], [0.25], [0.0, 1.0, 0.0],
+        list(1.0 / np.arange(1, 121)), list(np.random.default_rng(3).random(2000)),
+    ], ids=["zeros", "leading-zeros", "one", "one-nonzero", "zipf-120", "random-2000"])
+    @pytest.mark.parametrize("size", [0, 1, 32, 1000])
+    def test_equals_generator_choice(self, weights, size):
+        p = np.array(weights) / np.sum(weights)
+        ours, theirs = np.random.default_rng(17), np.random.default_rng(17)
+        drawn = weighted_draw(ours, cumulative(p), size)
+        chosen = theirs.choice(len(p), size=size, replace=True, p=p)
+        assert (drawn.dtype, drawn.tobytes()) == (chosen.dtype, chosen.tobytes())
+        assert ours.random(4).tobytes() == theirs.random(4).tobytes()
+
+    def test_uniforms_on_cdf_steps_pick_what_choice_picks(self):
+        # A uniform equal to a CDF entry (0.0 below a leading zero weight,
+        # or exactly a partial sum) must land where choice puts it.
+        class Fixed(np.random.Generator):
+            def random(self, size=None, dtype=np.float64, out=None):
+                return np.array([0.0, 0.25, 0.5, 0.75, 0.125])[:size]
+
+        p = np.array([0.0, 0.25, 0.0, 0.25, 0.5])
+        cdf = cumulative(p)
+        assert set(cdf[:4]) <= {0.0, 0.25, 0.5}
+        drawn = weighted_draw(Fixed(np.random.PCG64(0)), cdf, 5)
+        chosen = Fixed(np.random.PCG64(0)).choice(5, size=5, replace=True, p=p)
+        assert drawn.tolist() == chosen.tolist() == [1, 3, 4, 4, 1]
+
+    def test_sampler_draws_what_choice_drew(self):
+        # The competence sampler's weighted steps, against the per-step
+        # Generator.choice draw over the admitted prefix it replaced.
+        n, rng = 500, np.random.default_rng(8)
+        scores = confidence_scores(n)
+        scores.variability = rng.random(n) * 0.5
+        plan = build_competence_plan(scores, c0=0.01, duration=300,
+                                     variability_weighted=True)
+        sampler = CompetenceSampler(plan, batch_size=32, steps_per_epoch=16, seed=6)
+        reference = np.random.default_rng(6)
+        weights = plan.weights[plan.ordering] + VARIABILITY_EPS
+        for step in range(301):
+            m = sampler.available_count(step)
+            p = weights[:m] / weights[:m].sum()
+            expected = plan.ordering[reference.choice(m, size=32, replace=True, p=p)]
+            assert sampler.next_batch(step).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("variability", [
+        [0.1, math.nan, 0.2], [0.1, math.inf, 0.2], [0.1, -1.0, 0.2],
+        [0.1, -VARIABILITY_EPS, 0.2], [1e308, 0.1, 1e308],
+    ], ids=["nan", "inf", "negative", "zero-weight", "sum-overflows"])
+    def test_bad_weights_rejected_at_construction(self, variability):
+        scores = confidence_scores(3)
+        scores.variability = np.array(variability)
+        plan = build_competence_plan(scores, c0=0.5, duration=10,
+                                     variability_weighted=True)
+        with pytest.raises(ValueError, match="variability weights must be finite and > 0"):
+            CompetenceSampler(plan, batch_size=2, steps_per_epoch=2, seed=0)
 
 
 class TestCompetencePlan:

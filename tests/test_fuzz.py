@@ -5,8 +5,8 @@ gives it a value of another JSON type, runs the command that reads the file
 and expects exit 1 naming the file, no traceback, and no artifact beyond
 ``config.json``. A config example gives one field a value of another JSON
 type, NaN or an infinity and expects the field named instead; a config with
-an unknown field, top level or in a section, or an empty path field, must
-exit 1 naming it. The
+an unknown field, top level or in a section, an empty path field or a
+negative seed, must exit 1 naming it. The
 examples are drawn deterministically, so every run of the suite tries the
 same ones.
 """
@@ -259,4 +259,31 @@ def test_unknown_config_field(section, name):
         out = work / "o"
         expect_named_failure(work, f"{section}: unknown field '{name}'", [
             "teacher", "--config", str(path), "--out", str(out)])
+        assert not out.exists()
+
+
+# Every seed field; numpy takes no negative seed, so each must fail before
+# any command starts.
+SEED_FIELDS = [("config", "seeds"), ("config", "teacher_seed"), ("synth", "seed"),
+               ("cross_review", "seed")]
+
+
+@pytest.mark.parametrize("command", ["teacher", "student", "sweep", "synth"])
+@pytest.mark.parametrize("section, name", SEED_FIELDS,
+                         ids=[f"{section}.{name}" for section, name in SEED_FIELDS])
+@FUZZ
+@given(seed=st.integers(-2 ** 64, -1))
+def test_negative_seed(command, section, name, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        field = "seeds[1]" if name == "seeds" else name
+        value = [1, seed] if name == "seeds" else seed
+        path = write_config(work, section, name, value)
+        out = work / "o"
+        argv = {"teacher": ["teacher", "--metric", "cross-review"],
+                "student": ["student", "--scheduler", "random"],
+                "sweep": ["sweep", "--schedulers", "random,conf+var_comp"],
+                "synth": ["synth"]}[command]
+        expect_named_failure(work, f"{section}: field '{field}' must be >= 0, got {seed}",
+                             [*argv, "--config", str(path), "--out", str(out)])
         assert not out.exists()

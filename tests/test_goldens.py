@@ -1,6 +1,6 @@
 """Byte goldens for the scoring layer: plan summaries and served batches of
 the curriculum samplers, and the bytes of the scores, dynamics-stats,
-outcomes, probes and data-map writers, all built from fixed inputs.
+outcomes, probes, run-log and data-map writers, all built from fixed inputs.
 
 The inputs go through the same edges a student run uses (a dynamics-stats
 or scores file read back for a train id order) so that these digests pin
@@ -171,7 +171,22 @@ WRITER_GOLDENS = {
         "fc3e250988933a6c660eca7d92c6483dfd1df609307ca67674b964fe4a48bbcc",
     "probes":
         "1d9057ce4e4be9f62a28404ec0a9a718c47b001886f73fe03162282fd8767b40",
+    "runlog":
+        "e166a684ac39f33e2592420fe568653c175fda5c56132fb9619d87d90b227943",
 }
+
+
+def runlog() -> trainer.RunLog:
+    # Losses from 1e-6 to 1e17 (exact power-of-two scaling, so the bytes do
+    # not depend on a libm pow), an accuracy per third step, and the NaN
+    # marker of a training without a validation split.
+    losses = np.ldexp(np.random.default_rng(5).random(12), np.arange(-20, 64, 7))
+    records = []
+    for step, loss in enumerate(losses.tolist(), start=1):
+        records.append((step, "train", "loss", loss))
+        if step % 3 == 0:
+            records.append((step, "validation", "accuracy", step / 16))
+    return trainer.RunLog(records=records, best_step=12, best_val_metric=float("nan"))
 
 
 def test_writer_bytes_golden(tmp_path, cr_file):
@@ -187,9 +202,11 @@ def test_writer_bytes_golden(tmp_path, cr_file):
     cli._write_outcomes(tmp_path / "out" / "outcomes_test_id.jsonl", list(TRAIN_IDS),
                         probes().correct[-1])
     trainer.write_probes(probes(), tmp_path / "out" / "probes.jsonl")
+    trainer.write_runlog(runlog(), tmp_path / "out" / "runlog.jsonl")
     files = {"td_stats": "td_stats.jsonl", "scores_confidence": "scores_confidence.jsonl",
              "scores_cross_review": "scores_cross_review.jsonl",
              "datamap_csv": "datamap.csv", "datamap_svg": "datamap.svg",
-             "outcomes": "outcomes_test_id.jsonl", "probes": "probes.jsonl"}
+             "outcomes": "outcomes_test_id.jsonl", "probes": "probes.jsonl",
+             "runlog": "runlog.jsonl"}
     digests = {k: sha((tmp_path / "out" / f).read_bytes()) for k, f in files.items()}
     assert digests == WRITER_GOLDENS
