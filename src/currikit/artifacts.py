@@ -158,26 +158,30 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 
 def read_columns(path: str | Path, schema: dict[str, type], ids: list[str] | None = None,
-                 skip: int = 0) -> tuple[list[str], dict[str, np.ndarray]]:
+                 skip: int = 0, bounds: dict[str, tuple] | None = None
+                 ) -> tuple[list[str], dict[str, np.ndarray]]:
     """The ``example_id`` of each record after the first ``skip`` lines and
     one array per other ``schema`` field (float64, int64 or bool), entry i
     belonging to id i; exactly ``ids`` in that order when given, ignoring
-    other records. A repeated id, a non-finite number or a missing id raises
-    ValueError naming the file.
+    other records. A repeated id, a non-finite number, a number outside its
+    field's closed ``bounds`` (lo, hi) or a missing id raises ValueError
+    naming the file.
 
     Lines are decoded a chunk at a time and each field is checked as a whole
     column. A chunk with any other line (not one JSON object directly
     followed by its newline, a field of another type or an integer for a
-    number, a repeated id, a non-finite number) is read again line by line,
-    which raises the error of its first bad line, ``path:line`` named."""
+    number, a repeated id, a non-finite or out-of-bounds number) is read
+    again line by line, which raises the error of its first bad line,
+    ``path:line`` named."""
     fields = [name for name in schema if name != "example_id"]
+    bounds = bounds or {}
     row: dict[str, int] = {}
     values: list[list] = [[] for _ in fields]
     with Path(path).open("r", encoding="utf-8") as fh:
         lines, start = islice(fh, skip, None), skip + 1
         while chunk := list(islice(lines, _CHUNK)):
-            if not _add_chunk(chunk, schema, fields, row, values):
-                _add_lines(path, chunk, start, schema, fields, row, values)
+            if not _add_chunk(chunk, schema, bounds, fields, row, values):
+                _add_lines(path, chunk, start, schema, bounds, fields, row, values)
             start += len(chunk)
     if ids is None:
         ids, take = list(row), slice(None)
@@ -190,8 +194,8 @@ def read_columns(path: str | Path, schema: dict[str, type], ids: list[str] | Non
                  for name, column in zip(fields, values)}
 
 
-def _add_chunk(lines: list[str], schema: dict[str, type], fields: list[str],
-               row: dict[str, int], values: list[list]) -> bool:
+def _add_chunk(lines: list[str], schema: dict[str, type], bounds: dict[str, tuple],
+               fields: list[str], row: dict[str, int], values: list[list]) -> bool:
     """Append the records of ``lines`` to ``row`` and ``values`` and return
     True if every line is regular; otherwise change nothing, return False."""
     try:
@@ -214,6 +218,9 @@ def _add_chunk(lines: list[str], schema: dict[str, type], fields: list[str],
             return False
         if kind is float and not all(map(math.isfinite, column)):
             return False
+        if name in bounds and not (bounds[name][0] <= min(column)
+                                   and max(column) <= bounds[name][1]):
+            return False
         columns[name] = column
     eids = columns["example_id"]
     new = dict(zip(eids, range(len(row), len(row) + len(eids))))
@@ -226,7 +233,8 @@ def _add_chunk(lines: list[str], schema: dict[str, type], fields: list[str],
 
 
 def _add_lines(path, lines: list[str], start: int, schema: dict[str, type],
-               fields: list[str], row: dict[str, int], values: list[list]) -> None:
+               bounds: dict[str, tuple], fields: list[str], row: dict[str, int],
+               values: list[list]) -> None:
     """``_add_chunk`` one line at a time, raising at the first bad line."""
     for lineno, rec in enumerate(_records(path, lines, start, schema), start=start):
         eid = rec["example_id"]
@@ -238,4 +246,8 @@ def _add_lines(path, lines: list[str], start: int, schema: dict[str, type],
             if type(value) is float and not math.isfinite(value):
                 raise ValueError(f"{path}:{lineno}: non-finite {name} {value} "
                                  f"for example {eid!r}")
+            lo, hi = bounds.get(name, (-math.inf, math.inf))
+            if not lo <= value <= hi:
+                raise ValueError(f"{path}:{lineno}: {name} {value} for example "
+                                 f"{eid!r} is outside [{lo}, {hi}]")
             column.append(value)

@@ -9,13 +9,16 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain, count, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
-from .artifacts import check, read_json, write_json, write_jsonl
+from .artifacts import _CHUNK, _raw_decode, check, read_json, write_json, write_jsonl
 from .curricula import cumulative, weighted_draw
 
 DEFAULT_HASH_DIM = 2 ** 18
@@ -35,8 +38,13 @@ _SEGMENT_SALTS = (b"a:", b"b:")
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on whitespace/punctuation; punctuation marks
-    come out as standalone tokens."""
-    return _TOKEN_RE.findall(text.lower())
+    come out as standalone tokens. A lowered text whose non-space characters
+    are all alphanumeric splits on whitespace alone, which gives the regex's
+    tokens: SRE's ``\\w`` is ``Py_UNICODE_ISALNUM`` or ``_`` and its ``\\s`` is
+    ``Py_UNICODE_ISSPACE``, the set ``str.split()`` splits on."""
+    text = text.lower()
+    parts = text.split()
+    return parts if "".join(parts).isalnum() else _TOKEN_RE.findall(text)
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -99,44 +107,48 @@ def _check_hash_dim(dim: int) -> None:
         raise ValueError(f"hashing dim must be a power of two, got {dim}")
 
 
-def _hashed_rows(tokens: list[tuple[list[str], list[str]]], dim: int):
-    """CSR (data, indices, indptr) whose row i is ``featurize(*tokens[i], dim)``,
-    built for the whole split at once. Each distinct token of a segment gets a
-    slot and is hashed once; the (row, column) counts come from one sort. The
-    counts are small integers, so their squares sum exactly in any order and
-    every value has the bits ``featurize`` gives it."""
+def _hashed_rows(vocab: list[str], token_ids, token_offsets, dim: int):
+    """CSR (data, indices, indptr) whose row i is ``featurize`` of row i's two
+    token segments, built for the whole split at once. Each used (segment,
+    token id) slot is hashed once; the (row, column) counts come from one
+    sort. The counts are small integers, so their squares sum exactly in any
+    order and every value has the bits ``featurize`` gives it."""
     _check_hash_dim(dim)
-    rows, slots, salted = [], [], []  # salted[slot]: one segment's distinct token
-    for segment, salt in enumerate(_SEGMENT_SALTS):
-        flat = [tok for pair in tokens for tok in pair[segment]]
-        index = {tok: len(salted) + i for i, tok in enumerate(dict.fromkeys(flat))}
-        salted += [salt + tok.encode("utf-8") for tok in index]
-        slots.append(np.fromiter(map(index.__getitem__, flat), dtype=np.int64,
-                                 count=len(flat)))
-        rows.append(np.repeat(np.arange(len(tokens)),
-                              [len(pair[segment]) for pair in tokens]))
+    n = (len(token_offsets) - 1) // 2
+    segment = np.repeat(np.arange(2 * n), np.diff(token_offsets))  # of each token
+    slot = (segment & 1, token_ids)  # (segment a or b, token id) of each token
+    used = np.zeros((2, len(vocab)), dtype=bool)
+    used[slot] = True
+    salted = []  # the used slots in row-major order
+    for salt, in_segment in zip(_SEGMENT_SALTS, used):
+        salted += map(salt.__add__, map(str.encode, map(
+            vocab.__getitem__, np.flatnonzero(in_segment).tolist())))
     # Rank the distinct columns, so the (row, column) key stays below
     # rows x tokens whatever ``dim`` is.
     distinct, rank = np.unique(fnv1a_64_batch(salted) & np.uint64(dim - 1),
                                return_inverse=True)
-    keys, counts = np.unique(np.concatenate(rows) * len(distinct)
-                             + rank[np.concatenate(slots)], return_counts=True)
+    slot_rank = np.zeros(used.shape, dtype=np.int64)
+    slot_rank[used] = rank
+    keys, counts = np.unique((segment >> 1) * len(distinct) + slot_rank[slot],
+                             return_counts=True)
     row = keys // len(distinct)
     counts = counts.astype(np.float64)
-    norms = np.sqrt(np.bincount(row, weights=counts * counts, minlength=len(tokens)))
-    indptr = np.zeros(len(tokens) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=len(tokens)), out=indptr[1:])
+    norms = np.sqrt(np.bincount(row, weights=counts * counts, minlength=n))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
     return counts / norms[row], distinct.astype(np.int64)[keys % len(distinct)], indptr
 
 
 class Corpus:
     """One split by column: row i of the ids, the read-only labels, the CSR
-    feature matrix, the (text_a, text_b) texts and their (tokens_a, tokens_b)
-    tokenizations is example i. text_b may be None; tokens_b is then empty."""
+    feature matrix and the (text_a, text_b) texts is example i; text_b may be
+    None. The tokens are ids into ``vocab`` (int32): row i's segment a is
+    ``token_ids[off[2i]:off[2i + 1]]`` and its segment b runs on to
+    ``off[2i + 2]``, where ``off`` is ``token_offsets`` (int64, 2N + 1)."""
 
     def __init__(self, ids: list[str], labels, matrix: sparse.csr_matrix,
-                 texts: list[tuple[str, str | None]],
-                 tokens: list[tuple[list[str], list[str]]],
+                 texts: list[tuple[str, str | None]], vocab: list[str],
+                 token_ids: np.ndarray, token_offsets: np.ndarray,
                  num_classes: int, split_name: str, label_names: list[str]):
         if split_name not in SPLIT_NAMES:
             raise ValueError(
@@ -147,7 +159,9 @@ class Corpus:
         self._labels.flags.writeable = False
         self._matrix = matrix
         self.texts = texts
-        self.tokens = tokens
+        self.vocab = vocab
+        self.token_ids = token_ids
+        self.token_offsets = token_offsets
         self.num_classes = num_classes
         self.split_name = split_name
         self.label_names = label_names
@@ -222,6 +236,55 @@ def _record_features(raw, where: str) -> dict[int, float]:
     return features
 
 
+def _plain_rows(chunk: list[str], start: int):
+    """(line, id, label, text_a, text_b, None) per line of ``chunk``, whose
+    first line is line ``start``, if every line is one JSON object with a
+    string id, label and text_a, a string or null text_b if any, and no
+    "features" field; otherwise None."""
+    try:
+        records, ends = zip(*map(_raw_decode, chunk))
+        # Only the file's last line may lack its newline, and no document
+        # takes one: the lengths exceed the ends by exactly this much only
+        # if nothing else follows any document.
+        if (sum(map(len, chunk)) - sum(ends) != len(chunk) - (chunk[-1][-1:] != "\n")
+                or {*map(type, records)} != {dict}
+                or any(map(dict.__contains__, records, repeat("features")))):
+            return None
+        columns = [list(map(itemgetter(name), records))
+                   for name in ("id", "label", "text_a")]
+    except (json.JSONDecodeError, KeyError):
+        return None
+    texts_b = [rec.get("text_b") for rec in records]
+    if {*map(type, chain(*columns))} != {str} or {*map(type, texts_b)} - {str, type(None)}:
+        return None
+    return zip(count(start), *columns, texts_b, repeat(None))
+
+
+def _line_rows(path: Path, chunk: list[str], start: int):
+    """``_plain_rows`` one line at a time, for any record: ids, labels and
+    texts as strings, and the "features" object or None. Blank lines are
+    skipped; a malformed line raises ValueError naming ``path:line``."""
+    for lineno, line in enumerate(chunk, start=start):
+        if not (line := line.strip()):
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+        if not isinstance(rec, dict):
+            raise ValueError(f"{path}:{lineno}: not a JSON object")
+        for fld in ("id", "text_a", "label"):
+            if fld not in rec or rec[fld] is None:
+                raise ValueError(f"{path}:{lineno}: missing field {fld!r}")
+        for fld in ("id", "text_a", "text_b", "label"):
+            if isinstance(rec.get(fld), (list, dict)):
+                raise ValueError(f"{path}:{lineno}: field {fld!r} must be a string or "
+                                 f"a number, got {rec[fld]!r}")
+        text_b = rec.get("text_b")
+        yield (lineno, str(rec["id"]), str(rec["label"]), str(rec["text_a"]),
+               None if text_b is None else str(text_b), rec.get("features"))
+
+
 def load_jsonl(
     path: str | Path,
     split_name: str = "train",
@@ -242,82 +305,70 @@ def load_jsonl(
     must lie below that width, or below ``dim``. A malformed record raises
     ValueError naming ``path:line``; a hashed index past a fixed
     ``feature_dim`` names its first such line once every record is read.
+    Lines are decoded a chunk at a time, and line by line only in a chunk
+    that is not all ``_plain_rows``. The tokens of both segments of every
+    row are numbered into one vocabulary in first-appearance order.
     """
     path = Path(path)
     fixed_map = label_map is not None
     lmap: dict[str, int] = dict(label_map) if label_map else {}
-    ids, labels, texts, tokens = [], [], [], []  # the Corpus columns
-    lines = []  # the line number of each row
+    ids, labels, texts, lines = [], [], [], []  # Corpus columns; each row's line
+    segments = []  # each row's token lists, segment a then b
     indptr, indices, data = [0], [], []  # the CSR buffers, for "features" records
     seen_ids: set[str] = set()
     has_features: bool | None = None
     bound = dim if feature_dim is None else feature_dim
 
     with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: invalid JSON ({exc})") from None
-            if not isinstance(rec, dict):
-                raise ValueError(f"{where}: not a JSON object")
-            for fld in ("id", "text_a", "label"):
-                if fld not in rec or rec[fld] is None:
-                    raise ValueError(f"{where}: missing field {fld!r}")
-            for fld in ("id", "text_a", "text_b", "label"):
-                if isinstance(rec.get(fld), (list, dict)):
-                    raise ValueError(f"{where}: field {fld!r} must be a string or "
-                                     f"a number, got {rec[fld]!r}")
-            eid = str(rec["id"])
-            if eid in seen_ids:
-                raise ValueError(f"{where}: duplicate example id {eid!r}")
-            seen_ids.add(eid)
+        for start in count(1, _CHUNK):
+            if not (chunk := list(islice(fh, _CHUNK))):
+                break
+            # a chunk after a "features" record is read line by line
+            rows = ((not has_features and _plain_rows(chunk, start))
+                    or _line_rows(path, chunk, start))
+            for lineno, eid, label_str, text_a, text_b, rec_features in rows:
+                if eid in seen_ids:
+                    raise ValueError(f"{path}:{lineno}: duplicate example id {eid!r}")
+                seen_ids.add(eid)
+                if label_str not in lmap:
+                    if fixed_map:
+                        raise ValueError(
+                            f"{path}:{lineno}: unknown label {label_str!r} for "
+                            f"split {split_name!r} (not in the fixed label map)"
+                        )
+                    lmap[label_str] = len(lmap)
 
-            label_str = str(rec["label"])
-            if label_str not in lmap:
-                if fixed_map:
-                    raise ValueError(
-                        f"{where}: unknown label {label_str!r} for "
-                        f"split {split_name!r} (not in the fixed label map)"
-                    )
-                lmap[label_str] = len(lmap)
+                if has_features is None:
+                    has_features = rec_features is not None
+                elif has_features != (rec_features is not None):
+                    raise ValueError(f"{path}:{lineno}: mixed records with and "
+                                     "without a 'features' field")
+                if has_features:
+                    features = _record_features(rec_features, f"{path}:{lineno}")
+                    keys = sorted(features)
+                    if keys and keys[-1] >= bound:
+                        raise ValueError(f"{path}:{lineno}: feature index {keys[-1]} "
+                                         f"is not below the feature dimension {bound}")
+                    indices.extend(keys)
+                    data.extend(map(features.get, keys))
+                    indptr.append(len(indices))
 
-            text_a = str(rec["text_a"])
-            text_b = None if rec.get("text_b") is None else str(rec["text_b"])
-            tokens_a, tokens_b = tokenize(text_a), tokenize(text_b) if text_b else []
+                ids.append(eid)
+                labels.append(lmap[label_str])
+                texts.append((text_a, text_b))
+                segments += (tokenize(text_a), tokenize(text_b) if text_b else [])
+                lines.append(lineno)
 
-            rec_features = rec.get("features")
-            if has_features is None:
-                has_features = rec_features is not None
-            elif has_features != (rec_features is not None):
-                raise ValueError(
-                    f"{where}: mixed records with and without a 'features' field"
-                )
-            if has_features:
-                features = _record_features(rec_features, where)
-                keys = sorted(features)
-                if keys and keys[-1] >= bound:
-                    raise ValueError(f"{where}: feature index {keys[-1]} is not "
-                                     f"below the feature dimension {bound}")
-                indices.extend(keys)
-                data.extend(map(features.get, keys))
-                indptr.append(len(indices))
-
-            ids.append(eid)
-            labels.append(lmap[label_str])
-            texts.append((text_a, text_b))
-            tokens.append((tokens_a, tokens_b))
-            lines.append(lineno)
-
+    index = defaultdict(count().__next__)  # token -> id, numbered as first met
+    token_ids = np.fromiter(map(index.__getitem__, chain.from_iterable(segments)),
+                            dtype=np.int32)
+    token_offsets = np.cumsum([0, *map(len, segments)], dtype=np.int64)
+    vocab = list(index)
     if has_features:
         if feature_dim is None:
             feature_dim = max(indices, default=-1) + 1
     else:
-        data, indices, indptr = _hashed_rows(tokens, dim)
+        data, indices, indptr = _hashed_rows(vocab, token_ids, token_offsets, dim)
         if feature_dim is None:
             feature_dim = dim
         elif (past := np.flatnonzero(indices >= feature_dim)).size:
@@ -332,9 +383,8 @@ def load_jsonl(
          np.asarray(indptr, dtype=np.int64)),
         shape=(len(ids), max(feature_dim, 1)),
     )
-    return Corpus(ids=ids, labels=labels, matrix=matrix, texts=texts, tokens=tokens,
-                  num_classes=len(lmap), split_name=split_name,
-                  label_names=sorted(lmap, key=lmap.get))
+    return Corpus(ids, labels, matrix, texts, vocab, token_ids, token_offsets,
+                  len(lmap), split_name, sorted(lmap, key=lmap.get))
 
 
 def save_jsonl(corpus: Corpus, path: str | Path, include_features: bool = False) -> None:
@@ -394,9 +444,10 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Corpus, Corpus, Corpus, Corpus]
     ood_means = means + spec.ood_shift * ood_dirs
 
     label_names = [f"c{i}" for i in range(C)]
+    vocab = _SYNTH_WORDS.tolist()  # the four splits' vocabulary
 
     def draw_split(prefix, n, centers):
-        """Ids, labels, unit-norm feature rows and word lists of n examples."""
+        """Ids, labels, unit-norm feature rows and word indices of n examples."""
         rows = np.zeros((n, dim))
         words = []
         for i in range(n):
@@ -404,7 +455,7 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Corpus, Corpus, Corpus, Corpus]
             point = centers[label] + rng.normal(size=dim)
             # Zipf-ish words, rolled per class so classes differ in word usage.
             picks = weighted_draw(rng, _SYNTH_CDF, int(rng.integers(4, 16))) + 7 * label
-            words.append(_SYNTH_WORDS[picks % _SYNTH_VOCAB].tolist())
+            words.append(picks % _SYNTH_VOCAB)
             norm = np.linalg.norm(point)
             if norm:
                 rows[i] = point / norm
@@ -412,10 +463,12 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Corpus, Corpus, Corpus, Corpus]
         return ids, np.arange(n) % C, rows, words
 
     def build(split_name, ids, labels, rows, words):
-        # Every word is one lowercase \w+ token, so the words are the
-        # tokenization of their join.
+        # Every word is one lowercase \w+ token, so the word indices are the
+        # tokenization of their join; each segment b is empty.
         return Corpus(ids, labels, sparse.csr_matrix(rows),
-                      [(" ".join(w), None) for w in words], [(w, []) for w in words],
+                      [(" ".join(_SYNTH_WORDS[w].tolist()), None) for w in words],
+                      vocab, np.concatenate(words).astype(np.int32),
+                      np.repeat(np.cumsum([0, *map(len, words)], dtype=np.int64), 2)[1:],
                       C, split_name, list(label_names))
 
     train = draw_split("train", spec.train_size, means)

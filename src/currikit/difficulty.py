@@ -8,9 +8,9 @@ task-agnostic heuristics (length, word rarity, n-gram perplexity).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import repeat
+from operator import truediv
 from pathlib import Path
 
 import numpy as np
@@ -109,96 +109,65 @@ def cross_review(corpus: Corpus, config: CrossReviewConfig) -> DifficultyScores:
 
 def length_metric(corpus: Corpus) -> DifficultyScores:
     """Token count of the entire input (both segments); longer = harder."""
-    scores = np.array([len(a) + len(b) for a, b in corpus.tokens], dtype=np.float64)
+    scores = np.diff(corpus.token_offsets[::2]).astype(np.float64)
     return DifficultyScores(metric_name="length", ids=corpus.ids(), scores=scores,
                             higher_is_easier=False)
 
 
-def _train_token_counts(train_corpus: Corpus) -> tuple[Counter, int]:
-    counts = Counter(tok for pair in train_corpus.tokens for seg in pair for tok in seg)
-    return counts, sum(counts.values())
+def _ids_in(train: Corpus, corpus: Corpus) -> tuple[np.ndarray, int]:
+    """``corpus``'s token ids numbered as ``train``'s, a token ``train``
+    lacks taking a distinct id after its vocabulary, and the number of ids."""
+    index = {tok: i for i, tok in enumerate(train.vocab)}
+    remap = np.array([index.setdefault(tok, len(index)) for tok in corpus.vocab],
+                     dtype=np.int64)
+    return remap[corpus.token_ids], len(index)
+
+
+def _ordered_nll(terms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """0.0 minus the terms of each segment ``terms[offsets[k]:offsets[k + 1]]``,
+    subtracted in token order as a per-token loop would: one vector operation
+    per position, over the segments still running there (longest first, so
+    they are a prefix), never ``np.sum``."""
+    lengths = np.diff(offsets)
+    order = np.argsort(-lengths, kind="stable")
+    starts, lengths = offsets[:-1][order], lengths[order]
+    nll = np.zeros(len(lengths))
+    width = int(lengths[0]) if len(lengths) else 0
+    for j, live in enumerate(np.searchsorted(-lengths, -np.arange(width))):
+        nll[:live] -= terms[starts[:live] + j]
+    out = np.empty_like(nll)
+    out[order] = nll
+    return out
 
 
 def rarity_metric(corpus: Corpus, train_corpus: Corpus | None = None) -> DifficultyScores:
     """Negated log-frequency sum over the input's tokens; rarer words push
     the score up. Frequencies come from the train split; a token unseen in
-    training falls back to 1/(total + V + 1)."""
-    ref = train_corpus if train_corpus is not None else corpus
-    counts, total = _train_token_counts(ref)
-    log_freq = {tok: math.log(count / total) for tok, count in counts.items()}
-    log_unseen = math.log(1.0 / (total + len(counts) + 1))
-
-    def score(tokens_a: list[str], tokens_b: list[str]) -> float:
-        s = 0.0
-        for tok in chain(tokens_a, tokens_b):
-            s -= log_freq.get(tok, log_unseen)
-        return s
-
+    training falls back to 1/(total + V + 1), V the distinct train tokens."""
+    train = corpus if train_corpus is None else train_corpus
+    ids, size = _ids_in(train, corpus)
+    counts = np.bincount(train.token_ids, minlength=size)
+    seen = np.flatnonzero(counts)
+    total = len(train.token_ids)
+    log_freq = np.empty(size)
+    log_freq[seen] = list(map(math.log, map(truediv, counts[seen].tolist(), repeat(total))))
+    log_freq[counts == 0] = math.log(1.0 / (total + len(seen) + 1))
     return DifficultyScores(
         metric_name="rarity",
         ids=corpus.ids(),
-        scores=np.array([score(*pair) for pair in corpus.tokens], dtype=np.float64),
+        scores=_ordered_nll(log_freq[ids], corpus.token_offsets[::2]),
         higher_is_easier=False,
     )
 
 
-_BOS = "<s>"
-
-
-class NGramModel:
-    """Add-k smoothed unigram/bigram LM over train tokens, per segment."""
-
-    def __init__(self, train_corpus: Corpus, order: int = 2, add_k: float = 1.0):
-        if order not in (1, 2):
-            raise ValueError(f"n-gram order must be 1 or 2, got {order}")
-        if add_k <= 0:
-            raise ValueError("add_k must be > 0")
-        self.order = order
-        self.add_k = add_k
-        segments = [seg for seg in chain.from_iterable(train_corpus.tokens) if seg]
-        self.unigram = Counter(chain.from_iterable(segments))
-        self.bigram = Counter(chain.from_iterable(zip(chain((_BOS,), seg), seg)
-                                                  for seg in segments))
-        self.context = Counter(chain.from_iterable(chain((_BOS,), seg[:-1])
-                                                   for seg in segments))
-        self.total = sum(self.unigram.values())
-        self.vocab_size = len(self.unigram)
-
-    def log_prob(self, token: str, prev: str) -> float:
-        v = self.vocab_size
-        if self.order == 1:
-            num = self.unigram[token] + self.add_k
-            den = self.total + self.add_k * v
-        else:
-            num = self.bigram[(prev, token)] + self.add_k
-            den = self.context[prev] + self.add_k * v
-        return math.log(num / den)
-
-    def log_probs(self) -> dict:
-        """log_prob of every key the train segments hold, one math.log each:
-        the token for order 1, (previous token, token) for order 2."""
-        k, v = self.add_k, self.vocab_size
-        if self.order == 1:
-            den = self.total + k * v
-            return {tok: math.log((n + k) / den) for tok, n in self.unigram.items()}
-        return {key: math.log((n + k) / (self.context[key[0]] + k * v))
-                for key, n in self.bigram.items()}
-
-    def segment_perplexity(self, segment: list[str], log_probs: dict) -> float:
-        """exp(mean negative log-probability), summed in token order; empty
-        segments contribute 0. ``log_probs`` starts as ``self.log_probs()``
-        and takes each other key's log_prob when first met."""
-        if not segment:
-            return 0.0
-        keys = segment if self.order == 1 else zip(chain((_BOS,), segment), segment)
-        nll = 0.0
-        for key in keys:
-            lp = log_probs.get(key)
-            if lp is None:
-                lp = log_probs[key] = (self.log_prob(key, _BOS) if self.order == 1
-                                       else self.log_prob(key[1], key[0]))
-            nll -= lp
-        return math.exp(nll / len(segment))
+def _ngram_keys(ids: np.ndarray, offsets: np.ndarray, order: int, size: int):
+    """Each token's key: its id for order 1; for order 2, ``prev * (size + 1)
+    + id``, where prev is the segment's previous token or, at its start, the
+    id ``size`` (BOS) that no token has. Also the prev of each token."""
+    prev = np.empty_like(ids, dtype=np.int64)
+    prev[1:] = ids[:-1]
+    prev[offsets[:-1][np.diff(offsets) > 0]] = size
+    return (ids.astype(np.int64) if order == 1 else prev * (size + 1) + ids), prev
 
 
 def perplexity_metric(
@@ -207,15 +176,37 @@ def perplexity_metric(
     add_k: float = 1.0,
     train_corpus: Corpus | None = None,
 ) -> DifficultyScores:
-    """Sum of per-segment n-gram perplexities; high perplexity = harder."""
-    ref = train_corpus if train_corpus is not None else corpus
-    lm = NGramModel(ref, order=order, add_k=add_k)
-    log_probs = lm.log_probs()
-    scores = np.array([lm.segment_perplexity(seg_a, log_probs)
-                       + lm.segment_perplexity(seg_b, log_probs)
-                       for seg_a, seg_b in corpus.tokens], dtype=np.float64)
-    return DifficultyScores(metric_name="ppl", ids=corpus.ids(), scores=scores,
-                            higher_is_easier=False)
+    """Sum of per-segment n-gram perplexities; high perplexity = harder.
+
+    An add-k unigram or bigram LM over the train split's segments, V its
+    distinct tokens: P(tok | prev) = (n(prev, tok) + k) / (n(prev) + k V).
+    Each distinct key takes one ``math.log``; a segment's negative
+    log-probabilities are summed in token order, and ``math.exp`` of their
+    mean is its perplexity (0 for an empty segment)."""
+    if order not in (1, 2):
+        raise ValueError(f"n-gram order must be 1 or 2, got {order}")
+    if add_k <= 0:
+        raise ValueError("add_k must be > 0")
+    train = corpus if train_corpus is None else train_corpus
+    ids, size = _ids_in(train, corpus)
+    train_keys, train_prev = _ngram_keys(train.token_ids, train.token_offsets, order, size)
+    keys = (train_keys if corpus is train else
+            np.concatenate([train_keys, _ngram_keys(ids, corpus.token_offsets, order, size)[0]]))
+    distinct, inverse = np.unique(keys, return_inverse=True)  # train keys come first
+    v = np.count_nonzero(np.bincount(train.token_ids, minlength=size))
+    num = np.bincount(inverse[:len(train_keys)], minlength=len(distinct)) + add_k
+    den = (len(train.token_ids) + add_k * v if order == 1
+           else np.bincount(train_prev, minlength=size + 1)[distinct // (size + 1)]
+           + add_k * v)
+    log_probs = np.array(list(map(math.log, map(
+        truediv, num.tolist(), np.broadcast_to(den, num.shape).tolist()))))
+    nll = _ordered_nll(log_probs[inverse[len(keys) - len(ids):]], corpus.token_offsets)
+    lengths = np.diff(corpus.token_offsets)
+    live = lengths > 0
+    ppl = np.zeros(len(lengths))
+    ppl[live] = list(map(math.exp, map(truediv, nll[live].tolist(), lengths[live].tolist())))
+    return DifficultyScores(metric_name="ppl", ids=corpus.ids(),
+                            scores=ppl[0::2] + ppl[1::2], higher_is_easier=False)
 
 
 # --- on-disk format ---------------------------------------------------------

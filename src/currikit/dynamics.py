@@ -71,6 +71,9 @@ def compute_all(probes: Probes) -> TDStats:
 
 _TD_SCHEMA = {"example_id": str, "confidence": float, "correctness": int,
               "variability": float}
+# The population std of values in [0, 1] is at most 0.5.
+_TD_BOUNDS = {"confidence": (0.0, 1.0), "correctness": (0, math.inf),
+              "variability": (0.0, 0.5)}
 
 
 def write_td_stats(stats: TDStats, path: str | Path) -> None:
@@ -83,7 +86,7 @@ def write_td_stats(stats: TDStats, path: str | Path) -> None:
 
 def read_td_stats(path: str | Path, ids: list[str] | None = None) -> TDStats:
     """Inverse of write_td_stats, for exactly ``ids`` in that order when
-    given; rejects a repeated or missing id and a non-finite confidence or
-    variability."""
-    ids, columns = read_columns(path, _TD_SCHEMA, ids)
+    given; rejects a repeated or missing id, a non-finite confidence or
+    variability, and a value outside ``_TD_BOUNDS``."""
+    ids, columns = read_columns(path, _TD_SCHEMA, ids, bounds=_TD_BOUNDS)
     return TDStats(ids, **columns)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 from typing import Callable, NamedTuple, Protocol
 
@@ -180,7 +181,9 @@ def _forward_matrix(params: ModelParams, X) -> tuple[np.ndarray, np.ndarray | No
     if params.hidden_size > 0:
         hidden = np.tanh(logits)
         logits = hidden @ params.weights[1] + params.biases[1]
-    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    # The row max as a chain over the class columns: numpy reduces a short
+    # inner axis slowly. Only a zero's sign can differ, which exp erases.
+    e = np.exp(logits - reduce(np.maximum, logits.T)[:, None])
     return e / np.add.reduce(e, axis=-1, keepdims=True), hidden
 
 

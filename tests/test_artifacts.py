@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tempfile
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from unittest import mock
@@ -104,10 +105,10 @@ def test_field_of_another_json_type_named(tmp_path, kind, value, noun):
 
 
 # Calls that parse JSON or read an artifact without a schema, and the only
-# functions allowed to make them: the corpus-record loop (user input with its
-# own messages), the config loader, and the first-record sniff that tells a
-# stats file from a scores file.
-PARSE_ALLOWED = {("corpus.py", "load_jsonl"), ("cli.py", "load_config")}
+# functions allowed to make them: the corpus-record reader (user input with
+# its own messages), the config loader, and the first-record sniff that tells
+# a stats file from a scores file.
+PARSE_ALLOWED = {("corpus.py", "_line_rows"), ("cli.py", "load_config")}
 UNCHECKED_READ_ALLOWED = {("cli.py", "_first_record")}
 
 
@@ -181,7 +182,7 @@ def reference_write(path, records, header=None):
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
-def reference_read_columns(path, schema, ids=None, skip=0):
+def reference_read_columns(path, schema, ids=None, skip=0, bounds=None):
     """``read_columns`` one line at a time."""
     fields = [name for name in schema if name != "example_id"]
     row, values = {}, [[] for _ in fields]
@@ -201,6 +202,10 @@ def reference_read_columns(path, schema, ids=None, skip=0):
                 if type(value) is float and not math.isfinite(value):
                     raise ValueError(f"{path}:{lineno}: non-finite {name} {value} "
                                      f"for example {eid!r}")
+                lo, hi = (bounds or {}).get(name, (-math.inf, math.inf))
+                if not lo <= value <= hi:
+                    raise ValueError(f"{path}:{lineno}: {name} {value} for example "
+                                     f"{eid!r} is outside [{lo}, {hi}]")
                 column.append(value)
     if ids is None:
         ids, take = list(row), slice(None)
@@ -393,6 +398,35 @@ def test_read_columns_matches_line_reader(tmp_path, kind, mutation):
                     with mock.patch.object(artifacts, "_CHUNK", chunk):
                         got = outcome(read_columns, path, schema, ids, skip)
                     assert got == expected, (edit, index, ids, chunk)
+
+
+def test_read_columns_bounds_match_line_reader(tmp_path):
+    """A dynamics-stats file with each field at, just inside and just past
+    its bounds at two positions, read in chunks of 1, 3 and 512 lines."""
+    schema, _ = SCHEMAS["td_stats"]
+    bounds = {"confidence": (0.0, 1.0), "correctness": (0, math.inf),
+              "variability": (0.0, 0.5)}
+    edges = {"confidence": [0.0, -0.0, 1.0, -5e-324, 1.0000000000000002, 7.0],
+             "correctness": [0, 10 ** 6, -1],
+             "variability": [0.0, 0.5, 0.49999999999999994, 0.5000000000000001, -0.5]}
+    path = tmp_path / "td_stats.jsonl"
+    base = [{"example_id": f"e{i}", "confidence": 0.25, "correctness": 1,
+             "variability": 0.125} for i in range(7)]
+    for name, values in edges.items():
+        for value in values:
+            for index in (0, 4):
+                records = [dict(rec) for rec in base]
+                records[index][name] = value
+                reference_write(path, records)
+                expected = outcome(partial(reference_read_columns, bounds=bounds),
+                                   path, schema, None, 0)
+                assert (type(expected[1]) is dict) == (bounds[name][0] <= value
+                                                      <= bounds[name][1])
+                for chunk in (1, 3, 512):
+                    with mock.patch.object(artifacts, "_CHUNK", chunk):
+                        got = outcome(partial(read_columns, bounds=bounds),
+                                      path, schema, None, 0)
+                    assert got == expected, (name, value, index, chunk)
 
 
 def test_read_columns_holds_one_chunk_of_lines(tmp_path, monkeypatch):

@@ -764,6 +764,19 @@ class TestCliEntryPoint:
                      "duplicate example id 'train-000000'", id="student-scores-duplicate-id"),
         pytest.param("compare", "example_id", "t0", "duplicate example id 't0'",
                      id="compare-duplicate-id"),
+        pytest.param("student-stats", "variability", -0.5, "variability -0.5 for example",
+                     id="student-stats-negative-variability"),
+        pytest.param("student-stats-anneal", "variability", -0.5,
+                     "variability -0.5 for example", id="student-anneal-negative-variability"),
+        pytest.param("student-stats", "variability", 0.5000000000000001,
+                     "variability 0.5000000000000001 for example",
+                     id="student-stats-variability-above-half"),
+        pytest.param("student-stats-anneal", "confidence", 1.5, "confidence 1.5 for example",
+                     id="student-anneal-confidence-above-one"),
+        pytest.param("datamap", "confidence", -1e-300, "confidence -1e-300 for example",
+                     id="datamap-negative-confidence"),
+        pytest.param("datamap", "correctness", -1, "correctness -1 for example",
+                     id="datamap-negative-correctness"),
     ])
     def test_missing_field_named_with_line(self, run_dir, config_path, tmp_path,
                                            capsys, command, field, bad, message):
@@ -792,6 +805,9 @@ class TestCliEntryPoint:
         argv = {
             "student-stats": ["student", "--config", str(config_path), "--out", str(out),
                               "--scheduler", "conf+var_comp", "--scores", str(path)],
+            "student-stats-anneal": ["student", "--config", str(config_path), "--out",
+                                     str(out), "--scheduler", "corr+var_anneal",
+                                     "--scores", str(path)],
             "student-scores": ["student", "--config", str(config_path), "--out", str(out),
                                "--scheduler", "length", "--scores", str(path)],
             "datamap": ["datamap", "--out", str(out), "--stats", str(path)],

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from currikit.corpus import (
+    _TOKEN_RE,
     NOISY_SUFFIX,
     SynthSpec,
     featurize,
@@ -21,6 +22,7 @@ from currikit.corpus import (
     load_label_map,
     tokenize,
 )
+from token_pairs import token_pairs
 
 
 # test_hashed_matrix_golden's digest, computed when each record was featurized
@@ -94,6 +96,28 @@ class TestTokenize:
     def test_punctuation_standalone(self):
         assert tokenize("hello, world!") == ["hello", ",", "world", "!"]
 
+    @pytest.mark.parametrize("text, tokens", [
+        ("snake_case _", ["snake_case", "_"]),  # "_" is \w but not alphanumeric
+        ("a\xa0b", ["a", "b"]),  # NBSP is whitespace to both
+        ("a\u2028b\u3000c", ["a", "b", "c"]),
+        ("x\xb2 \xbd \u216b", ["x\xb2", "\xbd", "\u217b"]),  # numeric, not decimal
+        ("\u0663 \u0661\u0662", ["\u0663", "\u0661\u0662"]),  # Arabic-Indic digits
+        ("e\u0301te\u0301", ["e", "\u0301", "te", "\u0301"]),  # combining marks
+        ("\u0130stanbul", ["i", "\u0307", "stanbul"]),  # lowers to i + a combining dot
+        ("\u039f\u0394\u039f\u03a3 \u03a3", ["\u03bf\u03b4\u03bf\u03c2", "\u03c3"]),
+        ("", []),
+        (" \t\n\xa0\u2028\u3000 ", []),
+    ])
+    def test_unicode_edges(self, text, tokens):
+        assert tokenize(text) == tokens == _TOKEN_RE.findall(text.lower())
+
+    @given(st.one_of(st.text(), st.text(st.sampled_from(
+        "aZ9_ \t\n\xa0\u2028\u3000\xb2\xbd\u0663\u0301\u0130\u03a3\u01c5\ufb01.-'"))))
+    @settings(max_examples=500, deadline=None)
+    def test_is_the_regex(self, text):
+        """The whitespace split, where it is taken, gives the regex's tokens."""
+        assert tokenize(text) == _TOKEN_RE.findall(text.lower())
+
     @given(st.text(max_size=200))
     @settings(max_examples=200, deadline=None)
     def test_deterministic_and_stable_under_rejoin(self, text):
@@ -159,7 +183,7 @@ class TestLoadJsonl:
         ])
         corpus = load_jsonl(path, "train")
         assert corpus.size == 3
-        assert corpus.tokens[1] == (["c"], ["d"])
+        assert token_pairs(corpus)[1] == (["c"], ["d"])
         assert corpus.texts == [("a b", None), ("c", "d"), ("e", None)]
 
     def test_duplicate_id_named(self, tmp_path):
@@ -186,7 +210,7 @@ class TestLoadJsonl:
         corpus = load_jsonl(path, "train")
         assert corpus.ids() == ["1"]
         assert corpus.texts == [("5", "7")]
-        assert corpus.tokens == [(["5"], ["7"])]
+        assert token_pairs(corpus) == [(["5"], ["7"])]
 
     def test_features_field_fills_csr_rows(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -266,6 +290,59 @@ class TestLoadJsonl:
         with pytest.raises(ValueError, match=f"c\\.jsonl:3: feature index {largest} "
                                              "is not below the feature dimension 4"):
             load_jsonl(path, "validation", feature_dim=4)
+
+    @pytest.mark.parametrize("mutation", [
+        "none", "blank-lines", "leading-space", "crlf", "no-final-newline",
+        "byte-order-mark", "two-records-one-line", "not-an-object", "bad-json"])
+    def test_chunks_match_line_reader(self, tmp_path, monkeypatch, mutation):
+        """Every record edit at two positions gives, read in chunks of 1, 3
+        and 512 lines, the corpus or the error text of the line-by-line
+        reader (``_plain_rows`` off)."""
+        from currikit import corpus as corpus_module
+
+        mutate = {
+            "none": lambda lines: lines,
+            "blank-lines": lambda lines: lines[:4] + ["\n", " \t\n"] + lines[4:],
+            "leading-space": lambda lines: lines[:4] + [" " + lines[4]] + lines[5:],
+            "crlf": lambda lines: [line[:-1] + "\r\n" for line in lines],
+            "no-final-newline": lambda lines: lines[:-1] + [lines[-1][:-1]],
+            "byte-order-mark": lambda lines: lines[:5] + ["\ufeff" + lines[5]] + lines[6:],
+            "two-records-one-line": lambda lines: (lines[:3] + [lines[3][:-1] + lines[4]]
+                                                   + lines[5:]),
+            "not-an-object": lambda lines: lines[:6] + ["[1, 2]\n"] + lines[7:],
+            "bad-json": lambda lines: lines[:6] + ["{bad\n"] + lines[7:],
+        }[mutation]
+        base = [{"id": f"r{i}", "text_a": f"w{i % 5} Word{i % 3}!", "label": "pn"[i % 2],
+                 **({"text_b": "b c"} if i % 3 == 0 else {})} for i in range(9)]
+        edits = [None, ("id", 7), ("id", "r0"), ("id", None), ("id", [1]), ("label", "z"),
+                 ("label", 3), ("text_a", 1.5), ("text_a", {"a": 1}), ("text_b", None),
+                 ("text_b", ""), ("text_b", False), ("features", None),
+                 ("features", {"1": 2.0}), ("extra", 1)]
+
+        def outcome(path):
+            try:
+                c = load_jsonl(path, "train", dim=1024, label_map={"p": 0, "n": 1})
+            except ValueError as exc:
+                return str(exc)
+            X = c.feature_matrix()
+            return (c.ids(), c.labels().tolist(), c.texts, token_pairs(c), c.label_names,
+                    [(a.dtype.str, a.tobytes()) for a in (X.data, X.indices, X.indptr)])
+
+        path = tmp_path / "c.jsonl"
+        for edit in edits:
+            for index in (0, 5):
+                records = [dict(rec) for rec in base]
+                if edit is not None:
+                    records[index][edit[0]] = edit[1]
+                lines = [json.dumps(rec, ensure_ascii=False) + "\n" for rec in records]
+                path.write_bytes("".join(mutate(lines)).encode("utf-8"))
+                with monkeypatch.context() as m:
+                    m.setattr(corpus_module, "_plain_rows", lambda chunk, start: None)
+                    expected = outcome(path)
+                for chunk in (1, 3, 512):
+                    with monkeypatch.context() as m:
+                        m.setattr(corpus_module, "_CHUNK", chunk)
+                        assert outcome(path) == expected, (edit, index, chunk)
 
     def test_labels_are_read_only(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -352,7 +429,7 @@ class TestSynthetic:
         back = load_jsonl(path, "train")
         assert back.ids() == train.ids()
         assert back.labels().tolist() == train.labels().tolist()
-        assert back.tokens == train.tokens
+        assert token_pairs(back) == token_pairs(train)
         assert csr_equal(back.feature_matrix(), train.feature_matrix())
 
     def test_noise_fraction_bound(self):
@@ -380,7 +457,7 @@ class TestSynthetic:
             assert corpus.ids() == ids
             assert corpus.labels().tobytes() == labels.astype(np.int64).tobytes()
             assert corpus.texts == texts
-            assert corpus.tokens == tokens
+            assert token_pairs(corpus) == tokens
             assert corpus.label_names == label_names
             X = corpus.feature_matrix()
             for name in ("data", "indices", "indptr"):

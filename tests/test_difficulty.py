@@ -26,6 +26,7 @@ from currikit.difficulty import (
 )
 from currikit.dynamics import TDStats, read_td_stats, write_td_stats
 from currikit.trainer import TrainConfig, predict, train
+from token_pairs import token_pairs
 
 
 def text_corpus(texts, labels=None, num_classes=2, split="train"):
@@ -250,11 +251,11 @@ class TestPerplexity:
 
 def loop_rarity(corpus, train):
     """Reference: one math.log per token occurrence, as rarity_metric was."""
-    counts = Counter(tok for pair in train.tokens for seg in pair for tok in seg)
+    counts = Counter(tok for pair in token_pairs(train) for seg in pair for tok in seg)
     total = sum(counts.values())
     unseen = 1.0 / (total + len(counts) + 1)
     scores = []
-    for tokens_a, tokens_b in corpus.tokens:
+    for tokens_a, tokens_b in token_pairs(corpus):
         s = 0.0
         for tok in chain(tokens_a, tokens_b):
             s -= math.log(counts[tok] / total if counts[tok] else unseen)
@@ -266,7 +267,7 @@ def loop_perplexity(corpus, train, order, add_k):
     """Reference: per-token counting and one math.log per token occurrence,
     as NGramModel was."""
     unigram, bigram, context = Counter(), Counter(), Counter()
-    for segment in chain.from_iterable(train.tokens):
+    for segment in chain.from_iterable(token_pairs(train)):
         unigram.update(segment)
         prev = "<s>"
         for tok in segment:
@@ -288,7 +289,15 @@ def loop_perplexity(corpus, train, order, add_k):
             prev = tok
         return math.exp(nll / len(segment))
 
-    return np.array([ppl(a) + ppl(b) for a, b in corpus.tokens])
+    return np.array([ppl(a) + ppl(b) for a, b in token_pairs(corpus)])
+
+
+def random_texts(rng, n, vocab, empty_b=None):
+    """n (text_a, text_b) pairs of 0-11 and 0-3 words from ``vocab``; an empty
+    text_b becomes ``empty_b``."""
+    return [(" ".join(rng.choice(vocab, size=int(rng.integers(0, 12)))),
+             " ".join(rng.choice(vocab, size=int(rng.integers(0, 4)))) or empty_b)
+            for _ in range(n)]
 
 
 class TestHeuristicsSameBits:
@@ -299,14 +308,9 @@ class TestHeuristicsSameBits:
     def corpora(self):
         rng = np.random.default_rng(6)
         words = [f"w{i}" for i in range(40)]
-
-        def texts(n, vocab):
-            return [(" ".join(rng.choice(vocab, size=int(rng.integers(0, 12)))),
-                     " ".join(rng.choice(vocab, size=int(rng.integers(0, 4)))) or None)
-                    for _ in range(n)]
-
         # the target split holds tokens and pairs the train split never does
-        return text_corpus(texts(80, words[:30])), text_corpus(texts(30, words))
+        return (text_corpus(random_texts(rng, 80, words[:30])),
+                text_corpus(random_texts(rng, 30, words)))
 
     def test_rarity(self, corpora):
         train, target = corpora
@@ -332,13 +336,41 @@ class TestHeuristicsSameBits:
             "exp": staticmethod(math.exp)}))
         perplexity_metric(target, order=order, train_corpus=train)
         keys = set()
-        for segment in chain.from_iterable(chain(train.tokens, target.tokens)):
+        for segment in chain.from_iterable(token_pairs(train) + token_pairs(target)):
             keys.update(segment if order == 1 else zip(chain(["<s>"], segment), segment))
         assert len(logs) == len(keys)
         logs.clear()
         rarity_metric(target, train_corpus=train)
-        train_tokens = {tok for pair in train.tokens for seg in pair for tok in seg}
+        train_tokens = {tok for pair in token_pairs(train) for seg in pair for tok in seg}
         assert len(logs) == len(train_tokens) + 1  # and one for every unseen token
+
+
+class TestHeuristicsSameBitsOtherCorpora(TestHeuristicsSameBits):
+    """The same checks on a JSONL corpus through the tokenizer's regex, on a
+    synthetic train split smaller than its vocabulary, and on that split
+    scored against a JSONL split."""
+
+    @pytest.fixture(scope="class", params=["mixed", "small-synthetic",
+                                           "synthetic-and-jsonl"])
+    def corpora(self, request):
+        rng = np.random.default_rng(6)
+        if request.param == "mixed":
+            # punctuation, "_", non-ASCII text, empty segments, text_b "" and
+            # absent; separate vocabularies, eval tokens unseen in train
+            mixed = ["the", "cat", "don't", "snake_case", "\u00fcber", "\u6771\u4eac",
+                     "x\u00b2", "!", "...", "\u0130", "\u039f\u0394\u039f\u03a3", "a-b"]
+            return (text_corpus(random_texts(rng, 60, mixed[:7], empty_b="")),
+                    text_corpus(random_texts(rng, 40, mixed), split="validation"))
+        # a synthetic train split of 3 rows uses few of its 120 vocabulary
+        # words, so V must count the words it uses, not its vocabulary
+        train, *_, test_ood = generate_synthetic(SynthSpec(
+            num_classes=2, train_size=3, val_size=2, test_size=40, seed=3))
+        used = {tok for pair in token_pairs(train) for seg in pair for tok in seg}
+        assert len(used) < len(train.vocab) == 120
+        if request.param == "small-synthetic":
+            return train, test_ood  # one shared vocabulary
+        every_third = [f"w{i:03d}" for i in range(0, 120, 3)]
+        return train, text_corpus(random_texts(rng, 30, every_third))
 
 
 class TestScoresFormat:

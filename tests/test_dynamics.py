@@ -184,3 +184,43 @@ class TestComputeAll:
         for column in ("confidence", "correctness", "variability"):
             assert getattr(back, column).dtype == getattr(stats, column).dtype
             assert getattr(back, column).tobytes() == getattr(stats, column).tobytes()
+
+
+class TestReadBounds:
+    """read_td_stats takes a confidence in [0, 1], a variability in [0, 0.5]
+    and a correctness >= 0, end points included; anything else exits through
+    ValueError naming ``path:line``."""
+
+    def write(self, path, rows):
+        path.write_text("".join(
+            f'{{"example_id": "e{i}", "confidence": {c!r}, "correctness": {k!r}, '
+            f'"variability": {v!r}}}\n' for i, (c, k, v) in enumerate(rows)))
+        return path
+
+    def test_half_zeros_half_ones_reads_back(self, tmp_path):
+        stats = compute_all(probes(*[[("a", p, p == 1.0), ("b", 1.0, True)]
+                                     for p in (0.0, 1.0, 1.0, 0.0)]))
+        write_td_stats(stats, tmp_path / "stats.jsonl")
+        back = read_td_stats(tmp_path / "stats.jsonl")
+        assert back.variability.tolist() == [0.5, 0.0]
+        assert back.confidence.tolist() == [0.5, 1.0]
+
+    def test_end_points_accepted(self, tmp_path):
+        rows = [(0.0, 0, 0.0), (1.0, 7, 0.5), (-0.0, 0, -0.0)]
+        back = read_td_stats(self.write(tmp_path / "stats.jsonl", rows))
+        assert back.confidence.tolist() == [0.0, 1.0, 0.0]
+        assert back.variability.tolist() == [0.0, 0.5, 0.0]
+
+    @pytest.mark.parametrize("column, value", [
+        (0, -1e-300), (0, 1.0000000000000002), (0, 2.0),
+        (1, -1),
+        (2, -0.5), (2, -5e-324), (2, 0.5000000000000001), (2, 1.0),
+    ])
+    def test_out_of_range_named(self, tmp_path, column, value):
+        rows = [[0.5, 1, 0.25] for _ in range(5)]
+        rows[3][column] = value
+        path = self.write(tmp_path / "stats.jsonl", rows)
+        name = ("confidence", "correctness", "variability")[column]
+        with pytest.raises(ValueError, match=f"^{path}:4: {name} {value!r} for "
+                                             "example 'e3' is outside"):
+            read_td_stats(path, ids=["e4", "e0"])

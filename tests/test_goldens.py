@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from currikit import analysis, cli, difficulty, dynamics, trainer
+from currikit.corpus import load_jsonl
 from currikit.curricula import plan_summary
 from currikit.trainer import Probes
 
@@ -210,3 +211,52 @@ def test_writer_bytes_golden(tmp_path, cr_file):
              "runlog": "runlog.jsonl"}
     digests = {k: sha((tmp_path / "out" / f).read_bytes()) for k, f in files.items()}
     assert digests == WRITER_GOLDENS
+
+
+# Heuristic scores of a fixed hand-written corpus (punctuation, "_", non-ASCII
+# text, empty segments, an eval split with tokens the train split lacks),
+# loaded as the text teacher loads it. The scores go through libm's log and
+# exp only (math.log, math.exp), never a numpy ufunc.
+HEURISTIC_GOLDENS = {
+    "rarity_train":
+        "58aac64ceac760b1ba5970ff782baa447638092a6db6e3722ca8ad33b5900c17",
+    "ppl_train":
+        "1013ffedd6b519349f5f8c87dd8c473ea553540b940cf805be5104a8e15dc07d",
+    "rarity_eval":
+        "16730d9b807a5bdf711b1ae172d7e0cb2db97bb544887a3160cbd1133ba76664",
+    "ppl_eval":
+        "1a3a3ba2ec07743b85fe3953c1cfe2df92564d756a8f927506ae93644f49d230",
+}
+
+WORDS = ["Alpha", "beta", "\u03b4\u03ad\u03bb\u03c4\u03b1", "na\u00efve", "x", "!",
+         "don't", "snake_case", "12", "the", "\u00fcber-cool", "a", "?",
+         "\u6771\u4eac", "\u0130stanbul", "\u039f\u0394\u039f\u03a3", "x\u00b2", "..."]
+
+
+def heuristic_corpus(path, split, rows, words, label_map=None):
+    records = []
+    for i in range(rows):
+        rec = {"id": f"{split}{i}", "label": ("p", "n")[i % 2],
+               "text_a": " ".join(words[(i * j + i) % len(words)] for j in range(i % 6))}
+        if i % 3 == 1:
+            rec["text_b"] = " ".join(words[(j * 5 + i) % len(words)] for j in range(i % 4))
+        records.append(rec)
+    return load_jsonl(write_lines(path, records), split, dim=1024, label_map=label_map)
+
+
+def test_heuristic_scores_golden(tmp_path):
+    train = heuristic_corpus(tmp_path / "train.jsonl", "train", 24, WORDS[:11])
+    evals = heuristic_corpus(tmp_path / "eval.jsonl", "validation", 30, WORDS,
+                             label_map={"p": 0, "n": 1})
+    scores = {
+        "rarity_train": difficulty.rarity_metric(train),
+        "ppl_train": difficulty.perplexity_metric(train),
+        "rarity_eval": difficulty.rarity_metric(evals, train_corpus=train),
+        "ppl_eval": difficulty.perplexity_metric(evals, order=1, add_k=0.5,
+                                                 train_corpus=train),
+    }
+    digests = {}
+    for name, metric in scores.items():
+        difficulty.write_scores(metric, tmp_path / f"{name}.jsonl")
+        digests[name] = sha((tmp_path / f"{name}.jsonl").read_bytes())
+    assert digests == HEURISTIC_GOLDENS

@@ -28,6 +28,7 @@ from currikit.trainer import (
     write_probes,
     write_runlog,
 )
+from token_pairs import token_columns
 
 
 def make_corpus(features_labels, num_classes, dim, split="train"):
@@ -43,7 +44,7 @@ def make_corpus(features_labels, num_classes, dim, split="train"):
     return Corpus(ids=[f"e{i}" for i in range(n)],
                   labels=[label for _, label in features_labels], matrix=matrix,
                   texts=[(f"t{i}", None) for i in range(n)],
-                  tokens=[([f"t{i}"], []) for i in range(n)],
+                  **token_columns([([f"t{i}"], []) for i in range(n)]),
                   num_classes=num_classes, split_name=split,
                   label_names=[f"c{i}" for i in range(num_classes)])
 
@@ -279,6 +280,40 @@ class TestEvaluate:
         corpus = make_corpus([], 2, 1)
         with pytest.raises(ValueError):
             evaluate(params, corpus)
+
+
+class TestSoftmax:
+    """``_forward_matrix`` takes each row's max as a chain of ``np.maximum``
+    over the class columns; its probabilities keep the bytes of the
+    ``np.maximum.reduce`` form, signed zeros, infinities and NaN included."""
+
+    class Logits(_CSR):
+        """A "matrix" whose product is a fixed logits array."""
+
+        def dot(self, W):
+            return self.data.copy()
+
+    @pytest.mark.parametrize("classes", [2, 3, 4, 5, 6])
+    def test_equals_maximum_reduce(self, classes):
+        rng = np.random.default_rng(classes)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -1.5, 745.0])
+        # every pair of special values in the first two columns, then rows
+        # mixing special and normal values anywhere
+        pairs = np.array(np.meshgrid(special, special)).reshape(2, -1).T
+        logits = np.concatenate([
+            np.column_stack([pairs, rng.normal(size=(len(pairs), classes - 2))]),
+            np.where(rng.random((600, classes)) < 0.3,
+                     rng.choice(special, size=(600, classes)),
+                     rng.normal(scale=20.0, size=(600, classes)))])
+        # a -0.0 bias adds nothing to any value, so the logits are exactly these
+        params = ModelParams(weights=[np.zeros((1, classes))],
+                             biases=[np.full(classes, -0.0)], hidden_size=0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            probs, _ = _forward_matrix(params, self.Logits(None, None, logits, 1))
+            e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+            want = e / np.add.reduce(e, axis=-1, keepdims=True)
+        assert np.isnan(want).any() and (want == 1.0).any()
+        assert probs.tobytes() == want.tobytes()
 
 
 def random_sampler(corpus, batch_size, seed):
@@ -580,7 +615,8 @@ class TestMemory:
                                     np.arange(0, n * 12 + 1, 12)), shape=(n, dim))
         matrix.sum_duplicates()
         return Corpus(ids=[f"e{i}" for i in range(n)], labels=(np.arange(n) % 3).tolist(),
-                      matrix=matrix, texts=[("t", None)] * n, tokens=[(["t"], [])] * n,
+                      matrix=matrix, texts=[("t", None)] * n,
+                      **token_columns([(["t"], [])] * n),
                       num_classes=3, split_name=split, label_names=["a", "b", "c"])
 
     @pytest.mark.parametrize("with_validation", [True, False])
