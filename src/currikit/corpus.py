@@ -11,14 +11,13 @@ import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, count, islice, repeat
-from operator import itemgetter
+from itertools import chain, count
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
-from .artifacts import _CHUNK, _raw_decode, check, read_json, write_json, write_jsonl
+from .artifacts import check, read_json, write_json, write_jsonl
 from .curricula import cumulative, weighted_draw
 
 DEFAULT_HASH_DIM = 2 ** 18
@@ -28,6 +27,7 @@ SPLIT_NAMES = ("train", "validation", "test_id", "test_ood", "test_transfer")
 NOISY_SUFFIX = "#noisy"
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+_raw_decode = json.JSONDecoder().raw_decode  # json.loads less its checks
 
 # FNV-1a, 64-bit: the documented string hash behind feature indices.
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -38,13 +38,8 @@ _SEGMENT_SALTS = (b"a:", b"b:")
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on whitespace/punctuation; punctuation marks
-    come out as standalone tokens. A lowered text whose non-space characters
-    are all alphanumeric splits on whitespace alone, which gives the regex's
-    tokens: SRE's ``\\w`` is ``Py_UNICODE_ISALNUM`` or ``_`` and its ``\\s`` is
-    ``Py_UNICODE_ISSPACE``, the set ``str.split()`` splits on."""
-    text = text.lower()
-    parts = text.split()
-    return parts if "".join(parts).isalnum() else _TOKEN_RE.findall(text)
+    come out as standalone tokens."""
+    return _TOKEN_RE.findall(text.lower())
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -116,18 +111,14 @@ def _hashed_rows(vocab: list[str], token_ids, token_offsets, dim: int):
     _check_hash_dim(dim)
     n = (len(token_offsets) - 1) // 2
     segment = np.repeat(np.arange(2 * n), np.diff(token_offsets))  # of each token
-    slot = (segment & 1, token_ids)  # (segment a or b, token id) of each token
-    used = np.zeros((2, len(vocab)), dtype=bool)
-    used[slot] = True
-    salted = []  # the used slots in row-major order
-    for salt, in_segment in zip(_SEGMENT_SALTS, used):
-        salted += map(salt.__add__, map(str.encode, map(
-            vocab.__getitem__, np.flatnonzero(in_segment).tolist())))
+    slot = 2 * token_ids.astype(np.int64) + (segment & 1)  # (token id, segment a or b)
+    used = np.flatnonzero(np.bincount(slot))
+    salted = [_SEGMENT_SALTS[s & 1] + vocab[s >> 1].encode("utf-8") for s in used.tolist()]
     # Rank the distinct columns, so the (row, column) key stays below
     # rows x tokens whatever ``dim`` is.
     distinct, rank = np.unique(fnv1a_64_batch(salted) & np.uint64(dim - 1),
                                return_inverse=True)
-    slot_rank = np.zeros(used.shape, dtype=np.int64)
+    slot_rank = np.zeros(2 * len(vocab), dtype=np.int64)
     slot_rank[used] = rank
     keys, counts = np.unique((segment >> 1) * len(distinct) + slot_rank[slot],
                              return_counts=True)
@@ -236,55 +227,6 @@ def _record_features(raw, where: str) -> dict[int, float]:
     return features
 
 
-def _plain_rows(chunk: list[str], start: int):
-    """(line, id, label, text_a, text_b, None) per line of ``chunk``, whose
-    first line is line ``start``, if every line is one JSON object with a
-    string id, label and text_a, a string or null text_b if any, and no
-    "features" field; otherwise None."""
-    try:
-        records, ends = zip(*map(_raw_decode, chunk))
-        # Only the file's last line may lack its newline, and no document
-        # takes one: the lengths exceed the ends by exactly this much only
-        # if nothing else follows any document.
-        if (sum(map(len, chunk)) - sum(ends) != len(chunk) - (chunk[-1][-1:] != "\n")
-                or {*map(type, records)} != {dict}
-                or any(map(dict.__contains__, records, repeat("features")))):
-            return None
-        columns = [list(map(itemgetter(name), records))
-                   for name in ("id", "label", "text_a")]
-    except (json.JSONDecodeError, KeyError):
-        return None
-    texts_b = [rec.get("text_b") for rec in records]
-    if {*map(type, chain(*columns))} != {str} or {*map(type, texts_b)} - {str, type(None)}:
-        return None
-    return zip(count(start), *columns, texts_b, repeat(None))
-
-
-def _line_rows(path: Path, chunk: list[str], start: int):
-    """``_plain_rows`` one line at a time, for any record: ids, labels and
-    texts as strings, and the "features" object or None. Blank lines are
-    skipped; a malformed line raises ValueError naming ``path:line``."""
-    for lineno, line in enumerate(chunk, start=start):
-        if not (line := line.strip()):
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-        if not isinstance(rec, dict):
-            raise ValueError(f"{path}:{lineno}: not a JSON object")
-        for fld in ("id", "text_a", "label"):
-            if fld not in rec or rec[fld] is None:
-                raise ValueError(f"{path}:{lineno}: missing field {fld!r}")
-        for fld in ("id", "text_a", "text_b", "label"):
-            if isinstance(rec.get(fld), (list, dict)):
-                raise ValueError(f"{path}:{lineno}: field {fld!r} must be a string or "
-                                 f"a number, got {rec[fld]!r}")
-        text_b = rec.get("text_b")
-        yield (lineno, str(rec["id"]), str(rec["label"]), str(rec["text_a"]),
-               None if text_b is None else str(text_b), rec.get("features"))
-
-
 def load_jsonl(
     path: str | Path,
     split_name: str = "train",
@@ -305,59 +247,80 @@ def load_jsonl(
     must lie below that width, or below ``dim``. A malformed record raises
     ValueError naming ``path:line``; a hashed index past a fixed
     ``feature_dim`` names its first such line once every record is read.
-    Lines are decoded a chunk at a time, and line by line only in a chunk
-    that is not all ``_plain_rows``. The tokens of both segments of every
-    row are numbered into one vocabulary in first-appearance order.
     """
     path = Path(path)
     fixed_map = label_map is not None
     lmap: dict[str, int] = dict(label_map) if label_map else {}
-    ids, labels, texts, lines = [], [], [], []  # Corpus columns; each row's line
-    segments = []  # each row's token lists, segment a then b
+    ids, labels, texts, segments = [], [], [], []  # Corpus columns; token lists a, b
+    lines = []  # the line number of each row
     indptr, indices, data = [0], [], []  # the CSR buffers, for "features" records
     seen_ids: set[str] = set()
     has_features: bool | None = None
     bound = dim if feature_dim is None else feature_dim
 
     with path.open("r", encoding="utf-8") as fh:
-        for start in count(1, _CHUNK):
-            if not (chunk := list(islice(fh, _CHUNK))):
-                break
-            # a chunk after a "features" record is read line by line
-            rows = ((not has_features and _plain_rows(chunk, start))
-                    or _line_rows(path, chunk, start))
-            for lineno, eid, label_str, text_a, text_b, rec_features in rows:
-                if eid in seen_ids:
-                    raise ValueError(f"{path}:{lineno}: duplicate example id {eid!r}")
-                seen_ids.add(eid)
-                if label_str not in lmap:
-                    if fixed_map:
-                        raise ValueError(
-                            f"{path}:{lineno}: unknown label {label_str!r} for "
-                            f"split {split_name!r} (not in the fixed label map)"
-                        )
-                    lmap[label_str] = len(lmap)
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                rec, end = _raw_decode(line)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(line):  # not one JSON document: json.loads names why
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{where}: invalid JSON ({exc})") from None
+            if not isinstance(rec, dict):
+                raise ValueError(f"{where}: not a JSON object")
+            for fld in ("id", "text_a", "label"):
+                if fld not in rec or rec[fld] is None:
+                    raise ValueError(f"{where}: missing field {fld!r}")
+            for fld in ("id", "text_a", "text_b", "label"):
+                if isinstance(rec.get(fld), (list, dict)):
+                    raise ValueError(f"{where}: field {fld!r} must be a string or "
+                                     f"a number, got {rec[fld]!r}")
+            eid = str(rec["id"])
+            if eid in seen_ids:
+                raise ValueError(f"{where}: duplicate example id {eid!r}")
+            seen_ids.add(eid)
 
-                if has_features is None:
-                    has_features = rec_features is not None
-                elif has_features != (rec_features is not None):
-                    raise ValueError(f"{path}:{lineno}: mixed records with and "
-                                     "without a 'features' field")
-                if has_features:
-                    features = _record_features(rec_features, f"{path}:{lineno}")
-                    keys = sorted(features)
-                    if keys and keys[-1] >= bound:
-                        raise ValueError(f"{path}:{lineno}: feature index {keys[-1]} "
-                                         f"is not below the feature dimension {bound}")
-                    indices.extend(keys)
-                    data.extend(map(features.get, keys))
-                    indptr.append(len(indices))
+            label_str = str(rec["label"])
+            if label_str not in lmap:
+                if fixed_map:
+                    raise ValueError(
+                        f"{where}: unknown label {label_str!r} for "
+                        f"split {split_name!r} (not in the fixed label map)"
+                    )
+                lmap[label_str] = len(lmap)
 
-                ids.append(eid)
-                labels.append(lmap[label_str])
-                texts.append((text_a, text_b))
-                segments += (tokenize(text_a), tokenize(text_b) if text_b else [])
-                lines.append(lineno)
+            text_a = str(rec["text_a"])
+            text_b = None if rec.get("text_b") is None else str(rec["text_b"])
+
+            rec_features = rec.get("features")
+            if has_features is None:
+                has_features = rec_features is not None
+            elif has_features != (rec_features is not None):
+                raise ValueError(
+                    f"{where}: mixed records with and without a 'features' field"
+                )
+            if has_features:
+                features = _record_features(rec_features, where)
+                keys = sorted(features)
+                if keys and keys[-1] >= bound:
+                    raise ValueError(f"{where}: feature index {keys[-1]} is not "
+                                     f"below the feature dimension {bound}")
+                indices.extend(keys)
+                data.extend(map(features.get, keys))
+                indptr.append(len(indices))
+
+            ids.append(eid)
+            labels.append(lmap[label_str])
+            texts.append((text_a, text_b))
+            segments += (tokenize(text_a), tokenize(text_b) if text_b else [])
+            lines.append(lineno)
 
     index = defaultdict(count().__next__)  # token -> id, numbered as first met
     token_ids = np.fromiter(map(index.__getitem__, chain.from_iterable(segments)),

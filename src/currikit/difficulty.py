@@ -190,8 +190,8 @@ def perplexity_metric(
     train = corpus if train_corpus is None else train_corpus
     ids, size = _ids_in(train, corpus)
     train_keys, train_prev = _ngram_keys(train.token_ids, train.token_offsets, order, size)
-    keys = (train_keys if corpus is train else
-            np.concatenate([train_keys, _ngram_keys(ids, corpus.token_offsets, order, size)[0]]))
+    keys = (train_keys if corpus is train else np.concatenate(
+        [train_keys, _ngram_keys(ids, corpus.token_offsets, order, size)[0]]))
     distinct, inverse = np.unique(keys, return_inverse=True)  # train keys come first
     v = np.count_nonzero(np.bincount(train.token_ids, minlength=size))
     num = np.bincount(inverse[:len(train_keys)], minlength=len(distinct)) + add_k

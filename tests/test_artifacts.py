@@ -105,10 +105,10 @@ def test_field_of_another_json_type_named(tmp_path, kind, value, noun):
 
 
 # Calls that parse JSON or read an artifact without a schema, and the only
-# functions allowed to make them: the corpus-record reader (user input with
-# its own messages), the config loader, and the first-record sniff that tells
-# a stats file from a scores file.
-PARSE_ALLOWED = {("corpus.py", "_line_rows"), ("cli.py", "load_config")}
+# functions allowed to make them: the corpus-record loop (user input with its
+# own messages), the config loader, and the first-record sniff that tells a
+# stats file from a scores file.
+PARSE_ALLOWED = {("corpus.py", "load_jsonl"), ("cli.py", "load_config")}
 UNCHECKED_READ_ALLOWED = {("cli.py", "_first_record")}
 
 
