@@ -467,10 +467,17 @@ def _build_sampler(scheduler: str, scores: difficulty.DifficultyScores | None,
     return sampler, plan
 
 
-def _run_student_seed(config: dict, corpora: dict[str, Corpus], scheduler: str,
-                      scores: difficulty.DifficultyScores | None,
-                      annealing_epochs: int | None, seed: int, seed_dir: Path) -> dict:
-    train_corpus = corpora["train"]
+class _StudentSeed(NamedTuple):
+    seed: int
+    config: trainer.TrainConfig
+    sampler: trainer.Sampler
+    plan: curricula.AnnealingPlan | curricula.CompetencePlan | None
+    total_steps: int
+
+
+def _plan_student_seed(config: dict, train_corpus: Corpus, scheduler: str,
+                       scores: difficulty.DifficultyScores | None,
+                       annealing_epochs: int | None, seed: int) -> _StudentSeed:
     cfg = _train_config(config, seed=seed)
     steps_per_epoch = math.ceil(train_corpus.size / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
@@ -478,35 +485,41 @@ def _run_student_seed(config: dict, corpora: dict[str, Corpus], scheduler: str,
         scheduler, scores, annealing_epochs, config, seed, train_corpus,
         cfg.batch_size, steps_per_epoch, total_steps,
     )
-    params, runlog, _ = trainer.train(
-        train_corpus, corpora["validation"], cfg, sampler,
-        hidden_size=_value(config, "model", "hidden_size"), collect_probes=False,
-    )
-    trainer.write_runlog(runlog, seed_dir / "runlog.jsonl")
-    summary = curricula.plan_summary(plan)
-    summary.update({"scheduler_name": scheduler, "seed": seed})
-    artifacts.write_json(seed_dir / "plan.json", summary)
+    return _StudentSeed(seed, cfg, sampler, plan, total_steps)
 
-    metrics = {"scheduler": scheduler, "seed": seed,
-               "best_step": runlog.best_step, "total_steps": total_steps,
-               "accuracy": {}}
-    for split in EVAL_SPLITS:
-        if split not in corpora:
-            continue
-        corpus = corpora[split]
-        pred = trainer.predict(params, corpus)
-        labels = corpus.labels()
-        correct = pred == labels
-        metrics["accuracy"][split] = float(correct.mean())
-        _write_outcomes(seed_dir / f"outcomes_{split}.jsonl", corpus.ids(), correct)
-    artifacts.write_json(seed_dir / "metrics.json", metrics)
-    return metrics
+
+def _write_student_seeds(corpora: dict[str, Corpus], scheduler: str, sched_dir: Path,
+                         runs: list[_StudentSeed], trained: list[tuple]) -> dict[int, dict]:
+    """Write the files of seeds trained together and return their metrics;
+    each split is predicted for all of them with one product."""
+    correct = {split: trainer.predict([params for params, _, _ in trained],
+                                      corpora[split]) == corpora[split].labels()
+               for split in EVAL_SPLITS if split in corpora}
+    per_seed = {}
+    for s, (run, (_, runlog, _)) in enumerate(zip(runs, trained, strict=True)):
+        seed_dir = sched_dir / f"seed_{run.seed}"
+        trainer.write_runlog(runlog, seed_dir / "runlog.jsonl")
+        summary = curricula.plan_summary(run.plan)
+        summary.update({"scheduler_name": scheduler, "seed": run.seed})
+        artifacts.write_json(seed_dir / "plan.json", summary)
+
+        metrics = {"scheduler": scheduler, "seed": run.seed,
+                   "best_step": runlog.best_step, "total_steps": run.total_steps,
+                   "accuracy": {}}
+        for split, split_correct in correct.items():
+            metrics["accuracy"][split] = float(split_correct[s].mean())
+            _write_outcomes(seed_dir / f"outcomes_{split}.jsonl", corpora[split].ids(),
+                            split_correct[s])
+        artifacts.write_json(seed_dir / "metrics.json", metrics)
+        per_seed[run.seed] = metrics
+    return per_seed
 
 
 def cmd_student(config: dict, out_dir: Path, scheduler: str,
                 scores_path: Path | None = None,
                 corpora: dict[str, Corpus] | None = None) -> dict:
-    """Train one student per seed under ``scheduler`` and summarize.
+    """Train one student per seed under ``scheduler``, the seeds in lockstep
+    (``trainer.train_seeds``), and summarize.
 
     All schedulers consume exactly epochs * ceil(N / batch_size) optimizer
     steps, so time budgets match across a sweep. ``corpora`` lets callers
@@ -532,12 +545,22 @@ def cmd_student(config: dict, out_dir: Path, scheduler: str,
             annealing_epochs = _annealing_epochs(first, path, out_dir, scores)
 
     sched_dir = out_dir / "students" / scheduler
+    train_corpus = corpora["train"]
+    runs = [_plan_student_seed(config, train_corpus, scheduler, scores, annealing_epochs, seed)
+            for seed in _value(config, "config", "seeds")]
+    trained = trainer.train_seeds(
+        train_corpus, corpora["validation"], [run.config for run in runs],
+        [run.sampler for run in runs], hidden_size=_value(config, "model", "hidden_size"),
+        collect_probes=False,
+    )
+    # One lockstep group at a time: its results are written and dropped
+    # before the next group trains.
+    size = trainer.lockstep_group(train_corpus.feature_dim)
     per_seed = {}
-    for seed in _value(config, "config", "seeds"):
-        per_seed[seed] = _run_student_seed(
-            config, corpora, scheduler, scores, annealing_epochs, seed,
-            sched_dir / f"seed_{seed}",
-        )
+    for start in range(0, len(runs), size):
+        group = runs[start:start + size]
+        per_seed.update(_write_student_seeds(corpora, scheduler, sched_dir, group,
+                                             [next(trained) for _ in group]))
     summary = _summarize_student(scheduler, per_seed)
     artifacts.write_json(sched_dir / "summary.json", summary)
     return summary

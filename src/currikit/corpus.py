@@ -209,11 +209,12 @@ class SynthSpec:
             raise ValueError("ood_shift must be >= 0")
 
 
-def _record_features(raw, where: str) -> dict[int, float]:
+def _record_features(raw, path: Path, lineno: int) -> dict[int, float]:
     """A record's "features" object as {index: value}; indices must be
-    non-negative integers and values finite numbers."""
+    non-negative integers and values finite numbers. Errors name
+    ``path:lineno``."""
     if not isinstance(raw, dict):
-        raise ValueError(f"{where}: field 'features' must be an object")
+        raise ValueError(f"{path}:{lineno}: field 'features' must be an object")
     features: dict[int, float] = {}
     for key, value in raw.items():
         try:
@@ -221,7 +222,7 @@ def _record_features(raw, where: str) -> dict[int, float]:
         except (TypeError, ValueError, OverflowError):
             idx, val = -1, math.nan
         if idx < 0 or not math.isfinite(val):
-            raise ValueError(f"{where}: feature {key!r}: {value!r} needs a "
+            raise ValueError(f"{path}:{lineno}: feature {key!r}: {value!r} needs a "
                              "non-negative integer index and a finite value")
         features[idx] = val
     return features
@@ -263,7 +264,6 @@ def load_jsonl(
             line = line.strip()
             if not line:
                 continue
-            where = f"{path}:{lineno}"
             try:
                 rec, end = _raw_decode(line)
             except json.JSONDecodeError:
@@ -272,26 +272,26 @@ def load_jsonl(
                 try:
                     rec = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise ValueError(f"{where}: invalid JSON ({exc})") from None
+                    raise ValueError(f"{path}:{lineno}: invalid JSON ({exc})") from None
             if not isinstance(rec, dict):
-                raise ValueError(f"{where}: not a JSON object")
+                raise ValueError(f"{path}:{lineno}: not a JSON object")
             for fld in ("id", "text_a", "label"):
                 if fld not in rec or rec[fld] is None:
-                    raise ValueError(f"{where}: missing field {fld!r}")
+                    raise ValueError(f"{path}:{lineno}: missing field {fld!r}")
             for fld in ("id", "text_a", "text_b", "label"):
                 if isinstance(rec.get(fld), (list, dict)):
-                    raise ValueError(f"{where}: field {fld!r} must be a string or "
+                    raise ValueError(f"{path}:{lineno}: field {fld!r} must be a string or "
                                      f"a number, got {rec[fld]!r}")
             eid = str(rec["id"])
             if eid in seen_ids:
-                raise ValueError(f"{where}: duplicate example id {eid!r}")
+                raise ValueError(f"{path}:{lineno}: duplicate example id {eid!r}")
             seen_ids.add(eid)
 
             label_str = str(rec["label"])
             if label_str not in lmap:
                 if fixed_map:
                     raise ValueError(
-                        f"{where}: unknown label {label_str!r} for "
+                        f"{path}:{lineno}: unknown label {label_str!r} for "
                         f"split {split_name!r} (not in the fixed label map)"
                     )
                 lmap[label_str] = len(lmap)
@@ -304,13 +304,13 @@ def load_jsonl(
                 has_features = rec_features is not None
             elif has_features != (rec_features is not None):
                 raise ValueError(
-                    f"{where}: mixed records with and without a 'features' field"
+                    f"{path}:{lineno}: mixed records with and without a 'features' field"
                 )
             if has_features:
-                features = _record_features(rec_features, where)
+                features = _record_features(rec_features, path, lineno)
                 keys = sorted(features)
                 if keys and keys[-1] >= bound:
-                    raise ValueError(f"{where}: feature index {keys[-1]} is not "
+                    raise ValueError(f"{path}:{lineno}: feature index {keys[-1]} is not "
                                      f"below the feature dimension {bound}")
                 indices.extend(keys)
                 data.extend(map(features.get, keys))

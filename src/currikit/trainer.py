@@ -7,22 +7,27 @@ logged on a fixed step grid, the best checkpoint is kept in memory, and
 an end-of-epoch inference pass over the whole train set fills one row of
 the (epochs, N) gold-label probability and correctness arrays of a Probes
 record, columns in corpus row order.
+
+Several seeds of one config train in lockstep as one stack of models
+(``train_seeds``); every seed keeps the bits a training of its own gives.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
-from typing import Callable, NamedTuple, Protocol
+from typing import NamedTuple, Protocol
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
 from .artifacts import read_jsonl, write_columns
-from .corpus import Corpus
+from .corpus import DEFAULT_HASH_DIM, Corpus
 
 
 class Sampler(Protocol):
@@ -108,6 +113,30 @@ def init_params(
     return ModelParams(weights=weights, biases=biases, hidden_size=max(hidden_size, 0))
 
 
+def _stack(models: list[ModelParams]) -> ModelParams:
+    """S models of one shape as one stack: the first-layer weights one above
+    the other, ``(S * dim, width)``, and every other array with a leading
+    seed axis. The stack of one model shares its arrays."""
+    if len(models) == 1:
+        (m,) = models
+        return ModelParams(weights=[m.weights[0], *(w[None] for w in m.weights[1:])],
+                           biases=[b[None] for b in m.biases], hidden_size=m.hidden_size)
+    return ModelParams(
+        weights=[np.concatenate([m.weights[0] for m in models]),
+                 *map(np.stack, zip(*(m.weights[1:] for m in models)))],
+        biases=[np.stack(b) for b in zip(*(m.biases for m in models))],
+        hidden_size=models[0].hidden_size)
+
+
+def _unstack(stack: ModelParams) -> list[ModelParams]:
+    """The models of a stack, as views of its arrays."""
+    S = len(stack.biases[0])
+    W = stack.weights[0].reshape(S, -1, stack.weights[0].shape[1])
+    return [ModelParams(weights=[W[s], *(w[s] for w in stack.weights[1:])],
+                        biases=[b[s] for b in stack.biases], hidden_size=stack.hidden_size)
+            for s in range(S)]
+
+
 def _redraw_first_weights(W: np.ndarray, seed: int, decay: float, decays: int,
                           chunk_rows: int = 4096) -> None:
     """Overwrite ``W`` with ``init_params``' first weight matrix for ``seed``
@@ -144,8 +173,11 @@ class _CSR(NamedTuple):
         X = X.tocsr() if sparse.issparse(X) else sparse.csr_matrix(X)
         return cls(X.indptr, X.indices, X.data, X.shape[1])
 
-    def take(self, rows: np.ndarray) -> "_CSR":
-        """The buffers of ``S[rows]``; rows may repeat."""
+    def take(self, rows: np.ndarray, sizes: list[int] | None = None) -> "_CSR":
+        """The buffers of ``S[rows]``; rows may repeat. With ``sizes``, the
+        rows are S = len(sizes) seeds' batches in seed order, ``sizes[s]``
+        rows of seed s, and the result is their block-diagonal batch: seed
+        s's columns shifted by ``s * n_cols``."""
         starts = self.indptr[rows]
         lens = self.indptr[1:][rows]
         lens -= starts
@@ -153,7 +185,12 @@ class _CSR(NamedTuple):
         np.add.accumulate(lens, out=indptr[1:])
         pos = (starts - indptr[:-1]).repeat(lens)
         pos += np.arange(indptr[-1], dtype=pos.dtype)
-        return _CSR(indptr, self.indices.take(pos), self.data.take(pos), self.n_cols)
+        indices, n_cols = self.indices.take(pos), self.n_cols
+        if sizes is not None and len(sizes) > 1:
+            shift = np.arange(0, len(sizes) * n_cols, n_cols, dtype=indices.dtype)
+            indices += shift.repeat(sizes).repeat(lens)
+            n_cols *= len(sizes)
+        return _CSR(indptr, indices, self.data.take(pos), n_cols)
 
     def dot(self, W: np.ndarray) -> np.ndarray:
         """``S @ W``; a ``W`` of other than ``n_cols`` rows raises."""
@@ -174,58 +211,154 @@ class _CSR(NamedTuple):
         return out
 
 
-def _forward_matrix(params: ModelParams, X) -> tuple[np.ndarray, np.ndarray | None]:
-    """Softmax probabilities for a (N, dim) CSR matrix, array or _CSR, and
-    the hidden activations (None for a linear model)."""
-    logits, hidden = _CSR.of(X).dot(params.weights[0]) + params.biases[0], None
-    if params.hidden_size > 0:
+class _SeedRows:
+    """The rows of a stack's batch: ``sizes[s]`` rows of seed s, in seed
+    order. Per-seed work runs once on an ``(S, B, ...)`` view when every seed
+    has B rows, and once per seed on its own rows when they differ; numpy
+    reduces and multiplies each seed's block of such a view as it does the
+    block alone, so either way each seed gets the bits of its own batch."""
+
+    def __init__(self, sizes: list[int]):
+        self.sizes = sizes
+        self.equal = sizes.count(sizes[0]) == len(sizes)
+        # batch rows per seed, and per row of the batch
+        self.n = sizes[0] if self.equal else np.array(sizes)
+        self.row_n = self.n if self.equal else np.repeat(self.n, sizes)[:, None]
+
+    def blocks(self, a: np.ndarray):
+        if self.equal:
+            return a.reshape(len(self.sizes), self.sizes[0], *a.shape[1:])
+        return np.split(a, np.cumsum(self.sizes[:-1]))
+
+    def rows(self, a: np.ndarray) -> np.ndarray:
+        """Row s of ``a`` for every row of seed s; one seed's row broadcasts."""
+        return a if len(self.sizes) == 1 else a.repeat(self.sizes, axis=0)
+
+    def sums(self, a: np.ndarray) -> np.ndarray:
+        """Each seed's sum of its rows of ``a``, stacked."""
+        if len(self.sizes) == 1:  # the one reduce, without a reshape
+            return np.add.reduce(a, axis=0, keepdims=True)
+        if self.equal:
+            return np.add.reduce(self.blocks(a), axis=1)
+        return np.stack([np.add.reduce(block, axis=0) for block in self.blocks(a)])
+
+    def matmul(self, a: np.ndarray, M: np.ndarray) -> np.ndarray:
+        """Each seed's rows of ``a`` times its matrix ``M[s]``."""
+        if self.equal:
+            return (self.blocks(a) @ M).reshape(len(a), -1)
+        return np.concatenate([block @ m for block, m in zip(self.blocks(a), M)])
+
+    def tmatmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Each seed's ``a.T @ b`` over its rows, stacked."""
+        if self.equal:
+            return self.blocks(a).transpose(0, 2, 1) @ self.blocks(b)
+        return np.stack([pa.T @ pb for pa, pb in zip(self.blocks(a), self.blocks(b))])
+
+
+def _seed_sums(a: np.ndarray, seeds: int) -> np.ndarray | float:
+    """The sum of each seed's part of a stacked array (see ``_stack``), a
+    float for one seed."""
+    if seeds == 1:
+        return float(np.add.reduce(a, axis=None))
+    return np.add.reduce(a.reshape(seeds, -1), axis=1)
+
+
+def _row_sums(e: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(e, axis=-1, keepdims=True)`` for a 2-D ``e``. numpy
+    adds fewer than 8 terms left to right, as a chain over the columns
+    does, and reduces a short inner axis slowly; from 8 on it sums pairwise
+    in 8 accumulators, so the reduce stays."""
+    if e.shape[1] < 8:
+        return reduce(np.add, e.T)[:, None]
+    return np.add.reduce(e, axis=-1, keepdims=True)
+
+
+def _forward(stack: ModelParams, first: np.ndarray,
+             rows: _SeedRows) -> tuple[np.ndarray, np.ndarray | None]:
+    """Softmax probabilities of a stack of models (see ``_stack``) from the
+    first-layer products ``first``, one row per example with seed s's
+    examples on ``rows``; and the hidden activations (None for a linear
+    model)."""
+    logits, hidden = first + rows.rows(stack.biases[0]), None
+    if stack.hidden_size > 0:
         hidden = np.tanh(logits)
-        logits = hidden @ params.weights[1] + params.biases[1]
+        logits = rows.matmul(hidden, stack.weights[1]) + rows.rows(stack.biases[1])
     # The row max as a chain over the class columns: numpy reduces a short
     # inner axis slowly. Only a zero's sign can differ, which exp erases.
     e = np.exp(logits - reduce(np.maximum, logits.T)[:, None])
-    return e / np.add.reduce(e, axis=-1, keepdims=True), hidden
+    return e / _row_sums(e), hidden
+
+
+def _forward_matrix(params: ModelParams, X) -> tuple[np.ndarray, np.ndarray | None]:
+    """Softmax probabilities for a (N, dim) CSR matrix, array or _CSR, and
+    the hidden activations (None for a linear model): (N, classes) for one
+    model, (S, N, classes) for a stack of S (see ``_stack``). A stack takes
+    one product, against its first-layer weights side by side."""
+    stacked = params.biases[0].ndim == 2
+    stack = params if stacked else _stack([params])
+    S, W = len(stack.biases[0]), stack.weights[0]
+    if S > 1:  # (S * dim, width) -> (dim, S * width)
+        W = W.reshape(S, -1, W.shape[1]).transpose(1, 0, 2).reshape(-1, S * W.shape[1])
+    first = _CSR.of(X).dot(W)
+    n = len(first)
+    if S > 1:  # seed-major rows
+        first = first.reshape(n, S, -1).transpose(1, 0, 2).reshape(S * n, -1)
+    probs, hidden = _forward(stack, first, _SeedRows([n] * S))
+    return (probs.reshape(S, n, -1) if stacked else probs), hidden
 
 
 def loss_and_grad(
-    params: ModelParams, X, y: np.ndarray, weight_decay: float = 0.0
-) -> tuple[float, tuple[list[np.ndarray], list[np.ndarray]]]:
+    params: ModelParams, X, y: np.ndarray, weight_decay: float = 0.0,
+    sizes: list[int] | None = None,
+) -> tuple[float | np.ndarray, tuple[list[np.ndarray], list[np.ndarray]]]:
     """Mean cross-entropy over the batch and its analytic gradients.
 
     ``X`` is a CSR matrix, an array (converted once to CSR) or a _CSR. With
     ``weight_decay`` > 0 an L2 penalty (weights only) is added to both the
     loss and the gradients; the trainer instead applies decay decoupled in
     its update step and calls this with 0.
+
+    With ``sizes``, ``params`` is a stack of S = len(sizes) models (see
+    ``_stack``) and ``X`` their batches as one block-diagonal matrix
+    (``_CSR.take`` with ``sizes``). Then the S losses come as an array and
+    the gradients stacked like ``params``, each seed's the bits of its own
+    batch.
     """
     X = _CSR.of(X)
     n = len(X.indptr) - 1
     if n == 0:
         raise ValueError("empty batch")
-    dlogits, hidden = _forward_matrix(params, X)  # probabilities, turned into the gradient
+    stack = _stack([params]) if sizes is None else params
+    rows = _SeedRows([n] if sizes is None else sizes)
+    # probabilities, turned into the gradient
+    dlogits, hidden = _forward(stack, X.dot(stack.weights[0]), rows)
     at_gold = (np.arange(n), y)
     gold = dlogits[at_gold]
-    loss = float(-(np.add.reduce(np.log(np.maximum(gold, 1e-300))) / n))
+    losses = -(rows.sums(np.log(np.maximum(gold, 1e-300))) / rows.n)
     dlogits[at_gold] = gold - 1.0
-    dlogits /= n
+    dlogits /= rows.row_n
 
-    if params.hidden_size > 0:
-        dh = (dlogits @ params.weights[1].T) * (1.0 - hidden * hidden)
-        wgrads = [X.tdot(dh), hidden.T @ dlogits]
-        bgrads = [np.add.reduce(dh, axis=0), np.add.reduce(dlogits, axis=0)]
+    if stack.hidden_size > 0:
+        dh = rows.matmul(dlogits, stack.weights[1].transpose(0, 2, 1)) * (1.0 - hidden * hidden)
+        wgrads = [X.tdot(dh), rows.tmatmul(hidden, dlogits)]
+        bgrads = [rows.sums(dh), rows.sums(dlogits)]
     else:
-        wgrads, bgrads = [X.tdot(dlogits)], [np.add.reduce(dlogits, axis=0)]
+        wgrads, bgrads = [X.tdot(dlogits)], [rows.sums(dlogits)]
 
     if weight_decay > 0.0:
-        for i, w in enumerate(params.weights):
-            loss += 0.5 * weight_decay * float(np.add.reduce(w * w, axis=None))
+        for i, w in enumerate(stack.weights):
+            losses += 0.5 * weight_decay * _seed_sums(w * w, len(rows.sizes))
             wgrads[i] = wgrads[i] + weight_decay * w
-    return loss, (wgrads, bgrads)
+    if sizes is not None:
+        return losses, (wgrads, bgrads)
+    return float(losses[0]), ([wgrads[0], *(g[0] for g in wgrads[1:])],
+                              [g[0] for g in bgrads])
 
 
 def clip_gradients(
     wgrads: list[np.ndarray], bgrads: list[np.ndarray], max_norm: float,
-    square_sum: Callable[[np.ndarray], float] | None = None,
-) -> float:
+    square_sum: Callable[[np.ndarray], float] | None = None, seeds: int | None = None,
+) -> float | np.ndarray:
     """Scale all gradients in place to a global L2 norm of at most
     ``max_norm``; returns the pre-clip norm.
 
@@ -234,18 +367,36 @@ def clip_gradients(
     ``wgrads[0]`` to ``float(np.sum(...))`` of the full-shape squares, so the
     norm equals the full gradient's bit for bit (summing the compact rows
     alone groups the terms differently).
+
+    With ``seeds``, the gradients are a stack of that many models' (see
+    ``_stack``): each model's norm and scale are its own, and the norms come
+    as an array (a float for one seed).
     """
+    S = seeds or 1
     total = 0.0
     for i, g in enumerate(wgrads + bgrads):
         sq = g * g
-        total += (square_sum(sq.reshape(-1)) if i == 0 and square_sum is not None
-                  else float(np.add.reduce(sq, axis=None)))
-    norm = math.sqrt(total)
-    if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
+        if i == 0 and square_sum is not None:
+            parts = [square_sum(part) for part in sq.reshape(S, -1)]
+            total += parts[0] if S == 1 else np.array(parts)
+        else:
+            total += _seed_sums(sq, S)
+    if S == 1:  # a float total
+        norm = math.sqrt(total)
+        if norm > max_norm and norm > 0.0:
+            scale = max_norm / norm
+            for g in wgrads + bgrads:
+                g *= scale
+        return norm
+    norms = np.sqrt(total)
+    clipped = (norms > max_norm) & (norms > 0.0)
+    if clipped.any():
+        scale = np.ones(S)
+        scale[clipped] = max_norm / norms[clipped]
         for g in wgrads + bgrads:
-            g *= scale
-    return norm
+            by_seed = g.reshape(S, -1)  # a view: the gradients are contiguous
+            by_seed *= scale[:, None]
+    return norms
 
 
 # numpy sums a contiguous float64 array pairwise: a block of more than this
@@ -382,16 +533,25 @@ def _pairwise_sum_is_numpys() -> bool:
 
 
 _PAIRWISE_EXACT = _pairwise_sum_is_numpys()
-def predict(params: ModelParams, corpus: Corpus) -> np.ndarray:
-    """Argmax class per example; ties go to the lowest class index."""
-    probs, _ = _forward_matrix(params, corpus.feature_matrix())
-    return probs.argmax(axis=1)
 
 
-def evaluate(params: ModelParams, corpus: Corpus) -> float:
+def predict(params: ModelParams | list[ModelParams], corpus: Corpus) -> np.ndarray:
+    """Argmax class per example; ties go to the lowest class index. S models
+    of one shape, as a list or a stack (see ``_stack``), give an (S, N)
+    array from one product."""
+    probs, _ = _forward_matrix(_stack(params) if isinstance(params, list) else params,
+                               corpus.feature_matrix())
+    return probs.argmax(axis=-1)
+
+
+def evaluate(params: ModelParams | list[ModelParams], corpus: Corpus) -> float | list[float]:
+    """Accuracy on ``corpus``; S models, as for ``predict``, give a list."""
     if corpus.size == 0:
         raise ValueError("cannot evaluate on an empty corpus")
-    return float(np.mean(predict(params, corpus) == corpus.labels()))
+    correct = predict(params, corpus) == corpus.labels()
+    if correct.ndim == 2:
+        return [float(np.mean(c)) for c in correct]
+    return float(np.mean(correct))
 
 
 class _ActiveRows:
@@ -401,25 +561,28 @@ class _ActiveRows:
     A frozen row has zero gradient and zero velocity at every step, so only
     decoupled weight decay moves it: one ``*= (1 - lr * wd)`` per step. Those
     factors are owed and applied, one multiply each, by ``sync``, which also
-    scatters the trained rows into the full-width ``full``. ``params`` is the
-    compact model: its ``weights[0]`` holds the active rows, and it shares
-    every other array with ``full``. ``X`` is the train matrix with its
-    columns renumbered to match; its rows keep their entries in order, so
-    products with it equal the full-width ones bit for bit. ``square_sum``
-    sums the squares of a compact ``weights[0]`` gradient as numpy sums the
-    full-width one, and ``decayed`` counts the decays ``sync`` has applied.
+    scatters the trained rows into the full-width ``full``, a stack of models
+    (see ``_stack``). ``params`` is the compact stack: its ``weights[0]``
+    holds each model's ``rows``, and it shares every other array with
+    ``full``. ``X`` is the train matrix with its columns renumbered to match;
+    its rows keep their entries in order, so products with it equal the
+    full-width ones bit for bit. ``square_sum`` sums the squares of one
+    model's compact ``weights[0]`` gradient as numpy sums the full-width one,
+    and ``decayed`` counts the decays ``sync`` has applied.
     """
 
     def __init__(self, X, full: ModelParams, rows: np.ndarray):
         self.full = full
+        W = full.weights[0]
+        dim, width = W.shape[0] // len(full.biases[0]), W.shape[1]
         self.rows = rows
+        self.stacked_rows = (np.arange(0, W.shape[0], dim)[:, None] + rows).reshape(-1)
         cols = np.unique(X.indices, return_inverse=True)[1].astype(X.indices.dtype)
         self.X = _CSR(X.indptr, cols, X.data, len(rows))
-        self.params = ModelParams(weights=[full.weights[0][rows], *full.weights[1:]],
+        self.params = ModelParams(weights=[W[self.stacked_rows], *full.weights[1:]],
                                   biases=full.biases, hidden_size=full.hidden_size)
-        W = full.weights[0]
-        index = (rows[:, None] * W.shape[1] + np.arange(W.shape[1])).reshape(-1)
-        self.square_sum = (_PairwiseSum if _PAIRWISE_EXACT else _BufferSum)(index, W.size)
+        index = (rows[:, None] * width + np.arange(width)).reshape(-1)
+        self.square_sum = (_PairwiseSum if _PAIRWISE_EXACT else _BufferSum)(index, dim * width)
         self.owed = 0  # decay steps not yet applied to the frozen rows
         self.decayed = 0  # decay steps applied to the frozen rows
 
@@ -429,7 +592,7 @@ class _ActiveRows:
             W *= decay
         self.decayed += self.owed
         self.owed = 0
-        W[self.rows] = self.params.weights[0]
+        W[self.stacked_rows] = self.params.weights[0]
 
 
 def _eval_offsets(epoch_len: int, per_epoch: int) -> list[int]:
@@ -456,10 +619,71 @@ def train(
     False). Probes always cover the entire train corpus, whatever the
     sampler admitted.
     """
+    (result,) = train_seeds(corpus, val_corpus, [config], [sampler], hidden_size,
+                            collect_probes)
+    return result
+
+
+def lockstep_group(feature_dim: int) -> int:
+    """The most seeds ``train_seeds`` trains as one stack: a stack's weights
+    are no wider than one model's at the default ``hash_dim``."""
+    return max(1, DEFAULT_HASH_DIM // max(feature_dim, 1))
+
+
+def train_seeds(
+    corpus: Corpus,
+    val_corpus: Corpus | None,
+    configs: list[TrainConfig],
+    samplers: list[Sampler],
+    hidden_size: int = 0,
+    collect_probes: bool = True,
+) -> Iterator[tuple[ModelParams, RunLog, Probes | None]]:
+    """``train`` for each (config, sampler) pair, in lockstep: yields each
+    seed's result, bit for bit what ``train`` alone returns.
+
+    The configs may differ only in ``seed``, and the samplers must report
+    one epoch length. Seeds train in groups of ``lockstep_group`` seeds,
+    each group as one stack of models (see ``_stack``): a step gathers the
+    group's batches into one block-diagonal batch and makes one product
+    pair, one softmax, one clip scale and one update for all of them, and an
+    evaluation makes one product. A group's arrays are made when its first
+    result is asked for, so a caller that drops each group's results before
+    asking for the next holds one group at a time.
+    """
+    if not configs or len(configs) != len(samplers):
+        raise ValueError(f"{len(configs)} configs for {len(samplers)} samplers")
+    if any(dataclasses.replace(c, seed=0) != dataclasses.replace(configs[0], seed=0)
+           for c in configs):
+        raise ValueError("configs trained in lockstep may differ only in seed")
+    lengths = sorted({sampler.epoch_length() for sampler in samplers})
+    if len(lengths) > 1:
+        raise ValueError(f"samplers trained in lockstep report epoch lengths {lengths}")
+    if lengths[0] <= 0:
+        raise ValueError("sampler reports a non-positive epoch length")
+    size = lockstep_group(corpus.feature_dim)
+    groups = [slice(start, start + size) for start in range(0, len(configs), size)]
+    return _lockstep(corpus, val_corpus, configs, samplers, groups, lengths[0],
+                     hidden_size, collect_probes)
+
+
+def _lockstep(corpus, val_corpus, configs, samplers, groups, epoch_len, hidden_size,
+              collect_probes):
+    # yield from binds no result, so none outlives its group here
+    for group in groups:
+        yield from _train_stack(corpus, val_corpus, configs[group], samplers[group],
+                                epoch_len, hidden_size, collect_probes)
+
+
+def _train_stack(corpus: Corpus, val_corpus: Corpus | None, configs: list[TrainConfig],
+                 samplers: list[Sampler], epoch_len: int, hidden_size: int,
+                 collect_probes: bool):
+    """Train one group of ``train_seeds`` as a stack; yields each seed's result."""
     X = corpus.feature_matrix()
     y = corpus.labels()
+    config, S = configs[0], len(configs)
 
-    params = init_params(corpus.feature_dim, corpus.num_classes, hidden_size, config.seed)
+    params = _stack([init_params(corpus.feature_dim, corpus.num_classes, hidden_size, c.seed)
+                     for c in configs])
     # Rows of weights[0] whose columns the train split never uses stay frozen
     # when they are most rows: each step then saves work on every frozen row
     # but scatters the used ones. On a 2-core x86-64 host the compact step
@@ -472,42 +696,46 @@ def train(
     active = _ActiveRows(X, params, used) if 4 * len(used) <= X.shape[1] else None
     step_params, step_X, square_sum = ((params, _CSR.of(X), None) if active is None
                                        else (active.params, active.X, active.square_sum))
+    models = _unstack(step_params)  # views: every update is in place
     vel_w = [np.zeros_like(w) for w in step_params.weights]
     vel_b = [np.zeros_like(b) for b in step_params.biases]
     decay = 1.0 - config.learning_rate * config.weight_decay
-
-    epoch_len = sampler.epoch_length()
-    if epoch_len <= 0:
-        raise ValueError("sampler reports a non-positive epoch length")
     eval_offsets = set(_eval_offsets(epoch_len, config.eval_per_epoch))
 
-    records: list[tuple[int, str, str, float]] = []
-    probes = None
+    records: list[list[tuple[int, str, str, float]]] = [[] for _ in range(S)]
+    probes: list[Probes | None] = [None] * S
     if collect_probes:
         shape = (config.epochs, corpus.size)
-        probes = Probes(ids=corpus.ids(), gold_prob=np.empty(shape),
-                        correct=np.empty(shape, dtype=bool))
-    # The best checkpoint is a copy of step_params (the compact rows when
-    # some are frozen) and the decays its frozen rows had taken.
-    best_params, best_decayed = None, 0
-    best_acc = -math.inf
-    best_step = 0
+        probes = [Probes(ids=corpus.ids(), gold_prob=np.empty(shape),
+                         correct=np.empty(shape, dtype=bool)) for _ in range(S)]
+    # Each seed's best checkpoint is a copy of its model in step_params (the
+    # compact rows when some are frozen) and the decays its frozen rows had
+    # taken.
+    best_params: list[ModelParams | None] = [None] * S
+    best_decayed = [0] * S
+    best_acc = [-math.inf] * S
+    best_step = [0] * S
     step = 0  # batches served so far; sampler sees the pre-batch count
 
     momentum = 0.9
     for epoch in range(1, config.epochs + 1):
         for offset in range(1, epoch_len + 1):
-            rows = sampler.next_batch(step)
-            if not len(rows):
+            batches = [sampler.next_batch(step) for sampler in samplers]
+            sizes = [len(b) for b in batches]
+            if 0 in sizes:
                 raise RuntimeError(
                     f"sampler exhausted mid-epoch at step {step} (contract violation)"
                 )
-            loss, (wgrads, bgrads) = loss_and_grad(step_params, step_X.take(rows), y[rows])
-            if not math.isfinite(loss):
-                raise FloatingPointError(
-                    f"non-finite training loss {loss} at step {step + 1}"
-                )
-            clip_gradients(wgrads, bgrads, config.grad_clip, square_sum)
+            rows = batches[0] if S == 1 else np.concatenate(batches)
+            losses, (wgrads, bgrads) = loss_and_grad(step_params, step_X.take(rows, sizes),
+                                                     y[rows], sizes=sizes)
+            losses = losses.tolist()
+            for loss in losses:
+                if not math.isfinite(loss):
+                    raise FloatingPointError(
+                        f"non-finite training loss {loss} at step {step + 1}"
+                    )
+            clip_gradients(wgrads, bgrads, config.grad_clip, square_sum, seeds=S)
             for v, g in zip(vel_w + vel_b, wgrads + bgrads):
                 v *= momentum
                 v += g
@@ -519,39 +747,42 @@ def train(
                 if active is not None:
                     active.owed += 1
             step += 1
-            records.append((step, "train", "loss", loss))
+            for seed_records, loss in zip(records, losses):
+                seed_records.append((step, "train", "loss", loss))
 
             if val_corpus is not None and offset in eval_offsets:
                 if active is not None:
                     active.sync(decay)
-                acc = evaluate(params, val_corpus)
-                records.append((step, "validation", "accuracy", acc))
-                if acc > best_acc:
-                    best_acc = acc
-                    best_step = step
-                    best_params = step_params.copy()
-                    best_decayed = active.decayed if active is not None else 0
+                for s, acc in enumerate(evaluate(params, val_corpus)):
+                    records[s].append((step, "validation", "accuracy", acc))
+                    if acc > best_acc[s]:
+                        best_acc[s], best_step[s] = acc, step
+                        best_params[s] = models[s].copy()
+                        best_decayed[s] = active.decayed if active is not None else 0
 
-        if probes is not None:
+        if collect_probes:
             probs, _ = _forward_matrix(step_params, step_X)
-            probes.gold_prob[epoch - 1] = probs[np.arange(corpus.size), y]
-            probes.correct[epoch - 1] = probs.argmax(axis=1) == y
+            for seed_probes, seed_probs in zip(probes, probs):
+                seed_probes.gold_prob[epoch - 1] = seed_probs[np.arange(corpus.size), y]
+                seed_probes.correct[epoch - 1] = seed_probs.argmax(axis=1) == y
 
     if val_corpus is None:
         if active is not None:
             active.sync(decay)
-        best_params = params
-        best_step = step
-        best_acc = math.nan
+        best_params = _unstack(params)
+        best_step = [step] * S
+        best_acc = [math.nan] * S
     elif active is not None:
-        W = params.weights[0]
-        if active.decayed > best_decayed:  # rebuild the frozen rows at the best step
-            _redraw_first_weights(W, config.seed, decay, best_decayed)
-        W[active.rows] = best_params.weights[0]
-        best_params = ModelParams(weights=[W, *best_params.weights[1:]],
-                                  biases=best_params.biases, hidden_size=params.hidden_size)
-    return best_params, RunLog(records=records, best_step=best_step,
-                               best_val_metric=best_acc), probes
+        for s, (full, best) in enumerate(zip(_unstack(params), best_params)):
+            W = full.weights[0]
+            if active.decayed > best_decayed[s]:  # rebuild the frozen rows at the best step
+                _redraw_first_weights(W, configs[s].seed, decay, best_decayed[s])
+            W[active.rows] = best.weights[0]
+            best_params[s] = ModelParams(weights=[W, *best.weights[1:]], biases=best.biases,
+                                         hidden_size=params.hidden_size)
+    for s in range(S):
+        yield best_params[s], RunLog(records=records[s], best_step=best_step[s],
+                                     best_val_metric=best_acc[s]), probes[s]
 
 
 # --- on-disk formats -------------------------------------------------------

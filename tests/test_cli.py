@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from currikit import cli, difficulty
+from currikit import cli, difficulty, trainer
 from currikit.cli import (
     SCHEDULERS,
     ValidationError,
@@ -291,6 +291,42 @@ class TestStudentCommand:
             )
             expected = max(1, round(0.9 * random_summary["best_steps"][str(seed)]))
             assert plan["duration"] == expected
+
+    @pytest.mark.parametrize("scheduler", ["random", "conf_comp"])
+    def test_lockstep_seeds_write_single_seed_bytes(self, tmp_path, monkeypatch, scheduler):
+        """A student with seeds [1, 2] trains them in lockstep and writes
+        seed_1/ and seed_2/ byte for byte as two runs of one seed each do.
+        conf_comp takes per-seed durations from a baseline run, so the two
+        seeds leave their competence phase at different steps and some
+        lockstep batches differ in length."""
+        baseline = tmp_path / "baseline"
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["teacher_seed"] = 1
+        cmd_student(config, baseline, "random")
+        config["curriculum"] = {"baseline_dir": str(baseline / "students" / "random")}
+        assert len(set(json.loads((baseline / "students" / "random" / "summary.json")
+                                  .read_text())["best_steps"].values())) == 2
+
+        def run(seeds, out):
+            cmd_teacher({**config, "seeds": seeds}, out, metric="dynamics")
+            cmd_student({**config, "seeds": seeds}, out, scheduler)
+            return out / "students" / scheduler
+
+        forms = []
+        seed_rows = trainer._SeedRows
+        monkeypatch.setattr(trainer, "_SeedRows",
+                            lambda sizes: forms.append(len(set(sizes))) or seed_rows(sizes))
+        both = run([1, 2], tmp_path / "both")
+        assert max(forms) == (2 if scheduler == "conf_comp" else 1)
+        for seed in (1, 2):
+            alone = run([seed], tmp_path / f"seed{seed}")
+            files = sorted(p.name for p in (both / f"seed_{seed}").iterdir())
+            assert files == sorted(p.name for p in (alone / f"seed_{seed}").iterdir())
+            assert {"runlog.jsonl", "plan.json", "metrics.json",
+                    "outcomes_test_id.jsonl"} <= set(files)
+            for name in files:
+                assert ((both / f"seed_{seed}" / name).read_bytes()
+                        == (alone / f"seed_{seed}" / name).read_bytes()), name
 
     def test_linear_competence_form(self, tmp_path):
         config = json.loads(json.dumps(BASE_CONFIG))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -21,14 +22,32 @@ from currikit.trainer import (
     _forward_matrix,
     evaluate,
     init_params,
+    lockstep_group,
     loss_and_grad,
     read_probes,
     read_runlog,
     train,
+    train_seeds,
     write_probes,
     write_runlog,
 )
 from token_pairs import token_columns
+
+
+# numpy's np.exp and np.log may differ in the last bit across CPUs and
+# builds (a SIMD loop or libm). EXP_LOG_DIGEST is their sha256 over fixed
+# inputs where TestPinnedBytes' digests were computed; elsewhere those
+# digests cannot hold, and the test skips.
+EXP_LOG_DIGEST = "6c9303147e9ccd51b447ed792c7380de80b31ece63eebc2c8946019a224262b6"
+
+
+def exp_log_digest() -> str:
+    x = np.linspace(-40.0, 1.0, 4099)
+    y = np.geomspace(1e-300, 1.0, 4099)
+    return hashlib.sha256(np.exp(x).tobytes() + np.log(y).tobytes()).hexdigest()
+
+
+EXP_LOG_PINNED = exp_log_digest() == EXP_LOG_DIGEST
 
 
 def make_corpus(features_labels, num_classes, dim, split="train"):
@@ -284,8 +303,9 @@ class TestEvaluate:
 
 class TestSoftmax:
     """``_forward_matrix`` takes each row's max as a chain of ``np.maximum``
-    over the class columns; its probabilities keep the bytes of the
-    ``np.maximum.reduce`` form, signed zeros, infinities and NaN included."""
+    over the class columns, and below 8 classes its sum as a chain of
+    ``np.add``; its probabilities keep the bytes of the ``np.maximum.reduce``
+    and ``np.add.reduce`` form, signed zeros, infinities and NaN included."""
 
     class Logits(_CSR):
         """A "matrix" whose product is a fixed logits array."""
@@ -293,7 +313,7 @@ class TestSoftmax:
         def dot(self, W):
             return self.data.copy()
 
-    @pytest.mark.parametrize("classes", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("classes", [2, 3, 4, 5, 6, 7, 8, 9])
     def test_equals_maximum_reduce(self, classes):
         rng = np.random.default_rng(classes)
         special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -1.5, 745.0])
@@ -660,6 +680,29 @@ class TestMemory:
                              strict=True):
             assert got.tobytes() == want.tobytes()
 
+    def test_three_seeds_below_two_weight_arrays(self):
+        """At 2^18 every lockstep group is one seed; a caller that drops each
+        result before asking for the next holds one model at a time."""
+        dim = 2 ** 18
+        cols = np.sort(np.random.default_rng(3).choice(dim, 4000, replace=False))
+        train_c = self.corpus(300, dim, cols, 1, "train")
+        val_c = self.corpus(100, dim, np.arange(dim), 2, "validation")
+        configs = [TrainConfig(epochs=2, batch_size=32, eval_per_epoch=5, seed=s)
+                   for s in (1, 2, 3)]
+        samplers = [random_sampler(train_c, 32, seed=s) for s in (1, 2, 3)]
+        shapes = []
+        tracemalloc.start()
+        try:
+            for params, _, _ in train_seeds(train_c, val_c, configs, samplers):
+                shapes.append(params.weights[0].shape)
+                nbytes = params.weights[0].nbytes
+                del params
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert shapes == [(dim, 3)] * 3
+        assert peak < 2 * nbytes
+
 
 class TestDenseBatches:
     """A train matrix at least half non-zero (the synthetic pilot's form)
@@ -725,6 +768,179 @@ class TestDenseBatches:
         for got, want in zip(params.weights + params.biases, ref.weights + ref.biases,
                              strict=True):
             assert got.tobytes() == want.tobytes()
+
+
+class RaggedSampler:
+    """Full batches at even steps; at odd steps a length that depends on the
+    seed, so seeds trained in lockstep get batches of different lengths."""
+
+    def __init__(self, n, batch_size, seed):
+        self.n, self.batch_size, self.seed = n, batch_size, seed
+        self.rng = np.random.default_rng(seed)
+
+    def epoch_length(self):
+        return math.ceil(self.n / self.batch_size)
+
+    def next_batch(self, step):
+        size = self.batch_size if step % 2 == 0 else 1 + (step + self.seed) % self.batch_size
+        return self.rng.integers(0, self.n, size=size)
+
+
+def same_result(got, want):
+    """Two (params, run log, probes) results are equal byte for byte."""
+    (params, log, probes), (ref, ref_log, ref_probes) = got, want
+    for a, b in zip(params.weights + params.biases, ref.weights + ref.biases, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert log.records == ref_log.records
+    assert log.best_step == ref_log.best_step
+    assert repr(log.best_val_metric) == repr(ref_log.best_val_metric)
+    assert (probes is None) == (ref_probes is None)
+    if probes is not None:
+        assert probes.ids == ref_probes.ids
+        assert probes.gold_prob.tobytes() == ref_probes.gold_prob.tobytes()
+        assert probes.correct.tobytes() == ref_probes.correct.tobytes()
+
+
+class TestLockstep:
+    """``train_seeds`` trains the seeds of one config as one stack of models;
+    each seed's weights, biases, run log, best step and probes must equal
+    its own ``train`` call byte for byte."""
+
+    SEEDS = (4, 5, 6)
+
+    def configs(self, weight_decay=0.0, seeds=SEEDS):
+        return [TrainConfig(epochs=3, batch_size=7, learning_rate=0.8,
+                            weight_decay=weight_decay, grad_clip=0.5, eval_per_epoch=3,
+                            seed=seed) for seed in seeds]
+
+    @staticmethod
+    def samplers(sampler, train_c, seeds=SEEDS):
+        return [sampler(train_c.size, 7, seed=seed + 10) for seed in seeds]
+
+    @staticmethod
+    def record_groups(monkeypatch):
+        """The size of every stack trained, and whether each 3-seed batch
+        had equal lengths."""
+        groups, forms = [], []
+        stack, rows = trainer_module._train_stack, trainer_module._SeedRows
+
+        def train_stack(corpus, val_corpus, configs, *args):
+            groups.append(len(configs))
+            return stack(corpus, val_corpus, configs, *args)
+
+        def seed_rows(sizes):
+            built = rows(sizes)
+            if len(sizes) == 3:
+                forms.append(built.equal)
+            return built
+
+        monkeypatch.setattr(trainer_module, "_train_stack", train_stack)
+        monkeypatch.setattr(trainer_module, "_SeedRows", seed_rows)
+        return groups, forms
+
+    @pytest.mark.parametrize("sampler", ["random", "ragged"])
+    @pytest.mark.parametrize("hidden", [0, 4])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    @pytest.mark.parametrize("with_validation", [True, False])
+    @pytest.mark.parametrize("compact", [True, False])
+    def test_equals_sequential_trainings(self, monkeypatch, sampler, hidden, weight_decay,
+                                         with_validation, compact):
+        cols = TestActiveRows.SPARSE_COLS if compact else TestActiveRows.DENSE_COLS
+        train_c, val_c = TestActiveRows().corpora(cols)
+        val_c = val_c if with_validation else None
+        make = (lambda n, b, seed: RandomSampler(np.arange(n), b, seed=seed)) \
+            if sampler == "random" else RaggedSampler
+        want = [train(train_c, val_c, cfg, s, hidden_size=hidden)
+                for cfg, s in zip(self.configs(weight_decay), self.samplers(make, train_c))]
+        active = []
+        active_rows = trainer_module._ActiveRows
+        monkeypatch.setattr(trainer_module, "_ActiveRows",
+                            lambda *args: active.append(args) or active_rows(*args))
+        groups, forms = self.record_groups(monkeypatch)
+        got = list(train_seeds(train_c, val_c, self.configs(weight_decay),
+                               self.samplers(make, train_c), hidden_size=hidden))
+        assert groups == [3] and bool(active) == compact
+        assert set(forms) == ({True, False} if sampler == "ragged" else {True})
+        assert len(got) == 3
+        for result, ref in zip(got, want):
+            same_result(result, ref)
+
+    def test_groups_hold_at_most_lockstep_group_seeds(self, monkeypatch):
+        """With room for two seeds a stack, three seeds train as 2 + 1."""
+        train_c, val_c = TestActiveRows().corpora(TestActiveRows.DENSE_COLS)
+        assert lockstep_group(2 ** 18) == 1 and lockstep_group(2 ** 16) == 4
+        assert lockstep_group(2 ** 20) == 1 and lockstep_group(24) == 2 ** 18 // 24
+        monkeypatch.setattr(trainer_module, "DEFAULT_HASH_DIM", 2 * train_c.feature_dim + 1)
+        groups, _ = self.record_groups(monkeypatch)
+        make = lambda n, b, seed: RandomSampler(np.arange(n), b, seed=seed)  # noqa: E731
+        got = list(train_seeds(train_c, val_c, self.configs(), self.samplers(make, train_c)))
+        assert groups == [2, 1]
+        monkeypatch.undo()
+        for result, cfg, s in zip(got, self.configs(), self.samplers(make, train_c)):
+            same_result(result, train(train_c, val_c, cfg, s))
+
+    @pytest.mark.parametrize("field, value", [("learning_rate", 0.7), ("epochs", 2),
+                                              ("weight_decay", 0.01), ("eval_per_epoch", 4)])
+    def test_configs_differing_beyond_seed_raise(self, field, value):
+        train_c, val_c = TestActiveRows().corpora(TestActiveRows.DENSE_COLS)
+        configs = self.configs()
+        configs[1] = TrainConfig(**{**vars(configs[1]), field: value})
+        make = lambda n, b, seed: RandomSampler(np.arange(n), b, seed=seed)  # noqa: E731
+        with pytest.raises(ValueError, match="differ only in seed"):
+            train_seeds(train_c, val_c, configs, self.samplers(make, train_c))
+
+    def test_epoch_lengths_differing_raise(self):
+        train_c, val_c = TestActiveRows().corpora(TestActiveRows.DENSE_COLS)
+        samplers = [RandomSampler(np.arange(train_c.size), b, seed=1) for b in (7, 7, 10)]
+        with pytest.raises(ValueError, match=r"epoch lengths \[3, 5\]"):
+            train_seeds(train_c, val_c, self.configs(), samplers)
+
+    def test_configs_and_samplers_pair_up(self):
+        train_c, val_c = TestActiveRows().corpora(TestActiveRows.DENSE_COLS)
+        with pytest.raises(ValueError, match="3 configs for 2 samplers"):
+            train_seeds(train_c, val_c, self.configs(),
+                        [RandomSampler(np.arange(train_c.size), 7, seed=1)] * 2)
+        with pytest.raises(ValueError, match="0 configs for 0 samplers"):
+            train_seeds(train_c, val_c, [], [])
+
+
+class TestPinnedBytes:
+    """A small seeded linear training's weights, biases and run log, pinned
+    by sha256 (computed before seeds trained in lockstep), alone and as the
+    first seed of a three-seed stack."""
+
+    SPEC = SynthSpec(num_classes=3, train_size=200, val_size=50, test_size=50,
+                     feature_dim=16, class_separation=3.0, label_noise_fraction=0.1,
+                     ood_shift=0.5, seed=7)
+
+    @staticmethod
+    def digest(result, tmp_path):
+        params, log, _ = result
+        write_runlog(log, tmp_path / "runlog.jsonl")
+        h = hashlib.sha256()
+        for a in params.weights + params.biases:
+            h.update(a.tobytes())
+        h.update((tmp_path / "runlog.jsonl").read_bytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("with_validation, best_step, digest", [
+        (True, 20, "7d0106842cafb8a0bfdfac6143f170a7f033e3094a7be74cea7a8adf442384b3"),
+        (False, 39, "57016f0f08c9570f7331409fb5057bdbaef229f50c13d47e702c2af5f3e3b1f9"),
+    ])
+    def test_training_bytes(self, tmp_path, with_validation, best_step, digest):
+        if not EXP_LOG_PINNED:
+            pytest.skip("np.exp/np.log round differently on this machine than where "
+                        "the digests were computed")
+        train_c, val_c, _, _ = generate_synthetic(self.SPEC)
+        val_c = val_c if with_validation else None
+        configs = [TrainConfig(epochs=3, batch_size=16, learning_rate=1.5,
+                               eval_per_epoch=4, seed=seed) for seed in (5, 6, 7)]
+        samplers = [random_sampler(train_c, 16, seed=seed) for seed in (5, 6, 7)]
+        alone = train(train_c, val_c, configs[0], random_sampler(train_c, 16, seed=5))
+        stacked = next(train_seeds(train_c, val_c, configs, samplers))
+        for result in (alone, stacked):
+            assert result[1].best_step == best_step
+            assert self.digest(result, tmp_path) == digest
 
 
 class TestIO:
