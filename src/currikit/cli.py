@@ -553,14 +553,11 @@ def cmd_student(config: dict, out_dir: Path, scheduler: str,
         [run.sampler for run in runs], hidden_size=_value(config, "model", "hidden_size"),
         collect_probes=False,
     )
-    # One lockstep group at a time: its results are written and dropped
-    # before the next group trains.
-    size = trainer.lockstep_group(train_corpus.feature_dim)
     per_seed = {}
-    for start in range(0, len(runs), size):
-        group = runs[start:start + size]
-        per_seed.update(_write_student_seeds(corpora, scheduler, sched_dir, group,
-                                             [next(trained) for _ in group]))
+    for results in trained:
+        group, runs = runs[:len(results)], runs[len(results):]
+        per_seed.update(_write_student_seeds(corpora, scheduler, sched_dir, group, results))
+        del results  # dropped before the next stack trains
     summary = _summarize_student(scheduler, per_seed)
     artifacts.write_json(sched_dir / "summary.json", summary)
     return summary
@@ -899,6 +896,18 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _positive_int(text: str) -> int:
+    """The argparse type of a count flag: parsing fails, naming the flag,
+    before a command writes anything."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="currikit",
                      description="curriculum training pipeline")
@@ -916,7 +925,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("teacher", "stage 1: score the training data")
     p.add_argument("--metric", default="dynamics", choices=TEACHER_METRICS)
-    p.add_argument("--teacher-epochs", type=int, default=None,
+    p.add_argument("--teacher-epochs", type=_positive_int, default=None,
                    help="train the scoring model for fewer epochs")
 
     p = add("student", "stage 2: train under a scheduler and evaluate")
@@ -927,14 +936,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sweep", "teacher once, then every scheduler, then comparisons")
     p.add_argument("--schedulers", required=True,
                    help="comma-separated scheduler list")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--rounds", type=int, default=10000)
+    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--rounds", type=_positive_int, default=10000)
 
     p = add("compare", "significance & time-ratio report for two runs",
             needs_config=False, needs_out=False)
     p.add_argument("--a", required=True, help="student run directory A")
     p.add_argument("--b", required=True, help="student run directory B")
-    p.add_argument("--rounds", type=int, default=10000)
+    p.add_argument("--rounds", type=_positive_int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output file prefix")
 

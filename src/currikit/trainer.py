@@ -8,8 +8,9 @@ an end-of-epoch inference pass over the whole train set fills one row of
 the (epochs, N) gold-label probability and correctness arrays of a Probes
 record, columns in corpus row order.
 
-Several seeds of one config train in lockstep as one stack of models
-(``train_seeds``); every seed keeps the bits a training of its own gives.
+A training step knows one form, a stack of models (one model is a stack of
+one): several seeds of one config train in lockstep as one stack
+(``train_seeds``), and every seed keeps the bits a training of its own gives.
 """
 
 from __future__ import annotations
@@ -213,10 +214,11 @@ class _CSR(NamedTuple):
 
 class _SeedRows:
     """The rows of a stack's batch: ``sizes[s]`` rows of seed s, in seed
-    order. Per-seed work runs once on an ``(S, B, ...)`` view when every seed
-    has B rows, and once per seed on its own rows when they differ; numpy
-    reduces and multiplies each seed's block of such a view as it does the
-    block alone, so either way each seed gets the bits of its own batch."""
+    order. The per-seed sums run once on an ``(S, B, ...)`` view when every
+    seed has B rows, and once per seed on its own rows when they differ;
+    numpy reduces each seed's block of such a view as it does the block
+    alone, so either way each seed gets the bits of its own batch. The
+    hidden layer's products run once per seed."""
 
     def __init__(self, sizes: list[int]):
         self.sizes = sizes
@@ -225,41 +227,30 @@ class _SeedRows:
         self.n = sizes[0] if self.equal else np.array(sizes)
         self.row_n = self.n if self.equal else np.repeat(self.n, sizes)[:, None]
 
-    def blocks(self, a: np.ndarray):
-        if self.equal:
-            return a.reshape(len(self.sizes), self.sizes[0], *a.shape[1:])
+    def blocks(self, a: np.ndarray) -> list[np.ndarray]:
         return np.split(a, np.cumsum(self.sizes[:-1]))
 
     def rows(self, a: np.ndarray) -> np.ndarray:
-        """Row s of ``a`` for every row of seed s; one seed's row broadcasts."""
-        return a if len(self.sizes) == 1 else a.repeat(self.sizes, axis=0)
+        """Row s of ``a`` for every row of seed s."""
+        return a.repeat(self.sizes, axis=0)
 
     def sums(self, a: np.ndarray) -> np.ndarray:
         """Each seed's sum of its rows of ``a``, stacked."""
-        if len(self.sizes) == 1:  # the one reduce, without a reshape
-            return np.add.reduce(a, axis=0, keepdims=True)
         if self.equal:
-            return np.add.reduce(self.blocks(a), axis=1)
+            return np.add.reduce(a.reshape(len(self.sizes), self.n, *a.shape[1:]), axis=1)
         return np.stack([np.add.reduce(block, axis=0) for block in self.blocks(a)])
 
     def matmul(self, a: np.ndarray, M: np.ndarray) -> np.ndarray:
         """Each seed's rows of ``a`` times its matrix ``M[s]``."""
-        if self.equal:
-            return (self.blocks(a) @ M).reshape(len(a), -1)
         return np.concatenate([block @ m for block, m in zip(self.blocks(a), M)])
 
     def tmatmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Each seed's ``a.T @ b`` over its rows, stacked."""
-        if self.equal:
-            return self.blocks(a).transpose(0, 2, 1) @ self.blocks(b)
         return np.stack([pa.T @ pb for pa, pb in zip(self.blocks(a), self.blocks(b))])
 
 
-def _seed_sums(a: np.ndarray, seeds: int) -> np.ndarray | float:
-    """The sum of each seed's part of a stacked array (see ``_stack``), a
-    float for one seed."""
-    if seeds == 1:
-        return float(np.add.reduce(a, axis=None))
+def _seed_sums(a: np.ndarray, seeds: int) -> np.ndarray:
+    """The sum of each seed's part of a stacked array (see ``_stack``)."""
     return np.add.reduce(a.reshape(seeds, -1), axis=1)
 
 
@@ -289,22 +280,18 @@ def _forward(stack: ModelParams, first: np.ndarray,
     return e / _row_sums(e), hidden
 
 
-def _forward_matrix(params: ModelParams, X) -> tuple[np.ndarray, np.ndarray | None]:
-    """Softmax probabilities for a (N, dim) CSR matrix, array or _CSR, and
-    the hidden activations (None for a linear model): (N, classes) for one
-    model, (S, N, classes) for a stack of S (see ``_stack``). A stack takes
-    one product, against its first-layer weights side by side."""
-    stacked = params.biases[0].ndim == 2
-    stack = params if stacked else _stack([params])
+def _forward_matrix(stack: ModelParams, X) -> np.ndarray:
+    """Softmax probabilities of a stack of S models (see ``_stack``) for a
+    (N, dim) CSR matrix, array or _CSR, (S, N, classes), from one product
+    against the first-layer weights side by side. For one model both
+    reshapes are views, so its weights are not copied."""
     S, W = len(stack.biases[0]), stack.weights[0]
-    if S > 1:  # (S * dim, width) -> (dim, S * width)
-        W = W.reshape(S, -1, W.shape[1]).transpose(1, 0, 2).reshape(-1, S * W.shape[1])
+    W = W.reshape(S, -1, W.shape[1]).transpose(1, 0, 2).reshape(-1, S * W.shape[1])
     first = _CSR.of(X).dot(W)
     n = len(first)
-    if S > 1:  # seed-major rows
-        first = first.reshape(n, S, -1).transpose(1, 0, 2).reshape(S * n, -1)
-    probs, hidden = _forward(stack, first, _SeedRows([n] * S))
-    return (probs.reshape(S, n, -1) if stacked else probs), hidden
+    first = first.reshape(n, S, -1).transpose(1, 0, 2).reshape(S * n, -1)  # seed-major
+    probs, _ = _forward(stack, first, _SeedRows([n] * S))
+    return probs.reshape(S, n, -1)
 
 
 def loss_and_grad(
@@ -328,8 +315,8 @@ def loss_and_grad(
     n = len(X.indptr) - 1
     if n == 0:
         raise ValueError("empty batch")
-    stack = _stack([params]) if sizes is None else params
-    rows = _SeedRows([n] if sizes is None else sizes)
+    stack = params if sizes else _stack([params])
+    rows = _SeedRows(sizes or [n])
     # probabilities, turned into the gradient
     dlogits, hidden = _forward(stack, X.dot(stack.weights[0]), rows)
     at_gold = (np.arange(n), y)
@@ -349,10 +336,10 @@ def loss_and_grad(
         for i, w in enumerate(stack.weights):
             losses += 0.5 * weight_decay * _seed_sums(w * w, len(rows.sizes))
             wgrads[i] = wgrads[i] + weight_decay * w
-    if sizes is not None:
+    if sizes:
         return losses, (wgrads, bgrads)
-    return float(losses[0]), ([wgrads[0], *(g[0] for g in wgrads[1:])],
-                              [g[0] for g in bgrads])
+    (grads,) = _unstack(ModelParams(wgrads, bgrads, stack.hidden_size))
+    return float(losses[0]), (grads.weights, grads.biases)
 
 
 def clip_gradients(
@@ -370,32 +357,35 @@ def clip_gradients(
 
     With ``seeds``, the gradients are a stack of that many models' (see
     ``_stack``): each model's norm and scale are its own, and the norms come
-    as an array (a float for one seed).
+    as an array.
     """
     S = seeds or 1
+    if S == 1:  # float sums and a float scale: timed 3-5 us a one-model step less
+        total = 0.0
+        for i, g in enumerate(wgrads + bgrads):
+            sq = g * g
+            total += (square_sum(sq.reshape(-1)) if i == 0 and square_sum is not None
+                      else float(np.add.reduce(sq, axis=None)))
+        norm = math.sqrt(total)
+        if norm > max_norm and norm > 0.0:
+            for g in wgrads + bgrads:
+                g *= max_norm / norm
+        return np.array([norm]) if seeds else norm
     total = 0.0
     for i, g in enumerate(wgrads + bgrads):
         sq = g * g
         if i == 0 and square_sum is not None:
-            parts = [square_sum(part) for part in sq.reshape(S, -1)]
-            total += parts[0] if S == 1 else np.array(parts)
+            total += np.array([square_sum(part) for part in sq.reshape(S, -1)])
         else:
             total += _seed_sums(sq, S)
-    if S == 1:  # a float total
-        norm = math.sqrt(total)
-        if norm > max_norm and norm > 0.0:
-            scale = max_norm / norm
-            for g in wgrads + bgrads:
-                g *= scale
-        return norm
     norms = np.sqrt(total)
-    clipped = (norms > max_norm) & (norms > 0.0)
-    if clipped.any():
-        scale = np.ones(S)
-        scale[clipped] = max_norm / norms[clipped]
+    scales = [max_norm / norm if norm > max_norm and norm > 0.0 else 1.0
+              for norm in norms.tolist()]
+    if scales.count(1.0) < S:
+        scale = np.array(scales)[:, None]
         for g in wgrads + bgrads:
             by_seed = g.reshape(S, -1)  # a view: the gradients are contiguous
-            by_seed *= scale[:, None]
+            by_seed *= scale
     return norms
 
 
@@ -539,9 +529,11 @@ def predict(params: ModelParams | list[ModelParams], corpus: Corpus) -> np.ndarr
     """Argmax class per example; ties go to the lowest class index. S models
     of one shape, as a list or a stack (see ``_stack``), give an (S, N)
     array from one product."""
-    probs, _ = _forward_matrix(_stack(params) if isinstance(params, list) else params,
-                               corpus.feature_matrix())
-    return probs.argmax(axis=-1)
+    one = isinstance(params, ModelParams) and params.biases[0].ndim == 1
+    if one or isinstance(params, list):
+        params = _stack([params] if one else params)
+    labels = _forward_matrix(params, corpus.feature_matrix()).argmax(axis=-1)
+    return labels[0] if one else labels
 
 
 def evaluate(params: ModelParams | list[ModelParams], corpus: Corpus) -> float | list[float]:
@@ -619,14 +611,16 @@ def train(
     False). Probes always cover the entire train corpus, whatever the
     sampler admitted.
     """
-    (result,) = train_seeds(corpus, val_corpus, [config], [sampler], hidden_size,
-                            collect_probes)
+    [result] = next(train_seeds(corpus, val_corpus, [config], [sampler], hidden_size,
+                                collect_probes))
     return result
 
 
 def lockstep_group(feature_dim: int) -> int:
     """The most seeds ``train_seeds`` trains as one stack: a stack's weights
-    are no wider than one model's at the default ``hash_dim``."""
+    are no wider than one model's at the default ``hash_dim``, and the
+    column indices ``_CSR.take`` shifts per seed stay below
+    ``max(2^18, feature_dim)``, within the train matrix's index dtype."""
     return max(1, DEFAULT_HASH_DIM // max(feature_dim, 1))
 
 
@@ -637,18 +631,18 @@ def train_seeds(
     samplers: list[Sampler],
     hidden_size: int = 0,
     collect_probes: bool = True,
-) -> Iterator[tuple[ModelParams, RunLog, Probes | None]]:
-    """``train`` for each (config, sampler) pair, in lockstep: yields each
-    seed's result, bit for bit what ``train`` alone returns.
+) -> Iterator[list[tuple[ModelParams, RunLog, Probes | None]]]:
+    """``train`` for each (config, sampler) pair, in lockstep: yields one
+    list per stack of seeds trained together, in seed order, each seed's
+    result bit for bit what ``train`` alone returns.
 
     The configs may differ only in ``seed``, and the samplers must report
-    one epoch length. Seeds train in groups of ``lockstep_group`` seeds,
-    each group as one stack of models (see ``_stack``): a step gathers the
-    group's batches into one block-diagonal batch and makes one product
-    pair, one softmax, one clip scale and one update for all of them, and an
-    evaluation makes one product. A group's arrays are made when its first
-    result is asked for, so a caller that drops each group's results before
-    asking for the next holds one group at a time.
+    one epoch length. Seeds train in stacks of ``lockstep_group`` seeds
+    (see ``_stack``): a step gathers the stack's batches into one
+    block-diagonal batch and makes one product pair, one softmax, one clip
+    scale and one update for all of them, and an evaluation makes one
+    product. A stack trains when its list is asked for, so a caller that
+    drops each list before asking for the next holds one stack at a time.
     """
     if not configs or len(configs) != len(samplers):
         raise ValueError(f"{len(configs)} configs for {len(samplers)} samplers")
@@ -661,23 +655,15 @@ def train_seeds(
     if lengths[0] <= 0:
         raise ValueError("sampler reports a non-positive epoch length")
     size = lockstep_group(corpus.feature_dim)
-    groups = [slice(start, start + size) for start in range(0, len(configs), size)]
-    return _lockstep(corpus, val_corpus, configs, samplers, groups, lengths[0],
-                     hidden_size, collect_probes)
-
-
-def _lockstep(corpus, val_corpus, configs, samplers, groups, epoch_len, hidden_size,
-              collect_probes):
-    # yield from binds no result, so none outlives its group here
-    for group in groups:
-        yield from _train_stack(corpus, val_corpus, configs[group], samplers[group],
-                                epoch_len, hidden_size, collect_probes)
+    return (_train_stack(corpus, val_corpus, configs[start:start + size],
+                         samplers[start:start + size], lengths[0], hidden_size, collect_probes)
+            for start in range(0, len(configs), size))
 
 
 def _train_stack(corpus: Corpus, val_corpus: Corpus | None, configs: list[TrainConfig],
                  samplers: list[Sampler], epoch_len: int, hidden_size: int,
-                 collect_probes: bool):
-    """Train one group of ``train_seeds`` as a stack; yields each seed's result."""
+                 collect_probes: bool) -> list[tuple[ModelParams, RunLog, Probes | None]]:
+    """Train one stack of ``train_seeds``; returns each seed's result."""
     X = corpus.feature_matrix()
     y = corpus.labels()
     config, S = configs[0], len(configs)
@@ -726,7 +712,7 @@ def _train_stack(corpus: Corpus, val_corpus: Corpus | None, configs: list[TrainC
                 raise RuntimeError(
                     f"sampler exhausted mid-epoch at step {step} (contract violation)"
                 )
-            rows = batches[0] if S == 1 else np.concatenate(batches)
+            rows = np.concatenate(batches)
             losses, (wgrads, bgrads) = loss_and_grad(step_params, step_X.take(rows, sizes),
                                                      y[rows], sizes=sizes)
             losses = losses.tolist()
@@ -761,7 +747,7 @@ def _train_stack(corpus: Corpus, val_corpus: Corpus | None, configs: list[TrainC
                         best_decayed[s] = active.decayed if active is not None else 0
 
         if collect_probes:
-            probs, _ = _forward_matrix(step_params, step_X)
+            probs = _forward_matrix(step_params, step_X)
             for seed_probes, seed_probs in zip(probes, probs):
                 seed_probes.gold_prob[epoch - 1] = seed_probs[np.arange(corpus.size), y]
                 seed_probes.correct[epoch - 1] = seed_probs.argmax(axis=1) == y
@@ -780,9 +766,9 @@ def _train_stack(corpus: Corpus, val_corpus: Corpus | None, configs: list[TrainC
             W[active.rows] = best.weights[0]
             best_params[s] = ModelParams(weights=[W, *best.weights[1:]], biases=best.biases,
                                          hidden_size=params.hidden_size)
-    for s in range(S):
-        yield best_params[s], RunLog(records=records[s], best_step=best_step[s],
-                                     best_val_metric=best_acc[s]), probes[s]
+    return [(best_params[s], RunLog(records=records[s], best_step=best_step[s],
+                                    best_val_metric=best_acc[s]), probes[s])
+            for s in range(S)]
 
 
 # --- on-disk formats -------------------------------------------------------

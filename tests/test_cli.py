@@ -292,33 +292,45 @@ class TestStudentCommand:
             expected = max(1, round(0.9 * random_summary["best_steps"][str(seed)]))
             assert plan["duration"] == expected
 
-    @pytest.mark.parametrize("scheduler", ["random", "conf_comp"])
-    def test_lockstep_seeds_write_single_seed_bytes(self, tmp_path, monkeypatch, scheduler):
-        """A student with seeds [1, 2] trains them in lockstep and writes
-        seed_1/ and seed_2/ byte for byte as two runs of one seed each do.
-        conf_comp takes per-seed durations from a baseline run, so the two
-        seeds leave their competence phase at different steps and some
-        lockstep batches differ in length."""
+    @pytest.mark.parametrize("scheduler, hidden_size, seeds, stacks", [
+        ("random", 0, [1, 2], {2}), ("conf_comp", 0, [1, 2], {2}),
+        ("random", 4, [1, 2], {2}), ("conf_comp", 4, [1, 2], {2}),
+        ("conf_comp", 0, [1, 2, 3], {2, 1}),
+    ], ids=["random", "conf_comp", "random-hidden", "conf_comp-hidden", "stacks-of-2-and-1"])
+    def test_lockstep_seeds_write_single_seed_bytes(self, tmp_path, monkeypatch, scheduler,
+                                                    hidden_size, seeds, stacks):
+        """A student trains its seeds in lockstep and writes each seed_*/
+        byte for byte as a run of that seed alone does. conf_comp takes
+        per-seed durations from a baseline run, so the seeds leave their
+        competence phase at different steps and some lockstep batches differ
+        in length; with a hidden layer those batches run its per-seed
+        products. With room for two seeds a stack, three seeds train as a
+        stack of two and a stack of one."""
         baseline = tmp_path / "baseline"
         config = json.loads(json.dumps(BASE_CONFIG))
-        config["teacher_seed"] = 1
+        config.update(teacher_seed=1, seeds=seeds, model={"hidden_size": hidden_size})
         cmd_student(config, baseline, "random")
         config["curriculum"] = {"baseline_dir": str(baseline / "students" / "random")}
         assert len(set(json.loads((baseline / "students" / "random" / "summary.json")
-                                  .read_text())["best_steps"].values())) == 2
+                                  .read_text())["best_steps"].values())) == len(seeds)
+
+        forms = []  # (seeds, distinct batch lengths) of each student stack's batches
 
         def run(seeds, out):
             cmd_teacher({**config, "seeds": seeds}, out, metric="dynamics")
+            forms.clear()
             cmd_student({**config, "seeds": seeds}, out, scheduler)
             return out / "students" / scheduler
 
-        forms = []
         seed_rows = trainer._SeedRows
-        monkeypatch.setattr(trainer, "_SeedRows",
-                            lambda sizes: forms.append(len(set(sizes))) or seed_rows(sizes))
-        both = run([1, 2], tmp_path / "both")
-        assert max(forms) == (2 if scheduler == "conf_comp" else 1)
-        for seed in (1, 2):
+        monkeypatch.setattr(trainer, "_SeedRows", lambda sizes: forms.append(
+            (len(sizes), len(set(sizes)))) or seed_rows(sizes))
+        monkeypatch.setattr(trainer, "DEFAULT_HASH_DIM",
+                            2 * BASE_CONFIG["synth"]["feature_dim"] + 1)
+        both = run(seeds, tmp_path / "both")
+        assert {n for n, _ in forms} == stacks
+        assert max(lengths for _, lengths in forms) == (2 if scheduler == "conf_comp" else 1)
+        for seed in seeds:
             alone = run([seed], tmp_path / f"seed{seed}")
             files = sorted(p.name for p in (both / f"seed_{seed}").iterdir())
             assert files == sorted(p.name for p in (alone / f"seed_{seed}").iterdir())
@@ -687,6 +699,20 @@ class TestCliEntryPoint:
         assert code == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "--schedulers", "random,conf_comp", "--rounds", "0"], "--rounds"),
+        (["sweep", "--schedulers", "random,conf_comp", "--workers", "0"], "--workers"),
+        (["sweep", "--schedulers", "random,conf_comp", "--workers", "-2"], "--workers"),
+        (["teacher", "--teacher-epochs", "0"], "--teacher-epochs"),
+    ], ids=["rounds-0", "workers-0", "workers-negative", "teacher-epochs-0"])
+    def test_bad_count_flag_rejected_before_any_artifact(self, tmp_path, capsys,
+                                                         config_path, argv, flag):
+        out = tmp_path / "o"
+        code = main([argv[0], "--config", str(config_path), "--out", str(out), *argv[1:]])
+        assert code == 1
+        assert not out.exists()
+        assert f"argument {flag}: must be an integer >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", ["", "not json\n"], ids=["empty", "not-json"])
     def test_unreadable_scores_file_named(self, run_dir, config_path, tmp_path,

@@ -20,6 +20,7 @@ from currikit.trainer import (
     _PairwiseSum,
     _eval_offsets,
     _forward_matrix,
+    _stack,
     evaluate,
     init_params,
     lockstep_group,
@@ -329,7 +330,7 @@ class TestSoftmax:
         params = ModelParams(weights=[np.zeros((1, classes))],
                              biases=[np.full(classes, -0.0)], hidden_size=0)
         with np.errstate(invalid="ignore", over="ignore"):
-            probs, _ = _forward_matrix(params, self.Logits(None, None, logits, 1))
+            (probs,) = _forward_matrix(_stack([params]), self.Logits(None, None, logits, 1))
             e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
             want = e / np.add.reduce(e, axis=-1, keepdims=True)
         assert np.isnan(want).any() and (want == 1.0).any()
@@ -479,7 +480,7 @@ def dense_reference(corpus, val_corpus, config, sampler, hidden_size):
                 records.append((step, "validation", "accuracy", acc))
                 if acc > best_acc:
                     best, best_acc, best_step = params.copy(), acc, step
-        probs, _ = _forward_matrix(params, X)
+        (probs,) = _forward_matrix(_stack([params]), X)
         gold.append(probs[np.arange(corpus.size), y])
         correct.append(probs.argmax(axis=1) == y)
     if val_corpus is None:
@@ -693,7 +694,7 @@ class TestMemory:
         shapes = []
         tracemalloc.start()
         try:
-            for params, _, _ in train_seeds(train_c, val_c, configs, samplers):
+            for [(params, _, _)] in train_seeds(train_c, val_c, configs, samplers):
                 shapes.append(params.weights[0].shape)
                 nbytes = params.weights[0].nbytes
                 del params
@@ -818,15 +819,10 @@ class TestLockstep:
         return [sampler(train_c.size, 7, seed=seed + 10) for seed in seeds]
 
     @staticmethod
-    def record_groups(monkeypatch):
-        """The size of every stack trained, and whether each 3-seed batch
-        had equal lengths."""
-        groups, forms = [], []
-        stack, rows = trainer_module._train_stack, trainer_module._SeedRows
-
-        def train_stack(corpus, val_corpus, configs, *args):
-            groups.append(len(configs))
-            return stack(corpus, val_corpus, configs, *args)
+    def record_forms(monkeypatch):
+        """Whether each 3-seed batch had equal lengths."""
+        forms = []
+        rows = trainer_module._SeedRows
 
         def seed_rows(sizes):
             built = rows(sizes)
@@ -834,9 +830,8 @@ class TestLockstep:
                 forms.append(built.equal)
             return built
 
-        monkeypatch.setattr(trainer_module, "_train_stack", train_stack)
         monkeypatch.setattr(trainer_module, "_SeedRows", seed_rows)
-        return groups, forms
+        return forms
 
     @pytest.mark.parametrize("sampler", ["random", "ragged"])
     @pytest.mark.parametrize("hidden", [0, 4])
@@ -856,13 +851,12 @@ class TestLockstep:
         active_rows = trainer_module._ActiveRows
         monkeypatch.setattr(trainer_module, "_ActiveRows",
                             lambda *args: active.append(args) or active_rows(*args))
-        groups, forms = self.record_groups(monkeypatch)
-        got = list(train_seeds(train_c, val_c, self.configs(weight_decay),
-                               self.samplers(make, train_c), hidden_size=hidden))
-        assert groups == [3] and bool(active) == compact
+        forms = self.record_forms(monkeypatch)
+        stacks = list(train_seeds(train_c, val_c, self.configs(weight_decay),
+                                  self.samplers(make, train_c), hidden_size=hidden))
+        assert [len(stack) for stack in stacks] == [3] and bool(active) == compact
         assert set(forms) == ({True, False} if sampler == "ragged" else {True})
-        assert len(got) == 3
-        for result, ref in zip(got, want):
+        for result, ref in zip(stacks[0], want):
             same_result(result, ref)
 
     def test_groups_hold_at_most_lockstep_group_seeds(self, monkeypatch):
@@ -871,12 +865,12 @@ class TestLockstep:
         assert lockstep_group(2 ** 18) == 1 and lockstep_group(2 ** 16) == 4
         assert lockstep_group(2 ** 20) == 1 and lockstep_group(24) == 2 ** 18 // 24
         monkeypatch.setattr(trainer_module, "DEFAULT_HASH_DIM", 2 * train_c.feature_dim + 1)
-        groups, _ = self.record_groups(monkeypatch)
         make = lambda n, b, seed: RandomSampler(np.arange(n), b, seed=seed)  # noqa: E731
-        got = list(train_seeds(train_c, val_c, self.configs(), self.samplers(make, train_c)))
-        assert groups == [2, 1]
+        stacks = list(train_seeds(train_c, val_c, self.configs(), self.samplers(make, train_c)))
+        assert [len(stack) for stack in stacks] == [2, 1]
         monkeypatch.undo()
-        for result, cfg, s in zip(got, self.configs(), self.samplers(make, train_c)):
+        got = [result for stack in stacks for result in stack]
+        for result, cfg, s in zip(got, self.configs(), self.samplers(make, train_c), strict=True):
             same_result(result, train(train_c, val_c, cfg, s))
 
     @pytest.mark.parametrize("field, value", [("learning_rate", 0.7), ("epochs", 2),
@@ -937,7 +931,7 @@ class TestPinnedBytes:
                                eval_per_epoch=4, seed=seed) for seed in (5, 6, 7)]
         samplers = [random_sampler(train_c, 16, seed=seed) for seed in (5, 6, 7)]
         alone = train(train_c, val_c, configs[0], random_sampler(train_c, 16, seed=5))
-        stacked = next(train_seeds(train_c, val_c, configs, samplers))
+        stacked = next(train_seeds(train_c, val_c, configs, samplers))[0]
         for result in (alone, stacked):
             assert result[1].best_step == best_step
             assert self.digest(result, tmp_path) == digest
