@@ -444,8 +444,7 @@ def _competence_duration(config: dict, seed: int, total_steps: int) -> int:
 
 def _build_sampler(scheduler: str, scores: difficulty.DifficultyScores | None,
                    annealing_epochs: int | None, config: dict, seed: int,
-                   train_corpus: Corpus, batch_size: int, steps_per_epoch: int,
-                   total_steps: int):
+                   train_corpus: Corpus, batch_size: int, total_steps: int):
     """Sampler plus its auditable plan for one student run."""
     spec = _SCHEDULER_TABLE[scheduler]
     if spec.family is None:
@@ -463,7 +462,7 @@ def _build_sampler(scheduler: str, scores: difficulty.DifficultyScores | None,
         variability_weighted=spec.weighted,
         form=_value(config, "curriculum", "competence_form"),
     )
-    sampler = curricula.CompetenceSampler(plan, batch_size, steps_per_epoch, seed=seed)
+    sampler = curricula.CompetenceSampler(plan, batch_size, seed=seed)
     return sampler, plan
 
 
@@ -479,11 +478,10 @@ def _plan_student_seed(config: dict, train_corpus: Corpus, scheduler: str,
                        scores: difficulty.DifficultyScores | None,
                        annealing_epochs: int | None, seed: int) -> _StudentSeed:
     cfg = _train_config(config, seed=seed)
-    steps_per_epoch = math.ceil(train_corpus.size / cfg.batch_size)
-    total_steps = cfg.epochs * steps_per_epoch
+    total_steps = cfg.epochs * math.ceil(train_corpus.size / cfg.batch_size)
     sampler, plan = _build_sampler(
         scheduler, scores, annealing_epochs, config, seed, train_corpus,
-        cfg.batch_size, steps_per_epoch, total_steps,
+        cfg.batch_size, total_steps,
     )
     return _StudentSeed(seed, cfg, sampler, plan, total_steps)
 

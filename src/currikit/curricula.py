@@ -89,21 +89,12 @@ def _id_rank(ids: list[str]) -> np.ndarray:
     return rank
 
 
-class _EpochShuffler:
-    """Fresh seeded shuffle per epoch, consumed without replacement."""
-
-    def __init__(self, rows: np.ndarray, batch_size: int, rng: np.random.Generator):
-        self.rows = rows
-        self.batch_size = batch_size
-        self.rng = rng
-        self._queue = rows[:0]
-
-    def next_batch(self) -> np.ndarray:
-        if not len(self._queue):
-            self._queue = self.rows[self.rng.permutation(len(self.rows))]
-        batch = self._queue[: self.batch_size]
-        self._queue = self._queue[self.batch_size:]
-        return batch
+def _shuffle_epochs(rows: np.ndarray, batch_size: int, rng: np.random.Generator):
+    """Batches of a fresh seeded shuffle per epoch, in consecutive slices."""
+    while True:
+        epoch = rows[rng.permutation(len(rows))]
+        for start in range(0, len(epoch), batch_size):
+            yield epoch[start:start + batch_size]
 
 
 class RandomSampler:
@@ -113,19 +104,18 @@ class RandomSampler:
         rows = np.asarray(rows, dtype=np.int64)
         if not len(rows):
             raise ValueError("no examples to sample from")
+        if batch_size <= 0:
+            raise ValueError("batch_size must be positive")
         self.batch_size = batch_size
-        self._shuffler = _EpochShuffler(rows, batch_size, np.random.default_rng(seed))
+        self.phase = "post-curriculum"
         self._n = len(rows)
-
-    @property
-    def phase(self) -> str:
-        return "post-curriculum"
+        self._batches = _shuffle_epochs(rows, batch_size, np.random.default_rng(seed))
 
     def epoch_length(self) -> int:
         return math.ceil(self._n / self.batch_size)
 
     def next_batch(self, step: int) -> np.ndarray:
-        return self._shuffler.next_batch()
+        return next(self._batches)
 
 
 @dataclass
@@ -203,49 +193,38 @@ class AnnealingSampler:
         self.plan = plan
         self.batch_size = batch_size
         self.rng = np.random.default_rng(seed)
-        self._all_rows = np.concatenate(plan.buckets)
-        self._stage = 0
-        self._queue = self._all_rows[:0]
-        self._post: _EpochShuffler | None = None
+        self.phase = "curriculum"
         self.stage_log: list[np.ndarray] = []  # pool actually built per stage
-
-    @property
-    def phase(self) -> str:
-        return "post-curriculum" if self._post is not None else "curriculum"
+        rows = np.concatenate(plan.buckets)
+        self._n = len(rows)
+        self._batches = self._schedule(rows)
 
     def epoch_length(self) -> int:
-        return math.ceil(len(self._all_rows) / self.batch_size)
+        return math.ceil(self._n / self.batch_size)
 
-    def _enter_next_stage(self) -> None:
-        k = self._stage  # 0-based index of the stage being entered
+    def _schedule(self, rows: np.ndarray):
         denom = self.plan.num_epochs + 1
-        parts = [self.plan.buckets[k]]
-        for bucket in self.plan.buckets[:k]:
-            take = len(bucket) // denom
-            if take > 0:
-                picks = self.rng.choice(len(bucket), size=take, replace=False)
-                parts.append(bucket[np.sort(picks)])
-        pool = np.concatenate(parts)
-        if self.plan.variability_weighted:
-            weights = self.plan.weights[pool] + VARIABILITY_EPS
-            self._queue = _weighted_order(self.rng, pool, weights)
-        else:
-            self._queue = pool[self.rng.permutation(len(pool))]
-        self.stage_log.append(pool)
-        self._stage += 1
+        for k, bucket in enumerate(self.plan.buckets):
+            parts = [bucket]
+            for earlier in self.plan.buckets[:k]:
+                take = len(earlier) // denom
+                if take > 0:
+                    picks = self.rng.choice(len(earlier), size=take, replace=False)
+                    parts.append(earlier[np.sort(picks)])
+            pool = np.concatenate(parts)
+            if self.plan.variability_weighted:
+                weights = self.plan.weights[pool] + VARIABILITY_EPS
+                order = _weighted_order(self.rng, pool, weights)
+            else:
+                order = pool[self.rng.permutation(len(pool))]
+            self.stage_log.append(pool)
+            for start in range(0, len(order), self.batch_size):
+                yield order[start:start + self.batch_size]
+        self.phase = "post-curriculum"
+        yield from _shuffle_epochs(rows, self.batch_size, self.rng)
 
     def next_batch(self, step: int) -> np.ndarray:
-        if self._post is not None:
-            return self._post.next_batch()
-        if not len(self._queue):
-            if self._stage < self.plan.num_buckets:
-                self._enter_next_stage()
-            else:
-                self._post = _EpochShuffler(self._all_rows, self.batch_size, self.rng)
-                return self._post.next_batch()
-        batch = self._queue[: self.batch_size]
-        self._queue = self._queue[self.batch_size:]
-        return batch
+        return next(self._batches)
 
 
 @dataclass
@@ -297,16 +276,13 @@ class CompetenceSampler:
     or proportionally to variability + eps). Past the duration, uniform
     shuffle-epochs over the full set."""
 
-    def __init__(self, plan: CompetencePlan, batch_size: int,
-                 steps_per_epoch: int, seed: int = 0):
+    def __init__(self, plan: CompetencePlan, batch_size: int, seed: int = 0):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if steps_per_epoch <= 0:
-            raise ValueError("steps_per_epoch must be positive")
         self.plan = plan
         self.batch_size = batch_size
-        self.steps_per_epoch = steps_per_epoch
         self.rng = np.random.default_rng(seed)
+        self.phase = "curriculum"
         self._n = len(plan.ordering)
         self._pacing = _COMPETENCE_FORMS[plan.form]
         self._weights = None
@@ -317,14 +293,10 @@ class CompetenceSampler:
             if not (np.all(self._weights > 0) and np.isfinite(total)):
                 raise ValueError("variability weights must be finite and > 0")
         self._cdf = np.empty(0)  # over the rows admitted when it was built
-        self._post: _EpochShuffler | None = None
-
-    @property
-    def phase(self) -> str:
-        return "post-curriculum" if self._post is not None else "curriculum"
+        self._post = _shuffle_epochs(plan.ordering, batch_size, self.rng)
 
     def epoch_length(self) -> int:
-        return self.steps_per_epoch
+        return math.ceil(self._n / self.batch_size)
 
     def available_count(self, step: int) -> int:
         c = self._pacing(step, self.plan.c0, self.plan.duration)
@@ -332,9 +304,8 @@ class CompetenceSampler:
 
     def next_batch(self, step: int) -> np.ndarray:
         if step > self.plan.duration:
-            if self._post is None:
-                self._post = _EpochShuffler(self.plan.ordering, self.batch_size, self.rng)
-            return self._post.next_batch()
+            self.phase = "post-curriculum"
+            return next(self._post)
         m = self.available_count(step)
         if self._weights is not None:
             if len(self._cdf) != m:

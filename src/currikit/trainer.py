@@ -382,10 +382,11 @@ def clip_gradients(
     scales = [max_norm / norm if norm > max_norm and norm > 0.0 else 1.0
               for norm in norms.tolist()]
     if scales.count(1.0) < S:
-        scale = np.array(scales)[:, None]
+        scale = np.array(scales)
         for g in wgrads + bgrads:
-            by_seed = g.reshape(S, -1)  # a view: the gradients are contiguous
-            by_seed *= scale
+            # Splitting the leading axis is a view in any memory layout.
+            by_seed = g.reshape(S, -1, *g.shape[1:])
+            by_seed *= scale.reshape(S, *[1] * g.ndim)
     return norms
 
 

@@ -166,7 +166,7 @@ def test_03_competence_function_and_admission():
                 scores=np.array([1.0 - i / n for i in range(n)]),
             )
             plan = build_competence_plan(scores, c0=c0_, duration=dur)
-            sampler = CompetenceSampler(plan, batch_size=4, steps_per_epoch=7, seed=0)
+            sampler = CompetenceSampler(plan, batch_size=4, seed=0)
             counts = [sampler.available_count(t) for t in range(0, dur + 20)]
             assert counts[0] == math.ceil(c0_ * n)
             assert counts[dur] == n
@@ -277,8 +277,7 @@ def test_07_curriculum_non_inferiority(pilot):
                 plan = build_competence_plan(
                     conf_scores, c0=0.01, duration=duration, variability_weighted=True,
                 )
-                sampler = CompetenceSampler(plan, PILOT_BATCH, steps_per_epoch,
-                                            seed=seed)
+                sampler = CompetenceSampler(plan, PILOT_BATCH, seed=seed)
             _, runlog, _ = train(train_c, val_c, cfg, sampler, collect_probes=False)
             return runlog.best_val_metric
 

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import reference_samplers as reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from currikit.curricula import (
@@ -239,7 +242,7 @@ class TestWeightedDraw:
         scores.variability = rng.random(n) * 0.5
         plan = build_competence_plan(scores, c0=0.01, duration=300,
                                      variability_weighted=True)
-        sampler = CompetenceSampler(plan, batch_size=32, steps_per_epoch=16, seed=6)
+        sampler = CompetenceSampler(plan, batch_size=32, seed=6)
         reference = np.random.default_rng(6)
         weights = plan.weights[plan.ordering] + VARIABILITY_EPS
         for step in range(301):
@@ -258,7 +261,7 @@ class TestWeightedDraw:
         plan = build_competence_plan(scores, c0=0.5, duration=10,
                                      variability_weighted=True)
         with pytest.raises(ValueError, match="variability weights must be finite and > 0"):
-            CompetenceSampler(plan, batch_size=2, steps_per_epoch=2, seed=0)
+            CompetenceSampler(plan, batch_size=2, seed=0)
 
 
 class TestCompetencePlan:
@@ -286,33 +289,33 @@ class TestCompetencePlan:
 class TestCompetenceSampler:
     def test_initial_admission_count(self):
         plan = build_competence_plan(confidence_scores(1000), c0=0.01, duration=100)
-        sampler = CompetenceSampler(plan, batch_size=4, steps_per_epoch=10, seed=0)
+        sampler = CompetenceSampler(plan, batch_size=4, seed=0)
         assert sampler.available_count(0) == 10
         batch = sampler.next_batch(0)
         assert set(batch) <= set(plan.ordering[:10])
 
     def test_full_admission_at_duration(self):
         plan = build_competence_plan(confidence_scores(100), c0=0.01, duration=20)
-        sampler = CompetenceSampler(plan, batch_size=4, steps_per_epoch=10, seed=0)
+        sampler = CompetenceSampler(plan, batch_size=4, seed=0)
         assert sampler.available_count(20) == 100
         assert sampler.available_count(500) == 100
 
     def test_admission_monotone(self):
         plan = build_competence_plan(confidence_scores(333), c0=0.05, duration=77)
-        sampler = CompetenceSampler(plan, batch_size=4, steps_per_epoch=10, seed=0)
+        sampler = CompetenceSampler(plan, batch_size=4, seed=0)
         counts = [sampler.available_count(t) for t in range(0, 120)]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
 
     def test_only_admitted_ids_served(self):
         plan = build_competence_plan(confidence_scores(200), c0=0.02, duration=60)
-        sampler = CompetenceSampler(plan, batch_size=16, steps_per_epoch=13, seed=4)
+        sampler = CompetenceSampler(plan, batch_size=16, seed=4)
         for t in range(0, 61):
             admitted = set(plan.ordering[: sampler.available_count(t)])
             assert set(sampler.next_batch(t)) <= admitted
 
     def test_post_curriculum_is_shuffle_epochs(self):
         plan = build_competence_plan(confidence_scores(30), c0=0.5, duration=5)
-        sampler = CompetenceSampler(plan, batch_size=10, steps_per_epoch=3, seed=4)
+        sampler = CompetenceSampler(plan, batch_size=10, seed=4)
         for t in range(6):
             sampler.next_batch(t)
         assert sampler.phase == "curriculum"
@@ -328,7 +331,7 @@ class TestCompetenceSampler:
         scores.variability = np.full(n, 0.2)
         plan = build_competence_plan(scores, c0=1.0, duration=10 ** 9,
                                      variability_weighted=True)
-        sampler = CompetenceSampler(plan, batch_size=100, steps_per_epoch=10, seed=11)
+        sampler = CompetenceSampler(plan, batch_size=100, seed=11)
         counts = {eid: 0 for eid in scores.ids}
         for t in range(1000):
             for eid in served_ids(plan, [sampler.next_batch(t)]):
@@ -345,7 +348,7 @@ class TestCompetenceSampler:
         scores.variability = np.array([weights[eid] for eid in scores.ids])
         plan = build_competence_plan(scores, c0=1.0, duration=10 ** 9,
                                      variability_weighted=True)
-        sampler = CompetenceSampler(plan, batch_size=100, steps_per_epoch=10, seed=2)
+        sampler = CompetenceSampler(plan, batch_size=100, seed=2)
         counts = {eid: 0 for eid in scores.ids}
         for t in range(200):
             for eid in served_ids(plan, [sampler.next_batch(t)]):
@@ -394,11 +397,93 @@ class TestSamplerContract:
             sampler = AnnealingSampler(plan, batch_size=4, seed=0)
         else:
             plan = build_competence_plan(scores, c0=0.1, duration=5)
-            sampler = CompetenceSampler(plan, batch_size=4, steps_per_epoch=5, seed=0)
+            sampler = CompetenceSampler(plan, batch_size=4, seed=0)
         for t in range(15):  # curriculum and post-curriculum phases
             batch = sampler.next_batch(t)
             assert batch.dtype == np.int64 and batch.ndim == 1
             assert len(batch) and 0 <= batch.min() and batch.max() < 20
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    @pytest.mark.parametrize("kind", ["random", "annealing", "competence"])
+    def test_batch_size_below_one_rejected(self, kind, batch_size):
+        scores = int_scores({2: 6, 1: 4})
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            if kind == "random":
+                RandomSampler(np.arange(10), batch_size, seed=0)
+            elif kind == "annealing":
+                AnnealingSampler(build_annealing_plan(scores, num_epochs=2), batch_size)
+            else:
+                CompetenceSampler(build_competence_plan(scores, c0=0.1, duration=5),
+                                  batch_size)
+
+
+def assert_serves_as_reference(sampler, ref, steps):
+    """Step by step, the same batch bytes, phase, stage pools and epoch
+    length as the reference sampler."""
+    assert sampler.epoch_length() == ref.epoch_length()
+    for step in steps:
+        batch, expected = sampler.next_batch(step), ref.next_batch(step)
+        assert batch.dtype == expected.dtype and batch.tobytes() == expected.tobytes(), step
+        assert sampler.phase == ref.phase, step
+        log, ref_log = getattr(sampler, "stage_log", []), getattr(ref, "stage_log", [])
+        assert [a.tobytes() for a in log] == [b.tobytes() for b in ref_log], step
+    assert sampler.epoch_length() == ref.epoch_length()
+
+
+@st.composite
+def difficulty_scores(draw, integer: bool):
+    """Ids with tied scores (integers for annealing) and variability."""
+    n = draw(st.integers(1, 60))
+    values = st.integers(0, 4) if integer else st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+    scores = draw(st.lists(values, min_size=n, max_size=n))
+    variability = draw(st.lists(st.sampled_from([0.0, 0.125, 0.5, 2.0]), min_size=n,
+                                max_size=n))
+    ids = [f"e{i:03d}" for i in draw(st.permutations(range(n)))]
+    return DifficultyScores(metric_name="correctness" if integer else "confidence", ids=ids,
+                            scores=np.array(scores, dtype=np.float64),
+                            higher_is_easier=draw(st.booleans()),
+                            variability=np.array(variability))
+
+
+class TestReferenceEquivalence:
+    """The generator samplers serve what the queue-based samplers they
+    replaced served (tests/reference_samplers.py), through at least two
+    post-curriculum epochs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 50), batch_size=st.integers(1, 20), seed=st.integers(0, 2 ** 32))
+    def test_random(self, n, batch_size, seed):
+        rows = np.arange(n) * 3
+        steps = range(3 * math.ceil(n / batch_size) + 1)
+        assert_serves_as_reference(RandomSampler(rows, batch_size, seed),
+                                   reference.RandomSampler(rows, batch_size, seed), steps)
+
+    @settings(max_examples=80, deadline=None)
+    @given(scores=difficulty_scores(integer=True), num_epochs=st.integers(1, 5),
+           weighted=st.booleans(), data=st.data(), seed=st.integers(0, 2 ** 32))
+    def test_annealing(self, scores, num_epochs, weighted, data, seed):
+        plan = build_annealing_plan(scores, num_epochs, variability_weighted=weighted)
+        sizes = annealing_stage_pool_sizes(plan)
+        batch_size = data.draw(st.integers(1, min(sizes)), label="batch_size")
+        curriculum = sum(math.ceil(size / batch_size) for size in sizes)
+        steps = range(curriculum + 2 * math.ceil(len(scores.ids) / batch_size) + 1)
+        assert_serves_as_reference(AnnealingSampler(plan, batch_size, seed),
+                                   reference.AnnealingSampler(plan, batch_size, seed), steps)
+
+    @settings(max_examples=80, deadline=None)
+    @given(scores=difficulty_scores(integer=False), c0=st.sampled_from([0.01, 0.3, 1.0]),
+           duration=st.integers(1, 80), form=st.sampled_from(["sqrt", "linear"]),
+           weighted=st.booleans(), batch_size=st.integers(1, 20), first=st.integers(0, 1),
+           seed=st.integers(0, 2 ** 32))
+    def test_competence(self, scores, c0, duration, form, weighted, batch_size, first, seed):
+        plan = build_competence_plan(scores, c0, duration, variability_weighted=weighted,
+                                     form=form)
+        n = len(scores.ids)
+        steps = range(first, duration + 2 * math.ceil(n / batch_size) + 2)
+        assert_serves_as_reference(
+            CompetenceSampler(plan, batch_size, seed),
+            reference.CompetenceSampler(plan, batch_size, math.ceil(n / batch_size), seed),
+            steps)
 
 
 class TestPlanSummary:

@@ -89,7 +89,7 @@ def sampler_and_plan(path, scheduler):
     epochs = ANNEALING_EPOCHS if "anneal" in scheduler else None
     steps_per_epoch = -(-len(TRAIN_IDS) // BATCH_SIZE)
     return cli._build_sampler(scheduler, scores, epochs, CONFIG, 7, None, BATCH_SIZE,
-                              steps_per_epoch, 5 * steps_per_epoch)
+                              5 * steps_per_epoch)
 
 
 def summary_digest(plan) -> str:

@@ -272,6 +272,23 @@ class TestPairwiseSum:
         assert not trainer_module._pairwise_sum_is_numpys()
 
 
+class TestClipGradients:
+    def test_stacked_scale_in_place_in_any_layout(self):
+        """Two models' stacked gradients are scaled in place, each to its own
+        norm, whatever their memory layout."""
+        rng = np.random.default_rng(3)
+        w, b = rng.normal(size=(8, 3)) * 10, rng.normal(size=(2, 3))
+        wc, bc = w.copy(), b.copy()
+        wf, bf = np.asfortranarray(w), np.asfortranarray(b)
+        norms = trainer_module.clip_gradients([wc], [bc], 0.1, seeds=2)
+        assert norms.tolist() == trainer_module.clip_gradients([wf], [bf], 0.1,
+                                                               seeds=2).tolist()
+        assert wf.tobytes("C") == wc.tobytes() and bf.tobytes("C") == bc.tobytes()
+        for s in range(2):
+            assert math.hypot(*wc[4 * s:4 * s + 4].ravel(), *bc[s]) == pytest.approx(0.1)
+            assert norms[s] == pytest.approx(math.hypot(*w[4 * s:4 * s + 4].ravel(), *b[s]))
+
+
 class TestEvaluate:
     def test_all_correct(self):
         params = ModelParams(weights=[np.array([[5.0, -5.0]])],
