@@ -15,7 +15,6 @@ seeds reproduces artifacts byte for byte.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -466,7 +465,9 @@ def _build_sampler(scheduler: str, scores: difficulty.DifficultyScores | None,
     return sampler, plan
 
 
-class _StudentSeed(NamedTuple):
+class _Cell(NamedTuple):
+    """One student run of the grid: a scheduler under one seed."""
+    scheduler: str
     seed: int
     config: trainer.TrainConfig
     sampler: trainer.Sampler
@@ -474,62 +475,12 @@ class _StudentSeed(NamedTuple):
     total_steps: int
 
 
-def _plan_student_seed(config: dict, train_corpus: Corpus, scheduler: str,
-                       scores: difficulty.DifficultyScores | None,
-                       annealing_epochs: int | None, seed: int) -> _StudentSeed:
-    cfg = _train_config(config, seed=seed)
-    total_steps = cfg.epochs * math.ceil(train_corpus.size / cfg.batch_size)
-    sampler, plan = _build_sampler(
-        scheduler, scores, annealing_epochs, config, seed, train_corpus,
-        cfg.batch_size, total_steps,
-    )
-    return _StudentSeed(seed, cfg, sampler, plan, total_steps)
-
-
-def _write_student_seeds(corpora: dict[str, Corpus], scheduler: str, sched_dir: Path,
-                         runs: list[_StudentSeed], trained: list[tuple]) -> dict[int, dict]:
-    """Write the files of seeds trained together and return their metrics;
-    each split is predicted for all of them with one product."""
-    correct = {split: trainer.predict([params for params, _, _ in trained],
-                                      corpora[split]) == corpora[split].labels()
-               for split in EVAL_SPLITS if split in corpora}
-    per_seed = {}
-    for s, (run, (_, runlog, _)) in enumerate(zip(runs, trained, strict=True)):
-        seed_dir = sched_dir / f"seed_{run.seed}"
-        trainer.write_runlog(runlog, seed_dir / "runlog.jsonl")
-        summary = curricula.plan_summary(run.plan)
-        summary.update({"scheduler_name": scheduler, "seed": run.seed})
-        artifacts.write_json(seed_dir / "plan.json", summary)
-
-        metrics = {"scheduler": scheduler, "seed": run.seed,
-                   "best_step": runlog.best_step, "total_steps": run.total_steps,
-                   "accuracy": {}}
-        for split, split_correct in correct.items():
-            metrics["accuracy"][split] = float(split_correct[s].mean())
-            _write_outcomes(seed_dir / f"outcomes_{split}.jsonl", corpora[split].ids(),
-                            split_correct[s])
-        artifacts.write_json(seed_dir / "metrics.json", metrics)
-        per_seed[run.seed] = metrics
-    return per_seed
-
-
-def cmd_student(config: dict, out_dir: Path, scheduler: str,
-                scores_path: Path | None = None,
-                corpora: dict[str, Corpus] | None = None) -> dict:
-    """Train one student per seed under ``scheduler``, the seeds in lockstep
-    (``trainer.train_seeds``), and summarize.
-
-    All schedulers consume exactly epochs * ceil(N / batch_size) optimizer
-    steps, so time budgets match across a sweep. ``corpora`` lets callers
-    (sweep) share already-resolved splits.
-    """
-    if scheduler not in SCHEDULERS:
-        raise ValidationError(f"unknown scheduler {scheduler!r}; choose from {SCHEDULERS}")
-    snapshot_config(config, out_dir)
-    if corpora is None:
-        corpora = resolve_corpora(config)
-
+def _plan_cells(config: dict, out_dir: Path, scheduler: str, corpora: dict[str, Corpus],
+                seeds: list[int], scores_path: Path | None = None) -> list[_Cell]:
+    """A cell per seed under ``scheduler``; its teacher artifact (or
+    ``scores_path``) is read once, before anything trains."""
     spec = _SCHEDULER_TABLE[scheduler]
+    train_corpus = corpora["train"]
     scores = annealing_epochs = None
     if spec.teacher is None:
         if scores_path is not None:
@@ -538,50 +489,93 @@ def cmd_student(config: dict, out_dir: Path, scheduler: str,
     else:
         path = scores_path or _teacher_artifact(out_dir, spec.teacher)
         first = _first_record(path)
-        scores = _read_scores(path, scheduler, corpora["train"].ids(), first)
+        scores = _read_scores(path, scheduler, train_corpus.ids(), first)
         if spec.family == "annealing":
             annealing_epochs = _annealing_epochs(first, path, out_dir, scores)
+    cells = []
+    for seed in seeds:
+        cfg = _train_config(config, seed=seed)
+        total_steps = cfg.epochs * math.ceil(train_corpus.size / cfg.batch_size)
+        sampler, plan = _build_sampler(scheduler, scores, annealing_epochs, config, seed,
+                                       train_corpus, cfg.batch_size, total_steps)
+        cells.append(_Cell(scheduler, seed, cfg, sampler, plan, total_steps))
+    return cells
 
-    sched_dir = out_dir / "students" / scheduler
-    train_corpus = corpora["train"]
-    runs = [_plan_student_seed(config, train_corpus, scheduler, scores, annealing_epochs, seed)
-            for seed in _value(config, "config", "seeds")]
+
+def _train_cells(config: dict, out_dir: Path, corpora: dict[str, Corpus],
+                 cells: list[_Cell]) -> None:
+    """Train ``cells`` in lockstep (``trainer.train_seeds``) and write each
+    stack's cells as the stack finishes, each split predicted for the whole
+    stack with one product. A cell writes its metrics.json last, so a cell
+    that has one is complete."""
     trained = trainer.train_seeds(
-        train_corpus, corpora["validation"], [run.config for run in runs],
-        [run.sampler for run in runs], hidden_size=_value(config, "model", "hidden_size"),
+        corpora["train"], corpora["validation"], [cell.config for cell in cells],
+        [cell.sampler for cell in cells], hidden_size=_value(config, "model", "hidden_size"),
         collect_probes=False,
     )
-    per_seed = {}
     for results in trained:
-        group, runs = runs[:len(results)], runs[len(results):]
-        per_seed.update(_write_student_seeds(corpora, scheduler, sched_dir, group, results))
+        stack, cells = cells[:len(results)], cells[len(results):]
+        correct = {split: trainer.predict([params for params, _, _ in results],
+                                          corpora[split]) == corpora[split].labels()
+                   for split in EVAL_SPLITS if split in corpora}
+        for s, (cell, (_, runlog, _)) in enumerate(zip(stack, results, strict=True)):
+            seed_dir = out_dir / "students" / cell.scheduler / f"seed_{cell.seed}"
+            trainer.write_runlog(runlog, seed_dir / "runlog.jsonl")
+            summary = curricula.plan_summary(cell.plan)
+            summary.update({"scheduler_name": cell.scheduler, "seed": cell.seed})
+            artifacts.write_json(seed_dir / "plan.json", summary)
+            metrics = {"scheduler": cell.scheduler, "seed": cell.seed,
+                       "best_step": runlog.best_step, "total_steps": cell.total_steps,
+                       "accuracy": {}}
+            for split, split_correct in correct.items():
+                metrics["accuracy"][split] = float(split_correct[s].mean())
+                _write_outcomes(seed_dir / f"outcomes_{split}.jsonl", corpora[split].ids(),
+                                split_correct[s])
+            artifacts.write_json(seed_dir / "metrics.json", metrics)
         del results  # dropped before the next stack trains
-    summary = _summarize_student(scheduler, per_seed)
-    artifacts.write_json(sched_dir / "summary.json", summary)
-    return summary
 
 
-def _summarize_student(scheduler: str, per_seed: dict[int, dict]) -> dict:
-    seeds = sorted(per_seed)
+def cmd_student(config: dict, out_dir: Path, scheduler: str,
+                scores_path: Path | None = None) -> dict:
+    """Train one student per seed under ``scheduler`` and summarize. Every
+    seed trains: inputs.json does not record ``scores_path``, so no cell
+    found complete can be trusted.
+
+    All schedulers consume exactly epochs * ceil(N / batch_size) optimizer
+    steps, so time budgets match across a sweep.
+    """
+    if scheduler not in SCHEDULERS:
+        raise ValidationError(f"unknown scheduler {scheduler!r}; choose from {SCHEDULERS}")
+    snapshot_config(config, out_dir)
+    corpora = resolve_corpora(config)
+    seeds = _value(config, "config", "seeds")
+    _train_cells(config, out_dir, corpora,
+                 _plan_cells(config, out_dir, scheduler, corpora, seeds, scores_path))
+    return _write_summary(out_dir, scheduler, seeds)
+
+
+_METRICS_SCHEMA = {"best_step": int, "total_steps": int, "accuracy": dict}
+
+
+def _write_summary(out_dir: Path, scheduler: str, seeds: list[int]) -> dict:
+    """Write and return the summary.json of ``scheduler``'s students, from
+    the metrics.json of each seed's cell."""
+    sched_dir = out_dir / "students" / scheduler
+    seeds = sorted(seeds)
+    per_seed = {seed: artifacts.read_json(sched_dir / f"seed_{seed}" / "metrics.json",
+                                          _METRICS_SCHEMA) for seed in seeds}
     splits = sorted(per_seed[seeds[0]]["accuracy"])
     accuracy = {}
     for split in splits:
-        vals = [per_seed[s]["accuracy"][split] for s in seeds]
-        mean = sum(vals) / len(vals)
-        var = sum((v - mean) ** 2 for v in vals) / len(vals)
-        accuracy[split] = {
-            "mean": mean,
-            "std": math.sqrt(var),
-            "per_seed": {str(s): per_seed[s]["accuracy"][split] for s in seeds},
-        }
-    return {
-        "scheduler": scheduler,
-        "seeds": seeds,
-        "splits": splits,
-        "accuracy": accuracy,
-        "best_steps": {str(s): per_seed[s]["best_step"] for s in seeds},
-        "total_steps": {str(s): per_seed[s]["total_steps"] for s in seeds},
-    }
+        vals = {str(s): per_seed[s]["accuracy"][split] for s in seeds}
+        mean = sum(vals.values()) / len(vals)
+        var = sum((v - mean) ** 2 for v in vals.values()) / len(vals)
+        accuracy[split] = {"mean": mean, "std": math.sqrt(var), "per_seed": vals}
+    summary = {"scheduler": scheduler, "seeds": seeds, "splits": splits, "accuracy": accuracy,
+               "best_steps": {str(s): per_seed[s]["best_step"] for s in seeds},
+               "total_steps": {str(s): per_seed[s]["total_steps"] for s in seeds}}
+    artifacts.write_json(sched_dir / "summary.json", summary)
+    return summary
 
 
 # --- compare ------------------------------------------------------------------
@@ -727,36 +721,39 @@ def _compare_table(report: dict) -> str:
 # --- sweep ---------------------------------------------------------------------
 
 
-def cmd_sweep(config: dict, out_dir: Path, schedulers: list[str],
-              workers: int = 1, rounds: int = 10000) -> dict:
-    """Teacher once, every scheduler per seed, then compare all against the
-    random and cr_anneal baselines (when listed). Completed cells found in
-    the run directory are skipped, and when every cell is complete no
-    corpus is built."""
+def cmd_sweep(config: dict, out_dir: Path, schedulers: list[str], rounds: int = 10000) -> dict:
+    """Each teacher once, then every (scheduler, seed) cell, the grid
+    trained in lockstep as one ``_train_cells`` call, then compare all
+    against the random and cr_anneal baselines (when listed). Every cell is
+    planned before any trains. A cell whose metrics.json exists is complete
+    and is not trained again, and when every cell is complete no corpus is
+    built."""
+    if not schedulers:
+        raise ValidationError("empty sweep list: name at least one scheduler")
     for s in schedulers:
         if s not in SCHEDULERS:
             raise ValidationError(f"unknown scheduler {s!r} in sweep list")
+        if schedulers.count(s) > 1:
+            raise ValidationError(f"scheduler {s!r} is repeated in sweep list")
     snapshot_config(config, out_dir)
+    seeds = _value(config, "config", "seeds")
     teachers = [m for m in TEACHER_METRICS
                 if any(_SCHEDULER_TABLE[s].teacher == m for s in schedulers)
                 and not _teacher_artifact(out_dir, m).exists()]
-    todo = [s for s in schedulers
-            if not (out_dir / "students" / s / "summary.json").exists()]
-    if teachers or todo:
+    missing = {s: [seed for seed in seeds if not
+                   (out_dir / "students" / s / f"seed_{seed}" / "metrics.json").exists()]
+               for s in schedulers}
+    if teachers or any(missing.values()):
         corpora = resolve_corpora(config)
         for metric in teachers:
             cmd_teacher(config, out_dir, metric=metric, corpora=corpora)
-        if workers > 1 and len(todo) > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(cmd_student, config, out_dir, s, None, corpora): s
-                    for s in todo
-                }
-                for fut in concurrent.futures.as_completed(futures):
-                    fut.result()
-        else:
-            for s in todo:
-                cmd_student(config, out_dir, s, corpora=corpora)
+        cells = [cell for s in schedulers if missing[s]
+                 for cell in _plan_cells(config, out_dir, s, corpora, missing[s])]
+        if cells:
+            _train_cells(config, out_dir, corpora, cells)
+    for s in schedulers:
+        if missing[s] or not (out_dir / "students" / s / "summary.json").exists():
+            _write_summary(out_dir, s, seeds)
 
     baselines = [b for b in _BASELINES if b in schedulers]
     outcomes: dict[Path, dict[str, tuple]] = {}  # student dir -> split -> pooled
@@ -934,7 +931,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sweep", "teacher once, then every scheduler, then comparisons")
     p.add_argument("--schedulers", required=True,
                    help="comma-separated scheduler list")
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="ignored: the sweep trains its cells in lockstep on one thread")
     p.add_argument("--rounds", type=_positive_int, default=10000)
 
     p = add("compare", "significance & time-ratio report for two runs",
@@ -968,7 +966,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "sweep":
             schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
             cmd_sweep(load_config(args.config), Path(args.out), schedulers,
-                      workers=args.workers, rounds=args.rounds)
+                      rounds=args.rounds)
         elif args.command == "compare":
             cmd_compare(Path(args.a), Path(args.b), rounds=args.rounds,
                         seed=args.seed,

@@ -477,16 +477,90 @@ class TestSweepCommand:
         assert marker.stat().st_mtime_ns == before
         capsys.readouterr()
 
-    def test_parallel_sweep_matches_sequential(self, tmp_path, config_path, capsys):
+    def test_sweep_matches_one_student_per_scheduler(self, tmp_path, config_path, capsys,
+                                                     monkeypatch):
+        """A sweep trains its six cells as one stack of three schedulers; every
+        file under students/ has the bytes of a student command per scheduler."""
         config = load_config(config_path)
-        seq = tmp_path / "seq"
-        par = tmp_path / "par"
-        cmd_sweep(config, seq, ["random", "conf_comp", "rarity"], rounds=300)
-        cmd_sweep(config, par, ["random", "conf_comp", "rarity"], rounds=300,
-                  workers=3)
+        schedulers = ["random", "conf_comp", "rarity"]
+        stacks = []
+        train_stack = trainer._train_stack
+
+        def recording(corpus, val_corpus, configs, *args):
+            stacks.append(len(configs))
+            return train_stack(corpus, val_corpus, configs, *args)
+        monkeypatch.setattr(trainer, "_train_stack", recording)
+        sweep, solo = tmp_path / "sweep", tmp_path / "solo"
+        cmd_sweep(config, sweep, schedulers, rounds=300)
+        assert max(stacks) == len(schedulers) * len(config["seeds"])
+        for metric in ("dynamics", "rarity"):
+            cmd_teacher(config, solo, metric=metric)
+        for scheduler in schedulers:
+            cmd_student(config, solo, scheduler)
         capsys.readouterr()
-        for rel in sorted(p.relative_to(seq) for p in seq.rglob("*.jsonl")):
-            assert (seq / rel).read_bytes() == (par / rel).read_bytes(), rel
+        files = sorted(p.relative_to(solo) for p in solo.rglob("students/**/*") if p.is_file())
+        assert files == sorted(p.relative_to(sweep) for p in sweep.rglob("students/**/*")
+                               if p.is_file())
+        for rel in files:
+            assert (sweep / rel).read_bytes() == (solo / rel).read_bytes(), rel
+
+    def test_kill_between_stacks_retrains_only_missing_cells(self, tmp_path, capsys,
+                                                            monkeypatch):
+        """With room for two cells a stack, random,conf_comp over three seeds
+        trains as (r1, r2), (r3, c1), (c2, c3). Killed as c3 writes its
+        metrics.json, the rerun trains c3 alone, leaves every other cell's
+        files as they were and ends byte for byte as a sweep never killed."""
+        config = {**json.loads(json.dumps(BASE_CONFIG)), "seeds": [1, 2, 3]}
+        monkeypatch.setattr(trainer, "DEFAULT_HASH_DIM",
+                            2 * BASE_CONFIG["synth"]["feature_dim"] + 1)
+        out = Path("run")  # relative: the compare reports hold the student paths
+
+        def sweep(name):
+            (tmp_path / name).mkdir(exist_ok=True)
+            monkeypatch.chdir(tmp_path / name)
+            cmd_sweep(config, out, ["random", "conf_comp"], rounds=300)
+            return {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        whole = sweep("whole")
+        victim = out / "students" / "conf_comp" / "seed_3"
+        write_json = cli.artifacts.write_json
+
+        def killing(path, payload):
+            if Path(path) == victim / "metrics.json":
+                raise KeyboardInterrupt
+            write_json(path, payload)
+        monkeypatch.setattr(cli.artifacts, "write_json", killing)
+        with pytest.raises(KeyboardInterrupt):
+            sweep("killed")
+        monkeypatch.setattr(cli.artifacts, "write_json", write_json)
+        kept = {p: p.stat().st_mtime_ns for p in out.glob("students/*/seed_*/*")
+                if p.parent != victim}
+        assert {p.parent for p in kept} == {out / "students" / s / f"seed_{seed}"
+                                            for s in ("random", "conf_comp")
+                                            for seed in (1, 2, 3)} - {victim}
+        stacks = []
+        train_seeds = trainer.train_seeds
+
+        def recording(corpus, val_corpus, configs, *args, **kwargs):
+            stacks.append([c.seed for c in configs])
+            return train_seeds(corpus, val_corpus, configs, *args, **kwargs)
+        monkeypatch.setattr(trainer, "train_seeds", recording)
+        assert sweep("killed") == whole
+        capsys.readouterr()
+        assert stacks == [[3]]
+        assert {p: p.stat().st_mtime_ns for p in kept} == kept
+
+    def test_every_cell_planned_before_any_trains(self, tmp_path, config_path, capsys):
+        """A scores file that fails to read stops the sweep before the
+        random cells, listed first, train."""
+        out = tmp_path / "o"
+        scores = cmd_teacher(load_config(config_path), out, metric="length")
+        lines = scores.read_text().splitlines(True)
+        scores.write_text("".join(lines[:2]) + lines[2][:15] + "\n" + "".join(lines[3:]))
+        assert main(["sweep", "--config", str(config_path), "--out", str(out),
+                     "--schedulers", "random,length"]) == 1
+        assert f"{scores}:3:" in capsys.readouterr().err
+        assert not (out / "students").exists()
 
     def test_sweep_resolves_corpora_once(self, tmp_path, config_path, capsys,
                                          monkeypatch):
@@ -713,6 +787,19 @@ class TestCliEntryPoint:
         assert code == 1
         assert not out.exists()
         assert f"argument {flag}: must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("schedulers, message", [
+        ("random,random,conf_comp", "scheduler 'random' is repeated in sweep list"),
+        (",", "empty sweep list"),
+        ("random,mystery", "unknown scheduler 'mystery' in sweep list"),
+    ], ids=["repeated", "empty", "unknown"])
+    def test_bad_scheduler_list_rejected_before_any_artifact(self, tmp_path, capsys,
+                                                             config_path, schedulers, message):
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(config_path), "--out", str(out),
+                     "--schedulers", schedulers]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("content", ["", "not json\n"], ids=["empty", "not-json"])
     def test_unreadable_scores_file_named(self, run_dir, config_path, tmp_path,
