@@ -262,50 +262,38 @@ def aggregate_time_ratios(
 
 def learning_curve(
     logs: list[RunLog],
-    metric: str = "accuracy",
-    split: str = "validation",
     out_csv: str | Path | None = None,
     out_svg: str | Path | None = None,
 ) -> list[tuple[int, float, float]]:
-    """Per-step mean and population std of a logged metric across seeds.
+    """Per-step mean and population std of validation accuracy across seeds.
 
     All logs must share the evaluation-step grid exactly. Optionally emits
     CSV and an SVG line plot.
     """
     if not logs:
         raise ValueError("no run logs given")
-    series = []
-    for log in logs:
-        series.append(
-            [(s, v) for (s, sp, m, v) in log.records if sp == split and m == metric]
-        )
-    grid = [s for s, _ in series[0]]
-    for k, seq in enumerate(series[1:], start=2):
-        other = [s for s, _ in seq]
-        if other != grid:
+    grid = logs[0].eval_steps.tolist()
+    for k, log in enumerate(logs[1:], start=2):
+        other = log.eval_steps.tolist()
+        for a, b in zip(grid, other):
+            if a != b:
+                raise ValueError(f"evaluation grids diverge at step {a} vs {b} "
+                                 f"(log 1 vs log {k})")
+        if len(other) != len(grid):
             n = min(len(grid), len(other))
-            for i in range(n):
-                if grid[i] != other[i]:
-                    raise ValueError(
-                        f"evaluation grids diverge at step {grid[i]} vs "
-                        f"{other[i]} (log 1 vs log {k})"
-                    )
-            raise ValueError(
-                f"evaluation grids diverge in length ({len(grid)} vs "
-                f"{len(other)}) after step {grid[n - 1] if n else 0}"
-            )
-    values = np.array([[v for _, v in seq] for seq in series])
-    rows = [
-        (grid[i], float(values[:, i].mean()), float(values[:, i].std()))
-        for i in range(len(grid))
-    ]
+            raise ValueError(f"evaluation grids diverge in length ({len(grid)} vs "
+                             f"{len(other)}) after step {grid[n - 1] if n else 0}")
+    if not grid:
+        raise ValueError("no validation accuracy in the run logs: trained without validation")
+    values = np.array([log.accuracy for log in logs])
+    rows = [(step, float(v.mean()), float(v.std())) for step, v in zip(grid, values.T)]
     if out_csv is not None:
         with atomic_open(out_csv, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "mean", "std"])
             writer.writerows([step, repr(mean), repr(std)] for step, mean, std in rows)
     if out_svg is not None:
-        write_text(out_svg, _curve_svg(rows, f"{split} {metric}"))
+        write_text(out_svg, _curve_svg(rows, "validation accuracy"))
     return rows
 
 

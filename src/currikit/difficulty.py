@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import groupby, repeat
 from operator import truediv
 from pathlib import Path
 
@@ -18,7 +18,7 @@ import numpy as np
 from .artifacts import check, read_columns, read_jsonl, write_columns
 from .corpus import Corpus
 from .dynamics import TDStats
-from .trainer import TrainConfig, predict, train
+from .trainer import TrainConfig, predict, train, train_seeds  # train: read by perfbench's tests
 
 TD_METRICS = ("confidence", "correctness", "variability")
 
@@ -90,15 +90,19 @@ def cross_review(corpus: Corpus, config: CrossReviewConfig) -> DifficultyScores:
 
     from .curricula import RandomSampler  # runtime import avoids a cycle
 
-    labels = corpus.labels()
     votes = np.zeros(corpus.size, dtype=np.int64)
-    for k, fold in enumerate(folds):
-        cfg = replace(config.train, seed=config.train.seed + k)
-        sampler = RandomSampler(np.sort(fold), cfg.batch_size, seed=cfg.seed)
-        params, _, _ = train(corpus, None, cfg, sampler, collect_probes=False)
-        outside_fold = np.ones(corpus.size, dtype=bool)
-        outside_fold[fold] = False
-        votes += (predict(params, corpus) == labels) & outside_fold
+    # One lockstep group per epoch length: at most two, as fold sizes differ by one row at most.
+    for _, group in groupby(range(len(folds)),
+                            lambda k: math.ceil(len(folds[k]) / config.train.batch_size)):
+        ks = list(group)
+        cfgs = [replace(config.train, seed=config.train.seed + k) for k in ks]
+        samplers = [RandomSampler(np.sort(folds[k]), c.batch_size, seed=c.seed)
+                    for k, c in zip(ks, cfgs)]
+        for stack in train_seeds(corpus, None, cfgs, samplers, collect_probes=False):
+            correct = predict([params for params, _, _ in stack], corpus) == corpus.labels()
+            for row in correct:  # a fold's teacher does not vote on its own rows
+                row[folds[ks.pop(0)]] = False
+            votes += correct.sum(axis=0)
 
     return DifficultyScores(metric_name="cross_review", ids=corpus.ids(),
                             scores=votes.astype(np.float64), higher_is_easier=True)

@@ -93,7 +93,9 @@ class Probes:
 
 @dataclass
 class RunLog:
-    records: list[tuple[int, str, str, float]]
+    loss: np.ndarray        # float64: loss[t - 1] is the training loss of step t
+    eval_steps: np.ndarray  # int64: the steps after which validation ran
+    accuracy: np.ndarray    # float64: the validation accuracy at each of eval_steps
     best_step: int
     best_val_metric: float
 
@@ -589,10 +591,8 @@ class _ActiveRows:
 
 
 def _eval_offsets(epoch_len: int, per_epoch: int) -> list[int]:
-    # k-th eval after ceil(k*L/per_epoch) batches; epoch end always included.
-    offsets = {math.ceil(k * epoch_len / per_epoch) for k in range(1, per_epoch + 1)}
-    offsets.add(epoch_len)
-    return sorted(offsets)
+    # k-th eval after ceil(k*L/per_epoch) batches; k = per_epoch is the epoch end.
+    return sorted({math.ceil(k * epoch_len / per_epoch) for k in range(1, per_epoch + 1)})
 
 
 def train(
@@ -687,21 +687,18 @@ def _train_stack(corpus: Corpus, val_corpus: Corpus | None, configs: list[TrainC
     vel_w = [np.zeros_like(w) for w in step_params.weights]
     vel_b = [np.zeros_like(b) for b in step_params.biases]
     decay = 1.0 - config.learning_rate * config.weight_decay
-    eval_offsets = set(_eval_offsets(epoch_len, config.eval_per_epoch))
-
-    records: list[list[tuple[int, str, str, float]]] = [[] for _ in range(S)]
-    probes: list[Probes | None] = [None] * S
-    if collect_probes:
-        shape = (config.epochs, corpus.size)
-        probes = [Probes(ids=corpus.ids(), gold_prob=np.empty(shape),
-                         correct=np.empty(shape, dtype=bool)) for _ in range(S)]
+    offsets = _eval_offsets(epoch_len, config.eval_per_epoch) if val_corpus is not None else []
+    eval_steps = (np.arange(0, config.epochs * epoch_len, epoch_len)[:, None]
+                  + np.array(offsets, dtype=np.int64)).reshape(-1)
+    loss = np.empty((S, config.epochs * epoch_len))
+    accuracy = np.empty((S, len(eval_steps)))
+    shape = (S, config.epochs, corpus.size) if collect_probes else (S, 0, 0)
+    gold_prob, correct = np.empty(shape), np.empty(shape, dtype=bool)
     # Each seed's best checkpoint is a copy of its model in step_params (the
     # compact rows when some are frozen) and the decays its frozen rows had
     # taken.
     best_params: list[ModelParams | None] = [None] * S
     best_decayed = [0] * S
-    best_acc = [-math.inf] * S
-    best_step = [0] * S
     step = 0  # batches served so far; sampler sees the pre-batch count
 
     momentum = 0.9
@@ -714,14 +711,12 @@ def _train_stack(corpus: Corpus, val_corpus: Corpus | None, configs: list[TrainC
                     f"sampler exhausted mid-epoch at step {step} (contract violation)"
                 )
             rows = np.concatenate(batches)
-            losses, (wgrads, bgrads) = loss_and_grad(step_params, step_X.take(rows, sizes),
-                                                     y[rows], sizes=sizes)
-            losses = losses.tolist()
-            for loss in losses:
-                if not math.isfinite(loss):
-                    raise FloatingPointError(
-                        f"non-finite training loss {loss} at step {step + 1}"
-                    )
+            loss[:, step], (wgrads, bgrads) = loss_and_grad(
+                step_params, step_X.take(rows, sizes), y[rows], sizes=sizes)
+            finite = np.isfinite(loss[:, step])
+            if not finite.all():
+                raise FloatingPointError(f"non-finite training loss {loss[~finite, step][0]} "
+                                         f"at step {step + 1}")
             clip_gradients(wgrads, bgrads, config.grad_clip, square_sum, seeds=S)
             for v, g in zip(vel_w + vel_b, wgrads + bgrads):
                 v *= momentum
@@ -734,31 +729,25 @@ def _train_stack(corpus: Corpus, val_corpus: Corpus | None, configs: list[TrainC
                 if active is not None:
                     active.owed += 1
             step += 1
-            for seed_records, loss in zip(records, losses):
-                seed_records.append((step, "train", "loss", loss))
 
-            if val_corpus is not None and offset in eval_offsets:
+            if offset in offsets:
                 if active is not None:
                     active.sync(decay)
-                for s, acc in enumerate(evaluate(params, val_corpus)):
-                    records[s].append((step, "validation", "accuracy", acc))
-                    if acc > best_acc[s]:
-                        best_acc[s], best_step[s] = acc, step
-                        best_params[s] = models[s].copy()
-                        best_decayed[s] = active.decayed if active is not None else 0
+                k = eval_steps.searchsorted(step)
+                accuracy[:, k] = evaluate(params, val_corpus)
+                for s in np.flatnonzero(accuracy[:, k] > accuracy[:, :k].max(1, initial=-np.inf)):
+                    best_params[s] = models[s].copy()
+                    best_decayed[s] = active.decayed if active is not None else 0
 
         if collect_probes:
             probs = _forward_matrix(step_params, step_X)
-            for seed_probes, seed_probs in zip(probes, probs):
-                seed_probes.gold_prob[epoch - 1] = seed_probs[np.arange(corpus.size), y]
-                seed_probes.correct[epoch - 1] = seed_probs.argmax(axis=1) == y
+            gold_prob[:, epoch - 1] = probs[:, np.arange(corpus.size), y]
+            correct[:, epoch - 1] = probs.argmax(axis=2) == y
 
     if val_corpus is None:
         if active is not None:
             active.sync(decay)
         best_params = _unstack(params)
-        best_step = [step] * S
-        best_acc = [math.nan] * S
     elif active is not None:
         for s, (full, best) in enumerate(zip(_unstack(params), best_params)):
             W = full.weights[0]
@@ -767,8 +756,11 @@ def _train_stack(corpus: Corpus, val_corpus: Corpus | None, configs: list[TrainC
             W[active.rows] = best.weights[0]
             best_params[s] = ModelParams(weights=[W, *best.weights[1:]], biases=best.biases,
                                          hidden_size=params.hidden_size)
-    return [(best_params[s], RunLog(records=records[s], best_step=best_step[s],
-                                    best_val_metric=best_acc[s]), probes[s])
+    # A seed's best step is its first evaluation at its highest accuracy.
+    best = [(int(eval_steps[acc.argmax()]), float(acc.max())) if len(acc) else (step, math.nan)
+            for acc in accuracy]
+    return [(best_params[s], RunLog(loss[s], eval_steps, accuracy[s], *best[s]),
+             Probes(corpus.ids(), gold_prob[s], correct[s]) if collect_probes else None)
             for s in range(S)]
 
 
@@ -780,24 +772,40 @@ _PROBE_SCHEMA = {"epoch": int, "example_id": str, "gold_prob": float, "correct":
 
 
 def write_runlog(log: RunLog, path: str | Path) -> None:
-    """JSONL of {step, split, metric, value} records; a final marker record
-    carries the best checkpoint (metric "best_accuracy")."""
-    steps, splits, metrics, values = zip(
-        *log.records, (log.best_step, "validation", _BEST_MARKER, log.best_val_metric))
-    write_columns(path, {"step": np.array(steps, dtype=np.int64), "split": list(splits),
-                         "metric": list(metrics),
-                         "value": np.array(values, dtype=np.float64)})
+    """JSONL of {step, split, metric, value} records by step, a step's loss
+    first; a final marker record carries the best checkpoint (metric
+    "best_accuracy")."""
+    steps = np.r_[1:len(log.loss) + 1, log.eval_steps]
+    order = np.argsort(steps, kind="stable")
+    evals = (order >= len(log.loss)).tolist()
+    write_columns(path, {
+        "step": np.r_[steps[order], log.best_step],
+        "split": [*map(("train", "validation").__getitem__, evals), "validation"],
+        "metric": [*map(("loss", "accuracy").__getitem__, evals), _BEST_MARKER],
+        "value": np.r_[np.r_[log.loss, log.accuracy][order], log.best_val_metric]})
 
 
 def read_runlog(path: str | Path) -> RunLog:
-    records: list[tuple[int, str, str, float]] = []
-    best_step, best_val = 0, -math.inf
-    for rec in read_jsonl(path, _RUNLOG_SCHEMA):
-        if rec["metric"] == _BEST_MARKER:
-            best_step, best_val = rec["step"], rec["value"]
+    """Inverse of write_runlog; a record of another kind, a train step out of
+    order or a missing marker raises ValueError naming ``path:line``."""
+    loss, eval_steps, accuracy, best = [], [], [], None
+    lineno = 0
+    for lineno, rec in enumerate(read_jsonl(path, _RUNLOG_SCHEMA), start=1):
+        kind = (rec["split"], rec["metric"])
+        if kind == ("train", "loss") and rec["step"] == len(loss) + 1:
+            loss.append(rec["value"])
+        elif kind == ("validation", "accuracy"):
+            eval_steps.append(rec["step"])
+            accuracy.append(rec["value"])
+        elif kind == ("validation", _BEST_MARKER):
+            best = rec
         else:
-            records.append((rec["step"], rec["split"], rec["metric"], rec["value"]))
-    return RunLog(records=records, best_step=best_step, best_val_metric=best_val)
+            raise ValueError(f"{path}:{lineno}: unexpected {kind[0]}/{kind[1]} record at "
+                             f"step {rec['step']} after {len(loss)} train steps")
+    if best is None:
+        raise ValueError(f"{path}:{lineno + 1}: missing the {_BEST_MARKER} marker")
+    return RunLog(np.array(loss, dtype=np.float64), np.array(eval_steps, dtype=np.int64),
+                  np.array(accuracy, dtype=np.float64), best["step"], best["value"])
 
 
 def write_probes(probes: Probes, path: str | Path) -> None:

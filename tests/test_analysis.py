@@ -223,10 +223,9 @@ class TestDatamap:
 
 
 def runlog(best_step, grid=None, values=None):
-    records = []
-    if grid:
-        records = [(s, "validation", "accuracy", v) for s, v in zip(grid, values)]
-    return RunLog(records=records, best_step=best_step, best_val_metric=1.0)
+    return RunLog(loss=np.zeros(0), eval_steps=np.array(grid or [], dtype=np.int64),
+                  accuracy=np.array(values or [], dtype=np.float64), best_step=best_step,
+                  best_val_metric=1.0)
 
 
 class TestTimeRatio:
@@ -268,6 +267,14 @@ class TestLearningCurve:
         logs = [runlog(1, [1, 2], [0.1, 0.2]), runlog(1, [1, 3], [0.1, 0.2])]
         with pytest.raises(ValueError, match="2 vs 3"):
             learning_curve(logs)
+
+    def test_no_validation_accuracy_rejected(self, tmp_path):
+        """Logs of trainings without a validation split have no curve: an
+        error, not an empty curve or a crash in the SVG scaling."""
+        for out in ({}, {"out_svg": tmp_path / "curve.svg"}):
+            with pytest.raises(ValueError, match="no validation accuracy in the run logs"):
+                learning_curve([runlog(3), runlog(3)], **out)
+        assert not (tmp_path / "curve.svg").exists()
 
     def test_csv_and_svg_outputs(self, tmp_path):
         logs = [runlog(1, [1, 2], [0.1, 0.2]), runlog(1, [1, 2], [0.3, 0.4])]

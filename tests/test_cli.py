@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from currikit import cli, difficulty, trainer
+from currikit import analysis, cli, difficulty, trainer
 from currikit.cli import (
     SCHEDULERS,
     ValidationError,
@@ -179,6 +179,19 @@ class TestStudentCommand:
             assert (seed_dir / "outcomes_test_id.jsonl").exists()
             plan = json.loads((seed_dir / "plan.json").read_text())
             assert plan["scheduler"] == "random"
+
+    def test_learning_curve_from_runlog_files(self, tmp_path, config_path, monkeypatch):
+        """The curve over the two seeds' runlog.jsonl, read back, equals the
+        curve over the run logs the student trained."""
+        trained, write = [], trainer.write_runlog
+        monkeypatch.setattr(trainer, "write_runlog",
+                            lambda log, path: trained.append(log) or write(log, path))
+        cmd_student(load_config(config_path), tmp_path, "random")
+        read = [trainer.read_runlog(tmp_path / "students" / "random" / f"seed_{seed}"
+                                    / "runlog.jsonl") for seed in (1, 2)]
+        curve = analysis.learning_curve(trained)
+        assert len(trained) == 2 and len(curve) == 8
+        assert analysis.learning_curve(read) == curve
 
     def test_random_warns_on_scores(self, run_dir, config_path, capsys):
         config = load_config(config_path)

@@ -182,12 +182,9 @@ def runlog() -> trainer.RunLog:
     # not depend on a libm pow), an accuracy per third step, and the NaN
     # marker of a training without a validation split.
     losses = np.ldexp(np.random.default_rng(5).random(12), np.arange(-20, 64, 7))
-    records = []
-    for step, loss in enumerate(losses.tolist(), start=1):
-        records.append((step, "train", "loss", loss))
-        if step % 3 == 0:
-            records.append((step, "validation", "accuracy", step / 16))
-    return trainer.RunLog(records=records, best_step=12, best_val_metric=float("nan"))
+    eval_steps = np.arange(3, 13, 3)
+    return trainer.RunLog(loss=losses, eval_steps=eval_steps, accuracy=eval_steps / 16,
+                          best_step=12, best_val_metric=float("nan"))
 
 
 def test_writer_bytes_golden(tmp_path, cr_file):

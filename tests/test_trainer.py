@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from currikit.corpus import Corpus, SynthSpec, generate_synthetic
 from currikit.curricula import RandomSampler
 from currikit.trainer import (
     ModelParams,
+    RunLog,
     TrainConfig,
     _CSR,
     _BufferSum,
@@ -49,6 +51,11 @@ def exp_log_digest() -> str:
 
 
 EXP_LOG_PINNED = exp_log_digest() == EXP_LOG_DIGEST
+
+
+def log_columns(log):
+    """A run log's three columns as bytes, for equality."""
+    return log.loss.tobytes(), log.eval_steps.tobytes(), log.accuracy.tobytes()
 
 
 def make_corpus(features_labels, num_classes, dim, split="train"):
@@ -401,12 +408,11 @@ class TestTrain:
         train_c, val_c, _, _ = separable
         cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=1.0, seed=5)
         _, log, _ = train(train_c, val_c, cfg, random_sampler(train_c, 16, seed=5))
-        val_accs = [(s, v) for (s, sp, m, v) in log.records
-                    if sp == "validation" and m == "accuracy"]
+        val_accs = list(zip(log.eval_steps.tolist(), log.accuracy.tolist()))
         assert log.best_val_metric == max(v for _, v in val_accs)
         assert log.best_step in [s for s, v in val_accs
                                  if v == log.best_val_metric]
-        steps = [s for (s, _, _, _) in log.records]
+        steps = log.eval_steps.tolist()
         assert steps == sorted(steps)
 
     def test_smoothed_loss_nonincreasing_first_epoch(self):
@@ -416,7 +422,7 @@ class TestTrain:
         train_c, val_c, _, _ = generate_synthetic(spec)
         cfg = TrainConfig(epochs=1, batch_size=32, learning_rate=0.5, seed=9)
         _, log, _ = train(train_c, val_c, cfg, random_sampler(train_c, 32, seed=9))
-        losses = [v for (_, sp, m, v) in log.records if m == "loss"]
+        losses = log.loss.tolist()
         window = 10
         smoothed = [sum(losses[i:i + window]) / window
                     for i in range(len(losses) - window + 1)]
@@ -452,7 +458,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=1, batch_size=16, learning_rate=1.0, seed=3)
         params, log, _ = train(train_c, None, cfg, random_sampler(train_c, 16, seed=3))
         assert log.best_step == cfg.epochs * math.ceil(train_c.size / 16)
-        assert not any(sp == "validation" for (_, sp, _, _) in log.records)
+        assert len(log.eval_steps) == len(log.accuracy) == 0
         assert evaluate(params, train_c) >= 0.95
 
 
@@ -460,15 +466,15 @@ def dense_reference(corpus, val_corpus, config, sampler, hidden_size):
     """The full-width trainer step, written out with CSR batches: every row
     of the first weight matrix takes part in every product, norm, update and
     decay.
-    Returns the best (or final) parameters, the run-log records, best step,
-    gold probabilities, correctness and the number of clipped steps."""
+    Returns the best (or final) parameters, the run log, best step, gold
+    probabilities, correctness and the number of clipped steps."""
     X, y = corpus.feature_matrix(), corpus.labels()
     params = init_params(corpus.feature_dim, corpus.num_classes, hidden_size, config.seed)
     vel_w = [np.zeros_like(w) for w in params.weights]
     vel_b = [np.zeros_like(b) for b in params.biases]
     epoch_len = sampler.epoch_length()
     evals = set(_eval_offsets(epoch_len, config.eval_per_epoch))
-    records, gold, correct = [], [], []
+    losses, eval_steps, accs, gold, correct = [], [], [], [], []
     best, best_acc, best_step, step, clipped = params.copy(), -math.inf, 0, 0, 0
     for _ in range(config.epochs):
         for offset in range(1, epoch_len + 1):
@@ -491,18 +497,22 @@ def dense_reference(corpus, val_corpus, config, sampler, hidden_size):
                 vel_b[i] = 0.9 * vel_b[i] + bgrads[i]
                 b -= config.learning_rate * vel_b[i]
             step += 1
-            records.append((step, "train", "loss", loss))
+            losses.append(loss)
             if val_corpus is not None and offset in evals:
                 acc = evaluate(params, val_corpus)
-                records.append((step, "validation", "accuracy", acc))
+                eval_steps.append(step)
+                accs.append(acc)
                 if acc > best_acc:
                     best, best_acc, best_step = params.copy(), acc, step
         (probs,) = _forward_matrix(_stack([params]), X)
         gold.append(probs[np.arange(corpus.size), y])
         correct.append(probs.argmax(axis=1) == y)
     if val_corpus is None:
-        best, best_step = params.copy(), step
-    return best, records, best_step, np.array(gold), np.array(correct), clipped
+        best, best_acc, best_step = params.copy(), math.nan, step
+    log = RunLog(loss=np.array(losses), eval_steps=np.array(eval_steps, dtype=np.int64),
+                 accuracy=np.array(accs, dtype=np.float64), best_step=best_step,
+                 best_val_metric=best_acc)
+    return best, log, best_step, np.array(gold), np.array(correct), clipped
 
 
 class TestActiveRows:
@@ -555,14 +565,14 @@ class TestActiveRows:
         params, log, probes = train(train_c, val_c, cfg, random_sampler(train_c, 7, seed=2),
                                     hidden_size=hidden)
         assert bool(built) == compact
-        ref, records, best_step, gold, correct, clipped = dense_reference(
+        ref, ref_log, best_step, gold, correct, clipped = dense_reference(
             train_c, val_c, cfg, random_sampler(train_c, 7, seed=2), hidden)
-        assert 0 < clipped < len([r for r in records if r[1] == "train"])
+        assert 0 < clipped < len(ref_log.loss)
         assert params.weights[0].shape == (self.DIM, hidden or 3)
         for got, want in zip(params.weights + params.biases, ref.weights + ref.biases,
                              strict=True):
             assert got.tobytes() == want.tobytes()
-        assert log.records == records
+        assert log_columns(log) == log_columns(ref_log)
         assert log.best_step == best_step
         assert probes.gold_prob.tobytes() == gold.tobytes()
         assert np.array_equal(probes.correct, correct)
@@ -572,13 +582,13 @@ class TestActiveRows:
         returns the run log."""
         params, log, probes = train(train_c, val_c, cfg, random_sampler(train_c, 7, seed=2),
                                     hidden_size=hidden)
-        ref, records, best_step, gold, correct, clipped = dense_reference(
+        ref, ref_log, best_step, gold, correct, clipped = dense_reference(
             train_c, val_c, cfg, random_sampler(train_c, 7, seed=2), hidden)
-        assert 0 < clipped < len([r for r in records if r[1] == "train"])
+        assert 0 < clipped < len(ref_log.loss)
         for got, want in zip(params.weights + params.biases, ref.weights + ref.biases,
                              strict=True):
             assert got.tobytes() == want.tobytes()
-        assert (log.records, log.best_step) == (records, best_step)
+        assert (log_columns(log), log.best_step) == (log_columns(ref_log), best_step)
         assert probes.gold_prob.tobytes() == gold.tobytes()
         assert np.array_equal(probes.correct, correct)
         return log
@@ -616,7 +626,7 @@ class TestActiveRows:
         cfg = TrainConfig(epochs=3, batch_size=7, learning_rate=0.8, weight_decay=0.05,
                           grad_clip=0.5, eval_per_epoch=3, seed=4)
         log = self.train_and_compare(train_c, val_c, cfg, hidden)
-        last_eval = max(step for step, split, _, _ in log.records if split == "validation")
+        last_eval = max(log.eval_steps)
         assert log.best_step < last_eval
         assert len(inits) == 1 and len(redraws) == 1
 
@@ -636,7 +646,7 @@ class TestActiveRows:
                                     built.append(name) or real(*args))
             params, log, probes = train(train_c, val_c, cfg, random_sampler(train_c, 7, seed=2))
             runs.append((built, params.weights[0].tobytes(), params.biases[0].tobytes(),
-                         log.records, probes.gold_prob.tobytes()))
+                         log_columns(log), probes.gold_prob.tobytes()))
             monkeypatch.undo()
         assert runs[0][0] == ["_PairwiseSum"] and runs[1][0] == ["_BufferSum"]
         assert runs[0][1:] == runs[1][1:]
@@ -673,7 +683,30 @@ class TestMemory:
         assert params.weights[0].shape == (dim, 3)
         assert peak < 2 * params.weights[0].nbytes
         if with_validation:
-            assert sum(split == "validation" for _, split, _, _ in log.records) == 10
+            assert len(log.accuracy) == 10
+
+    def test_wide_stack_run_logs_are_columns(self):
+        """27 pilot seeds (2,000 rows, 378 steps, 60 evaluations) as one stack
+        with probes off: what trainer.py still holds at the stack's return is
+        the parameters and the run logs. Per-step log tuples held about 1.17
+        MiB here; loss and accuracy columns take about 0.1 MiB."""
+        spec = SynthSpec(num_classes=3, train_size=2000, val_size=500, test_size=10,
+                         feature_dim=32, class_separation=3.0, label_noise_fraction=0.1,
+                         ood_shift=1.0, seed=1)
+        train_c, val_c, _, _ = generate_synthetic(spec)
+        seeds = range(27)
+        configs = [TrainConfig(epochs=6, batch_size=32, learning_rate=1.5, seed=seed)
+                   for seed in seeds]
+        samplers = [random_sampler(train_c, 32, seed=seed) for seed in seeds]
+        tracemalloc.start()
+        try:
+            results = next(train_seeds(train_c, val_c, configs, samplers, collect_probes=False))
+            held = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, trainer_module.__file__)])
+        finally:
+            tracemalloc.stop()
+        assert [(len(log.loss), len(log.accuracy)) for _, log, _ in results] == [(378, 60)] * 27
+        assert sum(stat.size for stat in held.statistics("filename")) < 0.3 * 2 ** 20
 
     def test_decayed_early_best_below_two_weight_arrays(self):
         """With weight decay and a best checkpoint before the last eval, the
@@ -691,7 +724,7 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert log.best_step < max(s for s, split, _, _ in log.records if split == "validation")
+        assert log.best_step < max(log.eval_steps)
         assert peak < 2 * params.weights[0].nbytes
         ref = dense_reference(train_c, val_c, cfg, random_sampler(train_c, 32, seed=1), 0)[0]
         for got, want in zip(params.weights + params.biases, ref.weights + ref.biases,
@@ -760,13 +793,13 @@ class TestDenseBatches:
                           eval_per_epoch=3, seed=4)
         params, log, probes = train(train_c, val_c, cfg, random_sampler(train_c, 7, seed=2),
                                     hidden_size=hidden)
-        ref, records, best_step, gold, correct, clipped = dense_reference(
+        ref, ref_log, best_step, gold, correct, clipped = dense_reference(
             train_c, val_c, cfg, random_sampler(train_c, 7, seed=2), hidden)
-        assert 0 < clipped < len([r for r in records if r[1] == "train"])
+        assert 0 < clipped < len(ref_log.loss)
         for got, want in zip(params.weights + params.biases, ref.weights + ref.biases,
                              strict=True):
             assert got.tobytes() == want.tobytes()
-        assert log.records == records
+        assert log_columns(log) == log_columns(ref_log)
         assert log.best_step == best_step
         assert probes.gold_prob.tobytes() == gold.tobytes()
         assert np.array_equal(probes.correct, correct)
@@ -780,9 +813,9 @@ class TestDenseBatches:
         cfg = TrainConfig(epochs=1, batch_size=8, seed=1)
         params, log, _ = train(train_c, None, cfg, random_sampler(train_c, 8, seed=1),
                                collect_probes=False)
-        ref, records = dense_reference(train_c, None, cfg, random_sampler(train_c, 8, seed=1),
+        ref, ref_log = dense_reference(train_c, None, cfg, random_sampler(train_c, 8, seed=1),
                                        0)[:2]
-        assert len(records) == 3 and log.records == records
+        assert len(ref_log.loss) == 3 and log_columns(log) == log_columns(ref_log)
         for got, want in zip(params.weights + params.biases, ref.weights + ref.biases,
                              strict=True):
             assert got.tobytes() == want.tobytes()
@@ -809,7 +842,7 @@ def same_result(got, want):
     (params, log, probes), (ref, ref_log, ref_probes) = got, want
     for a, b in zip(params.weights + params.biases, ref.weights + ref.biases, strict=True):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert log.records == ref_log.records
+    assert log_columns(log) == log_columns(ref_log)
     assert log.best_step == ref_log.best_step
     assert repr(log.best_val_metric) == repr(ref_log.best_val_metric)
     assert (probes is None) == (ref_probes is None)
@@ -961,9 +994,40 @@ class TestIO:
         _, log, _ = train(train_c, val_c, cfg, random_sampler(train_c, 16, seed=3))
         write_runlog(log, tmp_path / "log.jsonl")
         back = read_runlog(tmp_path / "log.jsonl")
-        assert back.records == log.records
+        assert log_columns(back) == log_columns(log)
         assert back.best_step == log.best_step
         assert back.best_val_metric == log.best_val_metric
+
+    # Each edit of the records of a valid log, and the line and problem the
+    # reader must name. The log: train steps 1-3, an evaluation at step 2.
+    RUNLOG_EDITS = {
+        "unknown split": (lambda r: r[2].update(split="test_id"),
+                          "3: unexpected test_id/accuracy record at step 2 after 2 train steps"),
+        "unknown metric": (lambda r: r[1].update(metric="accuracy"),
+                           "2: unexpected train/accuracy record at step 2 after 1 train steps"),
+        "skipped step": (lambda r: r.pop(1),
+                         "3: unexpected train/loss record at step 3 after 1 train steps"),
+        "swapped steps": (lambda r: r.insert(0, r.pop(1)),
+                          "1: unexpected train/loss record at step 2 after 0 train steps"),
+        "repeated step": (lambda r: r.insert(1, dict(r[0])),
+                          "2: unexpected train/loss record at step 1 after 1 train steps"),
+        "missing marker": (lambda r: r.pop(), "5: missing the best_accuracy marker"),
+        "empty": (lambda r: r.clear(), "1: missing the best_accuracy marker"),
+    }
+
+    @pytest.mark.parametrize("edit", list(RUNLOG_EDITS))
+    def test_malformed_runlog_names_line(self, tmp_path, edit):
+        path = tmp_path / "log.jsonl"
+        write_runlog(RunLog(np.array([0.5, 0.4, 0.3]), np.array([2]), np.array([0.7]), 2, 0.7),
+                     path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [(r["step"], r["metric"]) for r in records] == [
+            (1, "loss"), (2, "loss"), (2, "accuracy"), (3, "loss"), (2, "best_accuracy")]
+        change, problem = self.RUNLOG_EDITS[edit]
+        change(records)
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{problem}")):
+            read_runlog(path)
 
     def test_probes_round_trip(self, tmp_path, separable):
         train_c, val_c, _, _ = separable
