@@ -343,8 +343,5 @@ def plan_summary(plan) -> dict:
 
 
 def _digest(ids: list[str], rows: np.ndarray) -> str:
-    h = hashlib.sha256()
-    for row in rows:
-        h.update(ids[row].encode("utf-8"))
-        h.update(b"\n")
-    return h.hexdigest()
+    """sha256 of the UTF-8 ids of ``rows`` in order, each ended by a newline."""
+    return hashlib.sha256("".join([ids[r] + "\n" for r in rows.tolist()]).encode()).hexdigest()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import reduce
@@ -353,43 +354,66 @@ def clip_gradients(
 
     ``square_sum`` is given when ``wgrads[0]`` holds only some rows of a full
     gradient that is zero elsewhere: it maps the flat squares of
-    ``wgrads[0]`` to ``float(np.sum(...))`` of the full-shape squares, so the
-    norm equals the full gradient's bit for bit (summing the compact rows
-    alone groups the terms differently).
+    ``wgrads[0]`` to ``float(np.sum(...))`` of the full-shape squares, which
+    groups the terms otherwise than a sum of the compact rows alone. The clip
+    is decided first from a bound on that sum (see ``_may_clip``), and
+    ``square_sum`` is called only when the bound reaches ``max_norm``, so
+    whether and by how much the gradients are scaled matches the full
+    gradient bit for bit. The returned norm is then the full gradient's; on
+    a step the bound rules out, it is the norm from the compact rows' own
+    sum.
 
     With ``seeds``, the gradients are a stack of that many models' (see
-    ``_stack``): each model's norm and scale are its own, and the norms come
-    as an array.
+    ``_stack``): each model's norm, bound and scale are its own, and the
+    norms come as an array.
     """
     S = seeds or 1
+    grads = wgrads + bgrads
+    squares = [g * g for g in grads]
     if S == 1:  # float sums and a float scale: timed 3-5 us a one-model step less
-        total = 0.0
-        for i, g in enumerate(wgrads + bgrads):
-            sq = g * g
-            total += (square_sum(sq.reshape(-1)) if i == 0 and square_sum is not None
-                      else float(np.add.reduce(sq, axis=None)))
-        norm = math.sqrt(total)
+        sums = [float(np.add.reduce(sq, axis=None)) for sq in squares]
+        if square_sum is not None and _may_clip(sums, squares[0].size, max_norm):
+            sums[0] = square_sum(squares[0].reshape(-1))
+        norm = math.sqrt(reduce(operator.add, sums))
         if norm > max_norm and norm > 0.0:
-            for g in wgrads + bgrads:
+            for g in grads:
                 g *= max_norm / norm
         return np.array([norm]) if seeds else norm
-    total = 0.0
-    for i, g in enumerate(wgrads + bgrads):
-        sq = g * g
-        if i == 0 and square_sum is not None:
-            total += np.array([square_sum(part) for part in sq.reshape(S, -1)])
-        else:
-            total += _seed_sums(sq, S)
-    norms = np.sqrt(total)
+    sums = [_seed_sums(sq, S) for sq in squares]
+    if square_sum is not None:
+        parts = squares[0].reshape(S, -1)
+        for s in np.flatnonzero(_may_clip(sums, parts.shape[1], max_norm)).tolist():
+            sums[0][s] = square_sum(parts[s])
+    norms = np.sqrt(reduce(operator.add, sums))
     scales = [max_norm / norm if norm > max_norm and norm > 0.0 else 1.0
               for norm in norms.tolist()]
     if scales.count(1.0) < S:
         scale = np.array(scales)
-        for g in wgrads + bgrads:
+        for g in grads:
             # Splitting the leading axis is a view in any memory layout.
             by_seed = g.reshape(S, -1, *g.shape[1:])
             by_seed *= scale.reshape(S, *[1] * g.ndim)
     return norms
+
+
+def _may_clip(sums: list, n: int, max_norm: float) -> bool | np.ndarray:
+    """Whether the norm whose squared terms are ``sums``, added in order,
+    can exceed ``max_norm`` when ``sums[0]`` is replaced by the full-width
+    sum of the same ``n`` non-negative squares (per seed, for arrays).
+
+    Those n squares are the only non-zero terms of either sum, and adding
+    +0.0 is exact, so in any summation order each term passes through at
+    most n - 1 rounded additions. With u = 2^-53 and T the exact total,
+    ``sums[0] >= T(1-u)^(n-1)`` and the full-width sum is at most
+    ``T(1+u)^(n-1)``, so at most ``sums[0] / (1 - 2(n-1)u)``. For n below
+    2^40 the rounded product ``sums[0] * (1 + 4nu)`` is at least that; where
+    it falls below 2^-1022, every partial sum is below 2^-1021 and so exact,
+    and the product is at least ``sums[0]``, the exact total. Addition and
+    sqrt round monotonically, so a bound norm within ``max_norm`` rules the
+    clip out. NaN and inf make the comparison false.
+    """
+    upper = reduce(operator.add, [sums[0] * (1.0 + n * 2.0 ** -51), *sums[1:]])
+    return ~(np.sqrt(upper) <= max_norm)
 
 
 # numpy sums a contiguous float64 array pairwise: a block of more than this
@@ -569,17 +593,26 @@ class _ActiveRows:
     def __init__(self, X, full: ModelParams, rows: np.ndarray):
         self.full = full
         W = full.weights[0]
-        dim, width = W.shape[0] // len(full.biases[0]), W.shape[1]
+        self.dim = W.shape[0] // len(full.biases[0])
         self.rows = rows
-        self.stacked_rows = (np.arange(0, W.shape[0], dim)[:, None] + rows).reshape(-1)
+        self.stacked_rows = (np.arange(0, W.shape[0], self.dim)[:, None] + rows).reshape(-1)
         cols = np.unique(X.indices, return_inverse=True)[1].astype(X.indices.dtype)
         self.X = _CSR(X.indptr, cols, X.data, len(rows))
         self.params = ModelParams(weights=[W[self.stacked_rows], *full.weights[1:]],
                                   biases=full.biases, hidden_size=full.hidden_size)
-        index = (rows[:, None] * width + np.arange(width)).reshape(-1)
-        self.square_sum = (_PairwiseSum if _PAIRWISE_EXACT else _BufferSum)(index, dim * width)
+        self._sum: _PairwiseSum | _BufferSum | None = None
         self.owed = 0  # decay steps not yet applied to the frozen rows
         self.decayed = 0  # decay steps applied to the frozen rows
+
+    def square_sum(self, values: np.ndarray) -> float:
+        # The layout is built on the first step that can clip: a training
+        # that never nears grad_clip builds none.
+        if self._sum is None:
+            width = self.full.weights[0].shape[1]
+            index = (self.rows[:, None] * width + np.arange(width)).reshape(-1)
+            self._sum = (_PairwiseSum if _PAIRWISE_EXACT else _BufferSum)(index,
+                                                                          self.dim * width)
+        return self._sum(values)
 
     def sync(self, decay: float) -> None:
         W = self.full.weights[0]
@@ -774,7 +807,10 @@ _PROBE_SCHEMA = {"epoch": int, "example_id": str, "gold_prob": float, "correct":
 def write_runlog(log: RunLog, path: str | Path) -> None:
     """JSONL of {step, split, metric, value} records by step, a step's loss
     first; a final marker record carries the best checkpoint (metric
-    "best_accuracy")."""
+    "best_accuracy"). Eval steps must increase strictly within 1..len(loss)."""
+    if not (np.diff(np.r_[0, log.eval_steps, len(log.loss) + 1]) > 0).all():
+        raise ValueError(f"eval steps {log.eval_steps.tolist()} do not increase strictly "
+                         f"within 1..{len(log.loss)}")
     steps = np.r_[1:len(log.loss) + 1, log.eval_steps]
     order = np.argsort(steps, kind="stable")
     evals = (order >= len(log.loss)).tolist()
@@ -786,22 +822,37 @@ def write_runlog(log: RunLog, path: str | Path) -> None:
 
 
 def read_runlog(path: str | Path) -> RunLog:
-    """Inverse of write_runlog; a record of another kind, a train step out of
-    order or a missing marker raises ValueError naming ``path:line``."""
+    """Inverse of write_runlog. A record of another kind, a train step out of
+    order, an accuracy that does not directly follow its own step's train
+    record or whose step does not increase on the last one, a record after
+    the marker or a missing marker raises ValueError naming ``path:line``."""
     loss, eval_steps, accuracy, best = [], [], [], None
     lineno = 0
     for lineno, rec in enumerate(read_jsonl(path, _RUNLOG_SCHEMA), start=1):
-        kind = (rec["split"], rec["metric"])
-        if kind == ("train", "loss") and rec["step"] == len(loss) + 1:
+        kind, step = (rec["split"], rec["metric"]), rec["step"]
+
+        def misplaced(problem: str) -> ValueError:
+            return ValueError(f"{path}:{lineno}: {kind[0]}/{kind[1]} record at step {step} "
+                              f"{problem}")
+
+        if best is not None:
+            raise misplaced(f"after the {_BEST_MARKER} marker")
+        if kind == ("train", "loss") and step == len(loss) + 1:
             loss.append(rec["value"])
         elif kind == ("validation", "accuracy"):
-            eval_steps.append(rec["step"])
+            if eval_steps and step <= eval_steps[-1]:
+                raise misplaced(f"after one at step {eval_steps[-1]}: eval steps must increase")
+            # With the steps increasing and no marker yet, a record at the
+            # last train step can only follow that step's train record.
+            if step != len(loss):
+                raise misplaced(f"does not directly follow the train/loss record of step {step}")
+            eval_steps.append(step)
             accuracy.append(rec["value"])
         elif kind == ("validation", _BEST_MARKER):
             best = rec
         else:
             raise ValueError(f"{path}:{lineno}: unexpected {kind[0]}/{kind[1]} record at "
-                             f"step {rec['step']} after {len(loss)} train steps")
+                             f"step {step} after {len(loss)} train steps")
     if best is None:
         raise ValueError(f"{path}:{lineno + 1}: missing the {_BEST_MARKER} marker")
     return RunLog(np.array(loss, dtype=np.float64), np.array(eval_steps, dtype=np.int64),

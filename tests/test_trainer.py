@@ -295,6 +295,72 @@ class TestClipGradients:
             assert math.hypot(*wc[4 * s:4 * s + 4].ravel(), *bc[s]) == pytest.approx(0.1)
             assert norms[s] == pytest.approx(math.hypot(*w[4 * s:4 * s + 4].ravel(), *b[s]))
 
+    @staticmethod
+    def compact_and_full(rng, seeds, rows, dim, width, scale):
+        """A stack of ``seeds`` compact first-layer gradients on ``rows``
+        random rows of ``dim``, the same placed in full-width zeros, a bias
+        gradient, and the compact squares' exact-sum replica."""
+        used = np.sort(rng.choice(dim, rows, replace=False))
+        w = rng.normal(size=(seeds * rows, width)) * scale(seeds * rows * width)
+        full = np.zeros((seeds * dim, width))
+        full[(np.arange(0, seeds * dim, dim)[:, None] + used).reshape(-1)] = w
+        b = rng.normal(size=(seeds, width)) * scale(seeds * width)
+        index = (used[:, None] * width + np.arange(width)).reshape(-1)
+        return w, full, b, used, _PairwiseSum(index, dim * width)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(seeds=st.sampled_from([1, 3]), rows=st.integers(1, 400), width=st.integers(1, 4),
+           low=st.integers(-150, 20), span=st.integers(0, 50), seed=st.integers(0, 2 ** 16),
+           max_norm_at=st.sampled_from(["below", "at", "above", "twice"]))
+    def test_compact_gate_scales_as_full_width(self, seeds, rows, width, low, span, seed,
+                                               max_norm_at):
+        """With ``max_norm`` at the full-width norm or either neighbouring
+        float, the compact call scales exactly when the full-width call does,
+        by the same factor, and its norm is the full-width one on those steps;
+        at twice that norm the bound rules the clip out without the exact
+        sum."""
+        rng = np.random.default_rng(seed)
+        w, full, b, used, square_sum = self.compact_and_full(
+            rng, seeds, rows, rows * int(rng.integers(2, 40)), width,
+            lambda n: 10.0 ** rng.uniform(low, low + span, n).reshape(-1, width))
+        exact = trainer_module.clip_gradients([full.copy()], [b.copy()], math.inf,
+                                              seeds=seeds)[0]
+        max_norm = {"below": np.nextafter(exact, 0.0), "at": exact,
+                    "above": np.nextafter(exact, math.inf), "twice": 2 * exact}[max_norm_at]
+        fw, fb = full.copy(), b.copy()
+        want = trainer_module.clip_gradients([fw], [fb], max_norm, seeds=seeds)
+        cw, cb, calls = w.copy(), b.copy(), []
+        got = trainer_module.clip_gradients([cw], [cb], max_norm,
+                                            lambda v: calls.append(v) or square_sum(v),
+                                            seeds=seeds)
+        dim = len(full) // seeds
+        stacked = (np.arange(0, seeds * dim, dim)[:, None] + used).reshape(-1)
+        assert cw.tobytes() == fw[stacked].tobytes() and cb.tobytes() == fb.tobytes()
+        clipped = want > max_norm
+        assert clipped[0] == (max_norm_at == "below")
+        assert got[clipped].tobytes() == want[clipped].tobytes()
+        assert got == pytest.approx(want, rel=1e-12)
+        if seeds == 1 and max_norm_at == "twice":
+            assert not calls
+
+    @pytest.mark.parametrize("seeds", [1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", ["weights", "bias"])
+    def test_non_finite_gradient_as_full_width(self, seeds, bad, where):
+        rng = np.random.default_rng(8)
+        w, full, b, used, square_sum = self.compact_and_full(rng, seeds, 5, 40, 3,
+                                                             lambda n: 1.0)
+        (w if where == "weights" else b)[-1, 1] = bad
+        full[(seeds - 1) * 40 + used[-1], 1] = w[-1, 1]
+        fw, fb, cw, cb = full.copy(), b.copy(), w.copy(), b.copy()
+        with np.errstate(invalid="ignore"):  # an inf gradient scales by 0 to NaN
+            want = trainer_module.clip_gradients([fw], [fb], 0.5, seeds=seeds)
+            got = trainer_module.clip_gradients([cw], [cb], 0.5, square_sum, seeds=seeds)
+        assert not np.isfinite(got[-1])
+        assert got.tobytes() == want.tobytes()
+        stacked = (np.arange(0, seeds * 40, 40)[:, None] + used).reshape(-1)
+        assert cw.tobytes() == fw[stacked].tobytes() and cb.tobytes() == fb.tobytes()
+
 
 class TestEvaluate:
     def test_all_correct(self):
@@ -629,6 +695,39 @@ class TestActiveRows:
         last_eval = max(log.eval_steps)
         assert log.best_step < last_eval
         assert len(inits) == 1 and len(redraws) == 1
+
+    @pytest.mark.parametrize("hidden", [0, 4])
+    def test_exact_sum_only_on_steps_that_can_clip(self, monkeypatch, hidden):
+        """At hash_dim 2^18 with a clip that fires on some steps, numpy's
+        full-width sum is replayed on some steps but not on all, and the
+        training equals the full-width one bit for bit."""
+        cols = (0, 5, 131, 4_096, 65_535, 65_536, 100_003, 200_000, 262_143)
+        train_c, val_c = self.corpora(cols, dim=2 ** 18)
+        calls = []
+        call = trainer_module._PairwiseSum.__call__
+        monkeypatch.setattr(trainer_module._PairwiseSum, "__call__",
+                            lambda self, values: calls.append(1) or call(self, values))
+        cfg = TrainConfig(epochs=3, batch_size=7, learning_rate=0.8, grad_clip=0.5,
+                          eval_per_epoch=3, seed=4)
+        log = self.train_and_compare(train_c, val_c, cfg, hidden)
+        assert 0 < len(calls) < len(log.loss)
+
+    def test_no_layout_when_the_clip_is_never_near(self, monkeypatch):
+        train_c, val_c = self.corpora(self.WIDE_COLS, dim=self.WIDE_DIM)
+        built = []
+        for name in ("_PairwiseSum", "_BufferSum"):
+            monkeypatch.setattr(trainer_module, name, lambda *args: built.append(args))
+        cfg = TrainConfig(epochs=3, batch_size=7, learning_rate=0.8, grad_clip=1e6,
+                          eval_per_epoch=3, seed=4)
+        params, log, probes = train(train_c, val_c, cfg, random_sampler(train_c, 7, seed=2))
+        ref, ref_log, best_step, gold, _, clipped = dense_reference(
+            train_c, val_c, cfg, random_sampler(train_c, 7, seed=2), 0)
+        assert not built and not clipped
+        for got, want in zip(params.weights + params.biases, ref.weights + ref.biases,
+                             strict=True):
+            assert got.tobytes() == want.tobytes()
+        assert log_columns(log) == log_columns(ref_log)
+        assert probes.gold_prob.tobytes() == gold.tobytes()
 
     @pytest.mark.parametrize("with_validation", [True, False])
     def test_buffer_sum_fallback_same_bits(self, monkeypatch, with_validation):
@@ -1005,12 +1104,30 @@ class TestIO:
                           "3: unexpected test_id/accuracy record at step 2 after 2 train steps"),
         "unknown metric": (lambda r: r[1].update(metric="accuracy"),
                            "2: unexpected train/accuracy record at step 2 after 1 train steps"),
-        "skipped step": (lambda r: r.pop(1),
-                         "3: unexpected train/loss record at step 3 after 1 train steps"),
+        "skipped step": (lambda r: r.__delitem__(slice(1, 3)),
+                         "2: unexpected train/loss record at step 3 after 1 train steps"),
         "swapped steps": (lambda r: r.insert(0, r.pop(1)),
                           "1: unexpected train/loss record at step 2 after 0 train steps"),
         "repeated step": (lambda r: r.insert(1, dict(r[0])),
                           "2: unexpected train/loss record at step 1 after 1 train steps"),
+        "accuracy after a later step": (
+            lambda r: r.insert(3, r.pop(2)),
+            "4: validation/accuracy record at step 2 does not directly follow the "
+            "train/loss record of step 2"),
+        "accuracy ahead of its step": (
+            lambda r: r.pop(1),
+            "2: validation/accuracy record at step 2 does not directly follow the "
+            "train/loss record of step 2"),
+        "repeated eval step": (
+            lambda r: r.insert(3, dict(r[2])),
+            "4: validation/accuracy record at step 2 after one at step 2: eval steps "
+            "must increase"),
+        "record after marker": (
+            lambda r: r.append(dict(r[0], step=4)),
+            "6: train/loss record at step 4 after the best_accuracy marker"),
+        "second marker": (
+            lambda r: r.append(dict(r[-1])),
+            "6: validation/best_accuracy record at step 2 after the best_accuracy marker"),
         "missing marker": (lambda r: r.pop(), "5: missing the best_accuracy marker"),
         "empty": (lambda r: r.clear(), "1: missing the best_accuracy marker"),
     }
@@ -1028,6 +1145,15 @@ class TestIO:
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
         with pytest.raises(ValueError, match=re.escape(f"{path}:{problem}")):
             read_runlog(path)
+
+    @pytest.mark.parametrize("eval_steps", [[2, 2], [3, 2], [0, 2], [2, 4]])
+    def test_write_rejects_eval_steps_out_of_order(self, tmp_path, eval_steps):
+        log = RunLog(np.array([0.5, 0.4, 0.3]), np.array(eval_steps), np.array([0.7, 0.8]),
+                     2, 0.8)
+        with pytest.raises(ValueError, match=re.escape(
+                f"eval steps {eval_steps} do not increase strictly within 1..3")):
+            write_runlog(log, tmp_path / "log.jsonl")
+        assert not (tmp_path / "log.jsonl").exists()
 
     def test_probes_round_trip(self, tmp_path, separable):
         train_c, val_c, _, _ = separable
