@@ -1,8 +1,8 @@
 """Statistics and reporting.
 
-Spearman rank correlations between difficulty metrics, the approximate-
-randomization significance test, data-map export (confidence vs variability
-scatter), learning-curve assembly across seeds, and time-to-best ratios.
+Spearman rank correlations between difficulty metrics, the exact AR
+significance test, data-map export (confidence vs variability scatter),
+learning-curve assembly across seeds, and time-to-best ratios.
 Plots are small hand-written SVG documents; no plotting dependency.
 """
 
@@ -97,25 +97,21 @@ def correlation_matrix(metric_scores: dict[str, dict[str, float]]) -> Correlatio
     return CorrelationMatrix(names=names, rho=rho)
 
 
-def approx_randomization(
-    outcomes_a: np.ndarray, outcomes_b: np.ndarray, rounds: int = 10000, seed: int = 0
-) -> float:
-    """Approximate-randomization p-value for paired binary per-unit outcomes.
+def approx_randomization(outcomes_a: np.ndarray, outcomes_b: np.ndarray) -> float:
+    """Exact approximate-randomization (AR) p-value for paired binary
+    per-unit outcomes: the limit of Noreen's test as its rounds grow.
 
     The outcomes are two equal-length bool arrays, entry i of each belonging
     to unit i (typically the (example, seed) pairs of every seed, pooled
-    seed-major). The statistic is |#correct(a) - #correct(b)|; each
-    round swaps the two systems' outcomes per unit with probability 0.5;
-    p = (#rounds with statistic >= observed + 1) / (rounds + 1).
-
-    Only the k discordant units (exactly one system correct) can move the
-    statistic, and swapping them at random gives |2 * Binomial(k, 1/2) - k|,
-    so each round is one binomial draw: O(rounds) time and memory whatever
-    the unit count. The draw depends only on k, so equal-seed calls are
-    exactly symmetric in (a, b).
+    seed-major). Swapping the systems' outcomes per unit with probability
+    1/2 moves |#correct(a) - #correct(b)| only through the k discordant
+    units, as |2X - k| with X ~ Binomial(k, 1/2). So p = P(|2X - k| >= d)
+    for the observed d = |a_only - b_only|, which for d > 0 is twice the
+    lower tail sum_{i <= min(a_only, b_only)} C(k, i) / 2^k: an integer sum
+    and one correctly rounded division. A p-value below the least positive
+    float (10 against 1,480 discordant units gives about 1e-423) is floored
+    at math.ulp(0.0) = 2^-1074, which overstates no significance.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
     a, b = np.asarray(outcomes_a), np.asarray(outcomes_b)
     if a.dtype != bool or b.dtype != bool or a.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"need two bool arrays over the same units, got "
@@ -124,10 +120,14 @@ def approx_randomization(
         raise ValueError("no units to test")
     a_only = int(np.count_nonzero(a > b))
     b_only = int(np.count_nonzero(b > a))
+    if a_only == b_only:
+        return 1.0
     k = a_only + b_only
-    swapped = np.random.default_rng(seed).binomial(k, 0.5, size=rounds)
-    hits = int(np.count_nonzero(np.abs(2 * swapped - k) >= abs(a_only - b_only)))
-    return (hits + 1) / (rounds + 1)
+    total, term = 0, 1  # term = C(k, i)
+    for i in range(min(a_only, b_only) + 1):
+        total += term
+        term = term * (k - i) // (i + 1)
+    return max(2 * total / (1 << k), math.ulp(0.0))
 
 
 # --- data maps --------------------------------------------------------------

@@ -641,12 +641,11 @@ def _aligned(values: np.ndarray, have: list[str], want: list[str],
 
 
 def cmd_compare(
-    dir_a: Path, dir_b: Path, rounds: int = 10000, seed: int = 0,
-    out_prefix: Path | None = None,
+    dir_a: Path, dir_b: Path, out_prefix: Path | None = None,
     pooled_outcomes: Callable[[Path, list[int], str],
                               tuple[list[str], np.ndarray]] | None = None,
 ) -> dict:
-    """Per split: accuracies, AR-test p-value over pooled (example, seed)
+    """Per split: accuracies, exact AR p-value over pooled (example, seed)
     units, plus the time ratio best_step(a)/best_step(b) aggregated over
     seeds. Emits JSON and a plain-text table. ``pooled_outcomes`` replaces
     ``_pooled_outcomes`` (sweep passes one that reads each file once)."""
@@ -681,7 +680,7 @@ def cmd_compare(
         pooled_b = _aligned(pooled_b, ids_b, ids_a,
                             f"{split}: outcome example ids differ between {dir_a} "
                             f"and {dir_b}")
-        p = analysis.approx_randomization(pooled_a, pooled_b, rounds=rounds, seed=seed)
+        p = analysis.approx_randomization(pooled_a, pooled_b)
         report["splits"][split] = {
             "acc_a": sum_a["accuracy"][split],
             "acc_b": sum_b["accuracy"][split],
@@ -721,7 +720,7 @@ def _compare_table(report: dict) -> str:
 # --- sweep ---------------------------------------------------------------------
 
 
-def cmd_sweep(config: dict, out_dir: Path, schedulers: list[str], rounds: int = 10000) -> dict:
+def cmd_sweep(config: dict, out_dir: Path, schedulers: list[str]) -> dict:
     """Each teacher once, then every (scheduler, seed) cell, the grid
     trained in lockstep as one ``_train_cells`` call, then compare all
     against the random and cr_anneal baselines (when listed). Every cell is
@@ -776,7 +775,6 @@ def cmd_sweep(config: dict, out_dir: Path, schedulers: list[str], rounds: int = 
                 continue
             report = cmd_compare(
                 student_dir, out_dir / "students" / b,
-                rounds=rounds,
                 out_prefix=compare_dir / f"{s}_vs_{b}",
                 pooled_outcomes=pooled_once,
             )
@@ -933,14 +931,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated scheduler list")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="ignored: the sweep trains its cells in lockstep on one thread")
-    p.add_argument("--rounds", type=_positive_int, default=10000)
+    p.add_argument("--rounds", type=_positive_int, default=10000,
+                   help="ignored: the p-values are exact, not sampled")
 
     p = add("compare", "significance & time-ratio report for two runs",
             needs_config=False, needs_out=False)
     p.add_argument("--a", required=True, help="student run directory A")
     p.add_argument("--b", required=True, help="student run directory B")
-    p.add_argument("--rounds", type=_positive_int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output file prefix")
 
     p = add("datamap", "export the confidence/variability scatter",
@@ -965,11 +962,9 @@ def main(argv: list[str] | None = None) -> int:
                         scores_path=Path(args.scores) if args.scores else None)
         elif args.command == "sweep":
             schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
-            cmd_sweep(load_config(args.config), Path(args.out), schedulers,
-                      rounds=args.rounds)
+            cmd_sweep(load_config(args.config), Path(args.out), schedulers)
         elif args.command == "compare":
-            cmd_compare(Path(args.a), Path(args.b), rounds=args.rounds,
-                        seed=args.seed,
+            cmd_compare(Path(args.a), Path(args.b),
                         out_prefix=Path(args.out) if args.out else None)
         elif args.command == "datamap":
             cmd_datamap(Path(args.out),

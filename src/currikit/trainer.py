@@ -807,7 +807,10 @@ _PROBE_SCHEMA = {"epoch": int, "example_id": str, "gold_prob": float, "correct":
 def write_runlog(log: RunLog, path: str | Path) -> None:
     """JSONL of {step, split, metric, value} records by step, a step's loss
     first; a final marker record carries the best checkpoint (metric
-    "best_accuracy"). Eval steps must increase strictly within 1..len(loss)."""
+    "best_accuracy"). Eval steps must increase strictly within 1..len(loss),
+    with one accuracy each."""
+    if len(log.accuracy) != len(log.eval_steps):
+        raise ValueError(f"{len(log.accuracy)} accuracies for {len(log.eval_steps)} eval steps")
     if not (np.diff(np.r_[0, log.eval_steps, len(log.loss) + 1]) > 0).all():
         raise ValueError(f"eval steps {log.eval_steps.tolist()} do not increase strictly "
                          f"within 1..{len(log.loss)}")

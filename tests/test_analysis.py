@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -111,36 +112,60 @@ def exhaustive_ar_p(a: np.ndarray, b: np.ndarray) -> float:
     return hits / 2 ** len(d)
 
 
+def discordant_units(a_only: int, b_only: int, concordant: int = 0):
+    """Outcomes with ``a_only`` units only a gets right, ``b_only`` only b,
+    and ``concordant`` more that both get right or both wrong in turn."""
+    a = [True] * a_only + [False] * b_only + [i % 2 == 0 for i in range(concordant)]
+    b = [False] * a_only + [True] * b_only + [i % 2 == 0 for i in range(concordant)]
+    return np.array(a), np.array(b)
+
+
+def binomial_tail(k: int, d: int) -> Fraction:
+    """P(|2X - k| >= d) for X ~ Binomial(k, 1/2), as an exact fraction."""
+    return Fraction(sum(math.comb(k, i) for i in range(k + 1) if abs(2 * i - k) >= d),
+                    2 ** k)
+
+
 class TestApproxRandomization:
     def test_identical_outcomes_give_p_one(self):
         outcomes = np.array([i % 2 == 0 for i in range(20)])
-        assert approx_randomization(outcomes, outcomes.copy(), rounds=500) == 1.0
+        assert approx_randomization(outcomes, outcomes.copy()) == 1.0
 
     def test_maximal_difference_is_significant(self):
         a = np.ones(20, dtype=bool)
         b = np.zeros(20, dtype=bool)
-        assert approx_randomization(a, b, rounds=10000, seed=1) <= 0.01
+        assert approx_randomization(a, b) == 2.0 ** -19
 
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(8)
-        rounds = 20000
-        for trial in range(6):
+        for _ in range(6):
             n = int(rng.integers(5, 13))
             a = np.array([bool(rng.integers(2)) for i in range(n)])
             b = np.array([bool(rng.integers(2)) for i in range(n)])
-            exact = exhaustive_ar_p(a, b)
-            estimate = approx_randomization(a, b, rounds=rounds, seed=trial)
-            # the estimator's expectation includes the +1 smoothing
-            expected = (rounds * exact + 1) / (rounds + 1)
-            se = math.sqrt(max(exact * (1 - exact), 1e-12) / rounds)
-            assert abs(estimate - expected) <= 3 * se + 1e-9
+            assert approx_randomization(a, b) == exhaustive_ar_p(a, b)
 
-    def test_symmetry_exact_for_fixed_seed(self):
+    def test_equals_the_rounded_comb_sum(self):
+        # every k <= 80 and every d of k's parity: one correctly rounded
+        # float of the exact tail
+        for k in range(81):
+            for d in range(k % 2, k + 1, 2):
+                a, b = discordant_units((k + d) // 2, (k - d) // 2, concordant=3)
+                assert approx_randomization(a, b) == float(binomial_tail(k, d)), (k, d)
+
+    def test_underflow_is_floored_at_the_least_float(self):
+        # 10 against 1,480 discordant units: the tail is about 1e-423, below
+        # every positive float, so the p-value is the least one and never 0
+        a, b = discordant_units(1480, 10)
+        assert binomial_tail(1490, 1470) < Fraction(2) ** -1074
+        assert approx_randomization(a, b) == 2.0 ** -1074 == math.ulp(0.0)
+        a, b = discordant_units(800, 690)
+        assert approx_randomization(a, b) == float(binomial_tail(1490, 110)) > 0.0
+
+    def test_symmetry_is_exact(self):
         rng = np.random.default_rng(9)
         a = np.array([bool(rng.integers(2)) for i in range(40)])
         b = np.array([bool(rng.integers(2)) for i in range(40)])
-        assert approx_randomization(a, b, rounds=3000, seed=5) == \
-            approx_randomization(b, a, rounds=3000, seed=5)
+        assert approx_randomization(a, b) == approx_randomization(b, a)
 
     def test_unit_mismatch(self):
         with pytest.raises(ValueError, match="unit"):
@@ -155,16 +180,16 @@ class TestApproxRandomization:
             approx_randomization(a, b)
 
     def test_pooled_seed_units(self):
-        # seed-major: entry s * 5 + i is example i under seed s
+        # seed-major: entry s * 5 + i is example i under seed s; examples 0
+        # and 1 are a's alone under both seeds, so k = d = 4
         a = np.array([True for s in (1, 2) for i in range(5)])
         b = np.array([i > 1 for s in (1, 2) for i in range(5)])
-        p = approx_randomization(a, b, rounds=2000, seed=0)
-        assert 0.0 < p <= 1.0
+        assert approx_randomization(a, b) == 2 / 16
 
     @pytest.mark.parametrize("k", [20, 27, 34, 41, 48, 54, 60])
     def test_matches_exact_binomial_tail(self, k):
         # past enumeration: 2^k sign patterns; swapping the k discordant units
-        # gives |2 * Binomial(k, 1/2) - k|, whose tail scipy computes exactly
+        # gives |2 * Binomial(k, 1/2) - k|, whose tail is an integer sum
         rng = np.random.default_rng(k)
         a_only = int(rng.integers(0, k + 1))
         a = [i < a_only for i in range(k)]
@@ -173,24 +198,17 @@ class TestApproxRandomization:
             a.append(bool(rng.integers(2)))
             b.append(a[-1])
         a, b = np.array(a), np.array(b)
-        rounds = 20000
         observed = abs(a_only - (k - a_only))
-        swapped = np.arange(k + 1)
-        exact = float(scipy_stats.binom.pmf(swapped, k, 0.5)[
-            np.abs(2 * swapped - k) >= observed].sum())
-        estimate = approx_randomization(a, b, rounds=rounds, seed=k)
-        expected = (rounds * exact + 1) / (rounds + 1)
-        se = math.sqrt(max(exact * (1 - exact), 1e-12) / rounds)
-        assert abs(estimate - expected) <= 3 * se + 1e-9
+        assert approx_randomization(a, b) == float(binomial_tail(k, observed))
 
     def test_concordant_units_leave_p_unchanged(self):
         rng = np.random.default_rng(12)
         a = np.array([bool(rng.integers(2)) for i in range(40)])
         b = np.array([bool(rng.integers(2)) for i in range(40)])
-        p = approx_randomization(a, b, rounds=5000, seed=3)
+        p = approx_randomization(a, b)
         concordant = np.arange(10 ** 5) % 3 == 0
         a, b = np.concatenate([a, concordant]), np.concatenate([b, concordant])
-        assert approx_randomization(a, b, rounds=5000, seed=3) == p
+        assert approx_randomization(a, b) == p
 
 
 class TestDatamap:

@@ -376,8 +376,7 @@ class TestStudentCommand:
 class TestCompareCommand:
     def test_compare_to_self(self, run_dir, config_path, capsys):
         report = cmd_compare(run_dir / "students" / "random",
-                             run_dir / "students" / "random",
-                             rounds=500)
+                             run_dir / "students" / "random")
         for split_report in report["splits"].values():
             assert split_report["p_value"] == 1.0
         assert report["time_ratio"]["mean"] == 1.0
@@ -389,7 +388,7 @@ class TestCompareCommand:
     def test_compare_two_runs_with_output(self, run_dir, tmp_path, capsys):
         report = cmd_compare(run_dir / "students" / "corr_anneal",
                              run_dir / "students" / "random",
-                             rounds=500, out_prefix=tmp_path / "cmp")
+                             out_prefix=tmp_path / "cmp")
         assert (tmp_path / "cmp.json").exists()
         assert (tmp_path / "cmp.txt").exists()
         written = json.loads((tmp_path / "cmp.json").read_text())
@@ -402,7 +401,7 @@ class TestCompareCommand:
         # two hand-built student directories: B gets most test answers wrong
         build_student_dir(tmp_path / "good", 0.95)
         build_student_dir(tmp_path / "bad", 0.55)
-        report = cmd_compare(tmp_path / "good", tmp_path / "bad", rounds=2000)
+        report = cmd_compare(tmp_path / "good", tmp_path / "bad")
         assert report["splits"]["test_id"]["p_value"] <= 0.05
         capsys.readouterr()
 
@@ -414,15 +413,15 @@ class TestCompareCommand:
     def test_reordered_outcomes_give_the_same_report(self, tmp_path, capsys):
         build_student_dir(tmp_path / "a", 0.9)
         build_student_dir(tmp_path / "b", 0.5)
-        expected = cmd_compare(tmp_path / "a", tmp_path / "b", rounds=2000)
+        expected = cmd_compare(tmp_path / "a", tmp_path / "b")
         for seed in (1, 2, 3):  # b in another order than a, for every seed
             self.rewrite_outcomes(tmp_path / "b" / f"seed_{seed}" / "outcomes_test_id.jsonl",
                                   lambda lines: lines[::-1])
-        assert cmd_compare(tmp_path / "a", tmp_path / "b", rounds=2000) == expected
+        assert cmd_compare(tmp_path / "a", tmp_path / "b") == expected
         # one of a's seeds in another order than its first seed
         self.rewrite_outcomes(tmp_path / "a" / "seed_2" / "outcomes_test_id.jsonl",
                               lambda lines: lines[7:] + lines[:7])
-        assert cmd_compare(tmp_path / "a", tmp_path / "b", rounds=2000) == expected
+        assert cmd_compare(tmp_path / "a", tmp_path / "b") == expected
         capsys.readouterr()
 
     def test_outcome_id_sets_differ_named(self, tmp_path, capsys):
@@ -470,7 +469,7 @@ class TestSweepCommand:
     def test_sweep_runs_and_orders_rows(self, tmp_path, config_path, capsys):
         config = load_config(config_path)
         out = tmp_path / "sweep"
-        matrix = cmd_sweep(config, out, ["random", "corr_anneal"], rounds=300)
+        matrix = cmd_sweep(config, out, ["random", "corr_anneal"])
         assert [r["scheduler"] for r in matrix["rows"]] == ["random", "corr_anneal"]
         assert (out / "sweep_summary.json").exists()
         assert (out / "sweep_summary.txt").exists()
@@ -483,10 +482,10 @@ class TestSweepCommand:
     def test_sweep_is_resumable(self, tmp_path, config_path, capsys):
         config = load_config(config_path)
         out = tmp_path / "sweep"
-        cmd_sweep(config, out, ["random"], rounds=300)
+        cmd_sweep(config, out, ["random"])
         marker = out / "students" / "random" / "summary.json"
         before = marker.stat().st_mtime_ns
-        cmd_sweep(config, out, ["random"], rounds=300)
+        cmd_sweep(config, out, ["random"])
         assert marker.stat().st_mtime_ns == before
         capsys.readouterr()
 
@@ -504,7 +503,7 @@ class TestSweepCommand:
             return train_stack(corpus, val_corpus, configs, *args)
         monkeypatch.setattr(trainer, "_train_stack", recording)
         sweep, solo = tmp_path / "sweep", tmp_path / "solo"
-        cmd_sweep(config, sweep, schedulers, rounds=300)
+        cmd_sweep(config, sweep, schedulers)
         assert max(stacks) == len(schedulers) * len(config["seeds"])
         for metric in ("dynamics", "rarity"):
             cmd_teacher(config, solo, metric=metric)
@@ -531,7 +530,7 @@ class TestSweepCommand:
         def sweep(name):
             (tmp_path / name).mkdir(exist_ok=True)
             monkeypatch.chdir(tmp_path / name)
-            cmd_sweep(config, out, ["random", "conf_comp"], rounds=300)
+            cmd_sweep(config, out, ["random", "conf_comp"])
             return {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
         whole = sweep("whole")
@@ -584,8 +583,7 @@ class TestSweepCommand:
             return resolve_corpora(config)
 
         monkeypatch.setattr(cli, "resolve_corpora", counting)
-        cmd_sweep(load_config(config_path), tmp_path / "sweep", list(SCHEDULERS),
-                  rounds=300)
+        cmd_sweep(load_config(config_path), tmp_path / "sweep", list(SCHEDULERS))
         capsys.readouterr()
         assert len(calls) == 1
 
@@ -603,11 +601,11 @@ class TestSweepCommand:
         config = load_config(config_path)
         out = tmp_path / "sweep"
         with pytest.raises(TypeError):
-            cmd_sweep(config, out, ["random", "corr_anneal"], rounds=300)
+            cmd_sweep(config, out, ["random", "corr_anneal"])
         assert not (out / "teacher" / "td_stats.jsonl").exists()
         assert not list(out.rglob(".*.tmp"))
         monkeypatch.undo()
-        cmd_sweep(config, out, ["random", "corr_anneal"], rounds=300)
+        cmd_sweep(config, out, ["random", "corr_anneal"])
         capsys.readouterr()
         assert len(read_td_stats(out / "teacher" / "td_stats.jsonl").ids) == 120
 
@@ -616,7 +614,7 @@ class TestSweepCommand:
 def swept(tmp_path_factory, config_path):
     """A completed 9-scheduler sweep."""
     out = tmp_path_factory.mktemp("swept")
-    cmd_sweep(load_config(config_path), out, list(SCHEDULERS), rounds=300)
+    cmd_sweep(load_config(config_path), out, list(SCHEDULERS))
     return out
 
 
@@ -626,7 +624,7 @@ class TestResumedSweep:
             raise AssertionError("resolve_corpora called on a completed sweep")
 
         monkeypatch.setattr(cli, "resolve_corpora", refuse)
-        cmd_sweep(load_config(config_path), swept, list(SCHEDULERS), rounds=300)
+        cmd_sweep(load_config(config_path), swept, list(SCHEDULERS))
         capsys.readouterr()
 
     def test_reads_outcomes_once_per_student_and_split(self, swept, config_path,
@@ -639,18 +637,18 @@ class TestResumedSweep:
             return real(path, seeds, split)
 
         monkeypatch.setattr(cli, "_pooled_outcomes", counting)
-        cmd_sweep(load_config(config_path), swept, list(SCHEDULERS), rounds=300)
+        cmd_sweep(load_config(config_path), swept, list(SCHEDULERS))
         capsys.readouterr()
         assert len(calls) == len(set(calls)) == len(SCHEDULERS) * 3 == 27
 
     def test_compare_reports_match_standalone_compare(self, swept, config_path,
                                                       tmp_path, capsys):
-        cmd_sweep(load_config(config_path), swept, list(SCHEDULERS), rounds=300)
+        cmd_sweep(load_config(config_path), swept, list(SCHEDULERS))
         reports = sorted((swept / "compare").glob("*.json"))
         assert len(reports) == 16
         for path in reports:
             a, b = path.stem.split("_vs_")
-            cmd_compare(swept / "students" / a, swept / "students" / b, rounds=300,
+            cmd_compare(swept / "students" / a, swept / "students" / b,
                         out_prefix=tmp_path / path.stem)
             assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
         capsys.readouterr()

@@ -72,7 +72,7 @@ def base(tmp_path_factory):
     run = root / "run"
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["sweep", "--config", str(cfg), "--out", str(run),
-                     "--schedulers", "random,corr_anneal", "--rounds", "10"]) == 0
+                     "--schedulers", "random,corr_anneal"]) == 0
         assert main(["teacher", "--config", str(cfg), "--out", str(run),
                      "--metric", "length"]) == 0
         assert main(["synth", "--config", str(cfg), "--out", str(root / "synth")]) == 0
@@ -158,7 +158,7 @@ def test_compare_inputs(base, kind, index, data):
             path, schema, index = b / "summary.json", cli._SUMMARY_SCHEMA, 0
         rewrite(path, index, data.draw(edits(schema)))
         expect_named_failure(work, path, [
-            "compare", "--a", str(a), "--b", str(b), "--rounds", "10",
+            "compare", "--a", str(a), "--b", str(b),
             "--out", str(work / "o" / "cmp")])
 
 

@@ -1155,6 +1155,14 @@ class TestIO:
             write_runlog(log, tmp_path / "log.jsonl")
         assert not (tmp_path / "log.jsonl").exists()
 
+    @pytest.mark.parametrize("accuracy", [[0.7, 0.8], []], ids=["one-extra", "empty"])
+    def test_write_needs_one_accuracy_per_eval_step(self, tmp_path, accuracy):
+        log = RunLog(np.array([0.5, 0.4, 0.3]), np.array([2]), np.array(accuracy), 2, 0.7)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{len(accuracy)} accuracies for 1 eval steps")):
+            write_runlog(log, tmp_path / "log.jsonl")
+        assert not (tmp_path / "log.jsonl").exists()
+
     def test_probes_round_trip(self, tmp_path, separable):
         train_c, val_c, _, _ = separable
         cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=1.0, seed=3)
