@@ -246,6 +246,11 @@ def resolve_corpora(config: dict,
 _MISSING_FILE = "missing"  # the digest of a named file that does not exist
 
 
+def _file_digest(path: Path) -> str:
+    """sha256 of the file at ``path``, or ``_MISSING_FILE`` when there is none."""
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else _MISSING_FILE
+
+
 def _input_files(config: dict) -> dict[str, Path]:
     """The files the config names, by field: the data files and
     ``curriculum.baseline_dir``'s summary.json. A synthetic config's data is
@@ -273,8 +278,7 @@ def snapshot_config(config: dict, out_dir: Path) -> None:
             f"{snap} already holds a different config; use a fresh --out directory"
         )
     files = _input_files(config)
-    digests = {field: hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file()
-               else _MISSING_FILE for field, path in files.items()}
+    digests = {field: _file_digest(path) for field, path in files.items()}
     recorded = (artifacts.read_json(inputs, dict.fromkeys(files, str)) if inputs.exists()
                 else dict.fromkeys(files, _MISSING_FILE))
     for field, path in files.items():
@@ -409,14 +413,16 @@ def _read_scores(path: Path, scheduler: str, ids: list[str],
     return scores
 
 
-def _annealing_epochs(header: dict, path: Path, out_dir: Path,
+def _annealing_epochs(header: dict, path: Path,
                       scores: difficulty.DifficultyScores) -> int:
     """E of the annealing carryover fraction 1/(E+1) for the teacher artifact
     ``path`` with first record ``header``: cross-review votes lie in
-    [0, num_subsets - 1], correctness in [0, teacher epochs]."""
+    [0, num_subsets - 1], correctness in [0, E] for the epochs E of the
+    teacher whose meta.json sits beside ``path`` (without one, the largest
+    score)."""
     if "num_subsets" in header:
         return artifacts.check(header, {"num_subsets": int}, path, 1)["num_subsets"] - 1
-    meta = out_dir / "teacher" / "meta.json"
+    meta = path.parent / "meta.json"
     if meta.exists():
         return artifacts.read_json(meta, _META_SCHEMA)["epochs"]
     return max(1, int(scores.scores.max()))
@@ -473,32 +479,29 @@ class _Cell(NamedTuple):
     sampler: trainer.Sampler
     plan: curricula.AnnealingPlan | curricula.CompetencePlan | None
     total_steps: int
+    scores_sha256: str | None  # of the file the plan read; None for random
 
 
-def _plan_cells(config: dict, out_dir: Path, scheduler: str, corpora: dict[str, Corpus],
-                seeds: list[int], scores_path: Path | None = None) -> list[_Cell]:
-    """A cell per seed under ``scheduler``; its teacher artifact (or
-    ``scores_path``) is read once, before anything trains."""
+def _plan_cells(config: dict, scheduler: str, corpora: dict[str, Corpus], seeds: list[int],
+                path: Path | None, scores_sha256: str | None) -> list[_Cell]:
+    """A cell per seed under ``scheduler``; its scores file ``path`` (None
+    for random), whose sha256 is ``scores_sha256``, is read once, before
+    anything trains."""
     spec = _SCHEDULER_TABLE[scheduler]
     train_corpus = corpora["train"]
     scores = annealing_epochs = None
-    if spec.teacher is None:
-        if scores_path is not None:
-            print(f"warning: scheduler {scheduler!r} ignores the scores file",
-                  file=sys.stderr)
-    else:
-        path = scores_path or _teacher_artifact(out_dir, spec.teacher)
+    if path is not None:
         first = _first_record(path)
         scores = _read_scores(path, scheduler, train_corpus.ids(), first)
         if spec.family == "annealing":
-            annealing_epochs = _annealing_epochs(first, path, out_dir, scores)
+            annealing_epochs = _annealing_epochs(first, path, scores)
     cells = []
     for seed in seeds:
         cfg = _train_config(config, seed=seed)
         total_steps = cfg.epochs * math.ceil(train_corpus.size / cfg.batch_size)
         sampler, plan = _build_sampler(scheduler, scores, annealing_epochs, config, seed,
                                        train_corpus, cfg.batch_size, total_steps)
-        cells.append(_Cell(scheduler, seed, cfg, sampler, plan, total_steps))
+        cells.append(_Cell(scheduler, seed, cfg, sampler, plan, total_steps, scores_sha256))
     return cells
 
 
@@ -506,8 +509,8 @@ def _train_cells(config: dict, out_dir: Path, corpora: dict[str, Corpus],
                  cells: list[_Cell]) -> None:
     """Train ``cells`` in lockstep (``trainer.train_seeds``) and write each
     stack's cells as the stack finishes, each split predicted for the whole
-    stack with one product. A cell writes its metrics.json last, so a cell
-    that has one is complete."""
+    stack with one product. A cell writes its metrics.json last, with the
+    sha256 of the scores file it was planned from (``_run_cells`` reads it)."""
     trained = trainer.train_seeds(
         corpora["train"], corpora["validation"], [cell.config for cell in cells],
         [cell.sampler for cell in cells], hidden_size=_value(config, "model", "hidden_size"),
@@ -525,6 +528,7 @@ def _train_cells(config: dict, out_dir: Path, corpora: dict[str, Corpus],
             summary.update({"scheduler_name": cell.scheduler, "seed": cell.seed})
             artifacts.write_json(seed_dir / "plan.json", summary)
             metrics = {"scheduler": cell.scheduler, "seed": cell.seed,
+                       "scores_sha256": cell.scores_sha256,
                        "best_step": runlog.best_step, "total_steps": cell.total_steps,
                        "accuracy": {}}
             for split, split_correct in correct.items():
@@ -535,11 +539,53 @@ def _train_cells(config: dict, out_dir: Path, corpora: dict[str, Corpus],
         del results  # dropped before the next stack trains
 
 
+def _run_cells(config: dict, out_dir: Path, schedulers: list[str],
+               scores_path: Path | None = None,
+               corpora: dict[str, Corpus] | None = None) -> None:
+    """Train the missing (scheduler, seed) cells of ``schedulers`` and write
+    their summaries: the one resume rule of ``sweep`` and ``student``.
+
+    A cell is complete when its metrics.json records as ``scores_sha256``
+    the sha256 of the file its plan would read now, ``scores_path`` or its
+    teacher artifact (each hashed once), or null for random, which reads
+    none. Every other cell is missing: all are
+    planned, then trained as one ``_train_cells`` call on ``corpora``,
+    resolved only then when not given. A scheduler's summary.json is removed
+    before its cells train and written when absent, so one that exists was
+    built from its cells as they are."""
+    seeds = _value(config, "config", "seeds")
+    files = {}
+    for s in schedulers:
+        teacher = _SCHEDULER_TABLE[s].teacher
+        files[s] = teacher and (scores_path or _teacher_artifact(out_dir, teacher))
+    digests = {path: path and _file_digest(path) for path in set(files.values())}
+
+    def complete(scheduler: str, seed: int) -> bool:
+        path = out_dir / "students" / scheduler / f"seed_{seed}" / "metrics.json"
+        metrics = artifacts.read_json(path, {}) if path.exists() else {}
+        return ("scores_sha256" in metrics
+                and metrics["scores_sha256"] == digests[files[scheduler]])
+
+    missing = {s: [seed for seed in seeds if not complete(s, seed)] for s in schedulers}
+    if any(missing.values()):
+        corpora = corpora or resolve_corpora(config)
+        cells = [cell for s in schedulers if missing[s] for cell in
+                 _plan_cells(config, s, corpora, missing[s], files[s], digests[files[s]])]
+        for s in schedulers:
+            if missing[s]:
+                (out_dir / "students" / s / "summary.json").unlink(missing_ok=True)
+        _train_cells(config, out_dir, corpora, cells)
+    for s in schedulers:
+        if not (out_dir / "students" / s / "summary.json").exists():
+            _write_summary(out_dir, s, seeds)
+
+
 def cmd_student(config: dict, out_dir: Path, scheduler: str,
                 scores_path: Path | None = None) -> dict:
-    """Train one student per seed under ``scheduler`` and summarize. Every
-    seed trains: inputs.json does not record ``scores_path``, so no cell
-    found complete can be trusted.
+    """Train one student per seed under ``scheduler``, planned from
+    ``scores_path`` or the run's teacher artifact, and return its summary.
+    A seed whose cell is complete for that file does not train again
+    (``_run_cells``, as in ``sweep``).
 
     All schedulers consume exactly epochs * ceil(N / batch_size) optimizer
     steps, so time budgets match across a sweep.
@@ -547,11 +593,10 @@ def cmd_student(config: dict, out_dir: Path, scheduler: str,
     if scheduler not in SCHEDULERS:
         raise ValidationError(f"unknown scheduler {scheduler!r}; choose from {SCHEDULERS}")
     snapshot_config(config, out_dir)
-    corpora = resolve_corpora(config)
-    seeds = _value(config, "config", "seeds")
-    _train_cells(config, out_dir, corpora,
-                 _plan_cells(config, out_dir, scheduler, corpora, seeds, scores_path))
-    return _write_summary(out_dir, scheduler, seeds)
+    if scores_path is not None and _SCHEDULER_TABLE[scheduler].teacher is None:
+        print(f"warning: scheduler {scheduler!r} ignores the scores file", file=sys.stderr)
+    _run_cells(config, out_dir, [scheduler], scores_path)
+    return _load_student_dir(out_dir / "students" / scheduler)
 
 
 _METRICS_SCHEMA = {"best_step": int, "total_steps": int, "accuracy": dict}
@@ -711,7 +756,7 @@ def _compare_table(report: dict) -> str:
         b = row["acc_b"]
         lines.append(
             f"{split:<14} {a['mean']:.4f}±{a['std']:.4f} "
-            f"{b['mean']:.4f}±{b['std']:.4f} {row['p_value']:>8.4f} "
+            f"{b['mean']:.4f}±{b['std']:.4f} {row['p_value']:>8.3g} "
             f"{rm:>11.2f} {rmin:>10.2f}"
         )
     return "\n".join(lines)
@@ -721,12 +766,12 @@ def _compare_table(report: dict) -> str:
 
 
 def cmd_sweep(config: dict, out_dir: Path, schedulers: list[str]) -> dict:
-    """Each teacher once, then every (scheduler, seed) cell, the grid
-    trained in lockstep as one ``_train_cells`` call, then compare all
+    """Each missing teacher once, then every missing (scheduler, seed) cell
+    (``_run_cells``: planned from the run's teacher artifacts, the grid
+    trained in lockstep as one ``_train_cells`` call), then compare all
     against the random and cr_anneal baselines (when listed). Every cell is
-    planned before any trains. A cell whose metrics.json exists is complete
-    and is not trained again, and when every cell is complete no corpus is
-    built."""
+    planned before any trains, and when every teacher and cell is complete
+    no corpus is built."""
     if not schedulers:
         raise ValidationError("empty sweep list: name at least one scheduler")
     for s in schedulers:
@@ -735,24 +780,13 @@ def cmd_sweep(config: dict, out_dir: Path, schedulers: list[str]) -> dict:
         if schedulers.count(s) > 1:
             raise ValidationError(f"scheduler {s!r} is repeated in sweep list")
     snapshot_config(config, out_dir)
-    seeds = _value(config, "config", "seeds")
     teachers = [m for m in TEACHER_METRICS
                 if any(_SCHEDULER_TABLE[s].teacher == m for s in schedulers)
                 and not _teacher_artifact(out_dir, m).exists()]
-    missing = {s: [seed for seed in seeds if not
-                   (out_dir / "students" / s / f"seed_{seed}" / "metrics.json").exists()]
-               for s in schedulers}
-    if teachers or any(missing.values()):
-        corpora = resolve_corpora(config)
-        for metric in teachers:
-            cmd_teacher(config, out_dir, metric=metric, corpora=corpora)
-        cells = [cell for s in schedulers if missing[s]
-                 for cell in _plan_cells(config, out_dir, s, corpora, missing[s])]
-        if cells:
-            _train_cells(config, out_dir, corpora, cells)
-    for s in schedulers:
-        if missing[s] or not (out_dir / "students" / s / "summary.json").exists():
-            _write_summary(out_dir, s, seeds)
+    corpora = resolve_corpora(config) if teachers else None
+    for metric in teachers:
+        cmd_teacher(config, out_dir, metric=metric, corpora=corpora)
+    _run_cells(config, out_dir, schedulers, corpora=corpora)
 
     baselines = [b for b in _BASELINES if b in schedulers]
     outcomes: dict[Path, dict[str, tuple]] = {}  # student dir -> split -> pooled
@@ -816,7 +850,7 @@ def _sweep_table(matrix: dict) -> str:
         for row in rows:
             vs = row.get(f"vs_{b}")
             cells = ["-"] * (len(splits) + 1) if vs is None else [
-                *(f"{vs['p_values'][s]:.4f}" for s in splits),
+                *(f"{vs['p_values'][s]:.3g}" for s in splits),
                 f"{vs['time_ratio']['mean']:.2f}",
             ]
             lines.append(line(row["scheduler"], cells))

@@ -75,6 +75,34 @@ def build_student_dir(path, correct_fraction):
     }))
 
 
+def refuse_training(*args, **kwargs):
+    raise AssertionError("a complete cell was trained or its corpus built again")
+
+
+def recording_train_seeds(stacks):
+    """``trainer.train_seeds`` that appends the seeds of each call to ``stacks``."""
+    train_seeds = trainer.train_seeds
+
+    def recording(corpus, val_corpus, configs, *args, **kwargs):
+        stacks.append([c.seed for c in configs])
+        return train_seeds(corpus, val_corpus, configs, *args, **kwargs)
+    return recording
+
+
+def negated_scores(scores, path):
+    """A copy at ``path`` of the scores file ``scores``, every score negated:
+    the reverse order. Returns ``path``."""
+    header, *records = map(json.loads, scores.read_text().splitlines())
+    path.write_text("".join(json.dumps(r) + "\n" for r in
+                            [header, *({**r, "score": -r["score"]} for r in records)]))
+    return path
+
+
+def mtimes(root):
+    """The mtime of every file under ``root``."""
+    return {p: p.stat().st_mtime_ns for p in root.rglob("*") if p.is_file()}
+
+
 def write_data_config(tmp_path, train_lines, validation_lines, **data):
     """A config over train.jsonl and validation.jsonl holding the given
     lines, with any extra ``data`` fields; returns its path."""
@@ -193,11 +221,93 @@ class TestStudentCommand:
         assert len(trained) == 2 and len(curve) == 8
         assert analysis.learning_curve(read) == curve
 
-    def test_random_warns_on_scores(self, run_dir, config_path, capsys):
+    def test_random_warns_on_scores(self, run_dir, config_path, capsys, monkeypatch):
+        """The warning comes from the arguments, so a student whose cells
+        are all complete, and trains nothing, still prints it."""
         config = load_config(config_path)
+        cmd_student(config, run_dir, "random")
+        monkeypatch.setattr(trainer, "train_seeds", refuse_training)
         cmd_student(config, run_dir, "random",
                     scores_path=run_dir / "teacher" / "td_stats.jsonl")
         assert "ignores the scores file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("given", [False, True], ids=["run-teacher", "scores-flag"])
+    def test_resumed_student_trains_and_writes_nothing(self, swept, config_path,
+                                                       monkeypatch, capsys, given):
+        """Rerun on a completed run directory, with or without --scores
+        naming the run's own stats file, a student builds no corpus, trains
+        nothing and rewrites no file."""
+        monkeypatch.setattr(trainer, "train_seeds", refuse_training)
+        monkeypatch.setattr(cli, "resolve_corpora", refuse_training)
+        before = mtimes(swept)
+        scores = swept / "teacher" / "td_stats.jsonl" if given else None
+        summary = cmd_student(load_config(config_path), swept, "conf+var_comp", scores)
+        assert summary == json.loads(
+            (swept / "students" / "conf+var_comp" / "summary.json").read_text())
+        assert mtimes(swept) == before
+        capsys.readouterr()
+
+    def test_metrics_without_scores_digest_is_missing(self, tmp_path, config_path,
+                                                      monkeypatch):
+        """A metrics.json written before cells recorded their scores file
+        (no scores_sha256) marks its cell missing: that cell alone retrains,
+        to the same bytes plus the digest."""
+        config = load_config(config_path)
+        cmd_student(config, tmp_path, "random")
+        cell = tmp_path / "students" / "random" / "seed_2" / "metrics.json"
+        whole = cell.read_bytes()
+        old = json.loads(whole)
+        assert old.pop("scores_sha256") is None
+        cell.write_text(json.dumps(old, indent=2) + "\n")
+        monkeypatch.setattr(trainer, "train_seeds", recording_train_seeds(stacks := []))
+        cmd_student(config, tmp_path, "random")
+        assert stacks == [[2]]
+        assert cell.read_bytes() == whole
+
+    def test_summary_killed_before_written_is_rebuilt(self, tmp_path, config_path,
+                                                      monkeypatch):
+        """A student whose cells all trained from another scores file, killed
+        as it writes summary.json, leaves no summary of the old cells: the
+        rerun trains nothing and writes the new cells' summary."""
+        config = load_config(config_path)
+        alt = negated_scores(cmd_teacher(config, tmp_path / "out", metric="length"),
+                             tmp_path / "alt.jsonl")
+        summary = Path("students") / "length" / "summary.json"
+        cmd_student(config, tmp_path / "ref", "length", scores_path=alt)
+        cmd_student(config, tmp_path / "out", "length")
+        assert ((tmp_path / "out" / summary).read_bytes()
+                != (tmp_path / "ref" / summary).read_bytes())
+        write_json = cli.artifacts.write_json
+
+        def killing(path, payload):
+            if Path(path).name == "summary.json":
+                raise KeyboardInterrupt
+            write_json(path, payload)
+        monkeypatch.setattr(cli.artifacts, "write_json", killing)
+        with pytest.raises(KeyboardInterrupt):
+            cmd_student(config, tmp_path / "out", "length", scores_path=alt)
+        monkeypatch.setattr(cli.artifacts, "write_json", write_json)
+        monkeypatch.setattr(trainer, "train_seeds", refuse_training)
+        cmd_student(config, tmp_path / "out", "length", scores_path=alt)
+        assert ((tmp_path / "out" / summary).read_bytes()
+                == (tmp_path / "ref" / summary).read_bytes())
+
+    def test_annealing_epochs_from_the_scores_files_teacher(self, tmp_path, config_path):
+        """corr_anneal's carry-over 1/(E+1) takes E from the meta.json beside
+        the stats file it reads, not from the run directory's own teacher;
+        a stats file without one falls back to its largest correctness."""
+        config = load_config(config_path)
+        stats = cmd_teacher(config, tmp_path / "a", metric="dynamics")  # 2 epochs
+        cmd_teacher(config, tmp_path / "b", metric="dynamics", teacher_epochs=1)
+        bare = tmp_path / "bare" / "td_stats.jsonl"
+        bare.parent.mkdir()
+        bare.write_bytes(stats.read_bytes())
+        for scores, denominator in ((stats, 3), (bare, 1 + int(max(
+                read_td_stats(stats).correctness)))):
+            cmd_student(config, tmp_path / "b", "corr_anneal", scores_path=scores)
+            plan = json.loads((tmp_path / "b" / "students" / "corr_anneal" / "seed_1"
+                               / "plan.json").read_text())
+            assert plan["carryover_denominator"] == denominator, scores
 
     def test_corr_anneal_student(self, run_dir, config_path):
         config = load_config(config_path)
@@ -374,6 +484,24 @@ class TestStudentCommand:
 
 
 class TestCompareCommand:
+    @pytest.mark.parametrize("p, shown", [
+        (1.0, "1"), (0.0312, "0.0312"), (4.9e-5, "4.9e-05"), (1.2345e-6, "1.23e-06"),
+        (5e-324, "4.94e-324"),
+    ])
+    def test_p_values_print_three_significant_figures(self, p, shown):
+        """No p-value above zero prints as zero, in the compare table or the
+        sweep table."""
+        acc = {"mean": 0.5, "std": 0.0}
+        report = {"a": {"scheduler": "x", "path": "a"}, "b": {"scheduler": "y", "path": "b"},
+                  "time_ratio": {"mean": 1.0, "min": 1.0},
+                  "splits": {"test_id": {"acc_a": acc, "acc_b": acc, "p_value": p}}}
+        assert cli._compare_table(report).splitlines()[-1].split()[3] == shown
+        matrix = {"schedulers": ["random", "x"], "rows": [
+            {"scheduler": "random", "accuracy": {"test_id": acc}},
+            {"scheduler": "x", "accuracy": {"test_id": acc},
+             "vs_random": {"time_ratio": {"mean": 1.0}, "p_values": {"test_id": p}}}]}
+        assert cli._sweep_table(matrix).splitlines()[-1].split()[1:] == [shown, "1.00"]
+
     def test_compare_to_self(self, run_dir, config_path, capsys):
         report = cmd_compare(run_dir / "students" / "random",
                              run_dir / "students" / "random")
@@ -550,17 +678,57 @@ class TestSweepCommand:
         assert {p.parent for p in kept} == {out / "students" / s / f"seed_{seed}"
                                             for s in ("random", "conf_comp")
                                             for seed in (1, 2, 3)} - {victim}
-        stacks = []
-        train_seeds = trainer.train_seeds
-
-        def recording(corpus, val_corpus, configs, *args, **kwargs):
-            stacks.append([c.seed for c in configs])
-            return train_seeds(corpus, val_corpus, configs, *args, **kwargs)
-        monkeypatch.setattr(trainer, "train_seeds", recording)
+        monkeypatch.setattr(trainer, "train_seeds", recording_train_seeds(stacks := []))
         assert sweep("killed") == whole
         capsys.readouterr()
         assert stacks == [[3]]
         assert {p: p.stat().st_mtime_ns for p in kept} == kept
+
+    def test_cells_from_another_scores_file_retrain(self, tmp_path, config_path, capsys,
+                                                    monkeypatch):
+        """length cells a student planned from --scores (lengths negated)
+        are not the sweep's: the sweep retrains them, and only them, to a
+        fresh sweep's plan.json."""
+        config = load_config(config_path)
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        alt = negated_scores(cmd_teacher(config, out, metric="length"), tmp_path / "alt.jsonl")
+        cmd_student(config, out, "length", scores_path=alt)
+        cmd_sweep(config, fresh, ["random", "length"])
+        monkeypatch.setattr(trainer, "train_seeds", recording_train_seeds(stacks := []))
+        cmd_sweep(config, out, ["random", "length"])
+        capsys.readouterr()
+        for seed in (1, 2):
+            rel = Path("students") / "length" / f"seed_{seed}"
+            assert ((out / rel / "plan.json").read_bytes()
+                    == (fresh / rel / "plan.json").read_bytes())
+            assert ((out / rel / "metrics.json").read_bytes()
+                    == (fresh / rel / "metrics.json").read_bytes())
+        assert stacks == [[1, 2, 1, 2]]  # random's two cells, then length's
+        stacks.clear()
+        cmd_student(config, out, "length", scores_path=alt)  # and back again
+        assert stacks == [[1, 2]]
+        capsys.readouterr()
+
+    def test_rewritten_teacher_retrains_its_cells(self, tmp_path, config_path, capsys,
+                                                  monkeypatch):
+        """After teacher --teacher-epochs 1 rewrites td_stats.jsonl, the sweep
+        retrains the cells planned from it and leaves the others as they
+        were."""
+        config = load_config(config_path)
+        cmd_sweep(config, tmp_path, ["random", "conf_comp", "length"])
+        stats = cmd_teacher(config, tmp_path, metric="dynamics", teacher_epochs=1)
+        kept = {p: t for p, t in mtimes(tmp_path / "students").items()
+                if "conf_comp" not in p.parts}
+        monkeypatch.setattr(trainer, "train_seeds", recording_train_seeds(stacks := []))
+        cmd_sweep(config, tmp_path, ["random", "conf_comp", "length"])
+        capsys.readouterr()
+        assert stacks == [[1, 2]]
+        assert {p: t for p, t in mtimes(tmp_path / "students").items() if p in kept} == kept
+        digest = hashlib.sha256(stats.read_bytes()).hexdigest()
+        for seed in (1, 2):
+            metrics = json.loads((tmp_path / "students" / "conf_comp" / f"seed_{seed}"
+                                  / "metrics.json").read_text())
+            assert metrics["scores_sha256"] == digest
 
     def test_every_cell_planned_before_any_trains(self, tmp_path, config_path, capsys):
         """A scores file that fails to read stops the sweep before the
@@ -665,7 +833,7 @@ class TestResumedSweep:
             for row in matrix["rows"]:
                 vs = row.get(f"vs_{b}")
                 expected = ["-"] * 4 if vs is None else [
-                    *(f"{vs['p_values'][s]:.4f}" for s in splits),
+                    *(f"{vs['p_values'][s]:.3g}" for s in splits),
                     f"{vs['time_ratio']['mean']:.2f}"]
                 assert block[row["scheduler"]] == expected, (b, row["scheduler"])
 
