@@ -552,7 +552,8 @@ def _run_cells(config: dict, out_dir: Path, schedulers: list[str],
     planned, then trained as one ``_train_cells`` call on ``corpora``,
     resolved only then when not given. A scheduler's summary.json is removed
     before its cells train and written when absent, so one that exists was
-    built from its cells as they are."""
+    built from its cells as they are; sweep_summary.* goes too, so a sweep's
+    reports are never trusted past a cell that trained after them."""
     seeds = _value(config, "config", "seeds")
     files = {}
     for s in schedulers:
@@ -571,6 +572,7 @@ def _run_cells(config: dict, out_dir: Path, schedulers: list[str],
         corpora = corpora or resolve_corpora(config)
         cells = [cell for s in schedulers if missing[s] for cell in
                  _plan_cells(config, s, corpora, missing[s], files[s], digests[files[s]])]
+        _remove_sweep_summary(out_dir)
         for s in schedulers:
             if missing[s]:
                 (out_dir / "students" / s / "summary.json").unlink(missing_ok=True)
@@ -740,12 +742,17 @@ def cmd_compare(
     return report
 
 
+def _compare_name(side: str, scheduler: str, path) -> str:
+    """The line of a compare table that names student directory ``side``."""
+    return f"{side} = {scheduler} ({path})"
+
+
 def _compare_table(report: dict) -> str:
     header = f"{'split':<14} {'acc_a':>15} {'acc_b':>15} {'p':>8} " \
              f"{'ratio_mean':>11} {'ratio_min':>10}"
     lines = [
-        f"A = {report['a']['scheduler']} ({report['a']['path']})",
-        f"B = {report['b']['scheduler']} ({report['b']['path']})",
+        _compare_name("A", report["a"]["scheduler"], report["a"]["path"]),
+        _compare_name("B", report["b"]["scheduler"], report["b"]["path"]),
         header,
         "-" * len(header),
     ]
@@ -771,7 +778,12 @@ def cmd_sweep(config: dict, out_dir: Path, schedulers: list[str]) -> dict:
     trained in lockstep as one ``_train_cells`` call), then compare all
     against the random and cr_anneal baselines (when listed). Every cell is
     planned before any trains, and when every teacher and cell is complete
-    no corpus is built."""
+    no corpus is built.
+
+    sweep_summary.json, written last, marks the reports complete, and
+    ``_run_cells`` removes it before any cell trains. So when it lists
+    ``schedulers`` in this order and every compare report they imply is
+    stored (``_stored_sweep``), nothing is compared or written again."""
     if not schedulers:
         raise ValidationError("empty sweep list: name at least one scheduler")
     for s in schedulers:
@@ -789,6 +801,11 @@ def cmd_sweep(config: dict, out_dir: Path, schedulers: list[str]) -> dict:
     _run_cells(config, out_dir, schedulers, corpora=corpora)
 
     baselines = [b for b in _BASELINES if b in schedulers]
+    against = {s: [b for b in baselines if b != s] for s in schedulers}
+    stored = _stored_sweep(out_dir, against)
+    if stored is not None:
+        return stored
+    _remove_sweep_summary(out_dir)
     outcomes: dict[Path, dict[str, tuple]] = {}  # student dir -> split -> pooled
 
     def pooled_once(path: Path, seeds: list[int], split: str) -> tuple:
@@ -804,9 +821,7 @@ def cmd_sweep(config: dict, out_dir: Path, schedulers: list[str]) -> dict:
         summary = _load_student_dir(student_dir)
         _check_entries(summary, student_dir)
         row = {"scheduler": s, "accuracy": summary["accuracy"]}
-        for b in baselines:
-            if b == s:
-                continue
+        for b in against[s]:
             report = cmd_compare(
                 student_dir, out_dir / "students" / b,
                 out_prefix=compare_dir / f"{s}_vs_{b}",
@@ -821,8 +836,48 @@ def cmd_sweep(config: dict, out_dir: Path, schedulers: list[str]) -> dict:
             outcomes.pop(student_dir, None)  # no later compare reads it
         rows.append(row)
     matrix = {"schedulers": schedulers, "rows": rows}
-    artifacts.write_json(out_dir / "sweep_summary.json", matrix)
     artifacts.write_text(out_dir / "sweep_summary.txt", _sweep_table(matrix) + "\n")
+    artifacts.write_json(out_dir / "sweep_summary.json", matrix)
+    return matrix
+
+
+_SWEEP_SCHEMA = {"schedulers": list, "rows": list}
+
+
+def _remove_sweep_summary(out_dir: Path) -> None:
+    """Remove the mark of a sweep's complete reports, sweep_summary.json,
+    then its table."""
+    for name in ("sweep_summary.json", "sweep_summary.txt"):
+        (out_dir / name).unlink(missing_ok=True)
+
+
+def _stored_sweep(out_dir: Path, against: dict[str, list[str]]) -> dict | None:
+    """The matrix in sweep_summary.json, once the stored compare tables are
+    written to stdout in compare order (the bytes the compares printed),
+    when the reports are complete: sweep_summary.txt exists, the matrix
+    lists the schedulers of ``against`` in that order, and each one's
+    compare report against each of its baselines is stored, its table
+    naming this run's student directories. None otherwise."""
+    path = out_dir / "sweep_summary.json"
+    if not (path.exists() and path.with_suffix(".txt").exists()):
+        return None
+    matrix = artifacts.read_json(path, _SWEEP_SCHEMA)
+    if matrix["schedulers"] != list(against):
+        return None
+    tables = []
+    for s, baselines in against.items():
+        for b in baselines:
+            prefix = str(out_dir / "compare" / f"{s}_vs_{b}")
+            table = Path(prefix + ".txt")
+            if not (table.exists() and Path(prefix + ".json").exists()):
+                return None
+            text = table.read_text(encoding="utf-8")
+            names = [_compare_name("A", s, out_dir / "students" / s),
+                     _compare_name("B", b, out_dir / "students" / b)]
+            if text.split("\n", 2)[:2] != names:
+                return None
+            tables.append(text)
+    sys.stdout.write("".join(tables))
     return matrix
 
 

@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import shutil
 from pathlib import Path
 
 import pytest
@@ -779,11 +782,39 @@ class TestSweepCommand:
 
 
 @pytest.fixture(scope="module")
-def swept(tmp_path_factory, config_path):
-    """A completed 9-scheduler sweep."""
+def sweep_run(tmp_path_factory, config_path):
+    """A completed 9-scheduler sweep: its directory, its stdout and the
+    matrix it returned."""
     out = tmp_path_factory.mktemp("swept")
-    cmd_sweep(load_config(config_path), out, list(SCHEDULERS))
-    return out
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        matrix = cmd_sweep(load_config(config_path), out, list(SCHEDULERS))
+    return out, stdout.getvalue(), matrix
+
+
+@pytest.fixture(scope="module")
+def swept(sweep_run):
+    """The directory of a completed 9-scheduler sweep."""
+    return sweep_run[0]
+
+
+def tree(root):
+    """The bytes of every file under ``root``, by path relative to it."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def refuse_compare(*args, **kwargs):
+    raise AssertionError("a resumed sweep compared again")
+
+
+def counting_ar(monkeypatch):
+    """A list to which each ``approx_randomization`` call appends an entry."""
+    calls, real = [], analysis.approx_randomization
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(analysis, "approx_randomization", counting)
+    return calls
 
 
 class TestResumedSweep:
@@ -795,8 +826,31 @@ class TestResumedSweep:
         cmd_sweep(load_config(config_path), swept, list(SCHEDULERS))
         capsys.readouterr()
 
+    def test_compares_nothing(self, swept, config_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_pooled_outcomes", refuse_compare)
+        monkeypatch.setattr(analysis, "approx_randomization", refuse_compare)
+        cmd_sweep(load_config(config_path), swept, list(SCHEDULERS))
+        capsys.readouterr()
+
+    def test_writes_nothing(self, swept, config_path, capsys):
+        before = mtimes(swept)
+        cmd_sweep(load_config(config_path), swept, list(SCHEDULERS))
+        capsys.readouterr()
+        assert mtimes(swept) == before
+
+    def test_prints_and_returns_what_the_building_sweep_did(self, sweep_run, config_path,
+                                                            capsys):
+        swept, stdout, matrix = sweep_run
+        assert stdout.count("A = ") == 16
+        assert cmd_sweep(load_config(config_path), swept, list(SCHEDULERS)) == matrix
+        assert capsys.readouterr().out == stdout
+
     def test_reads_outcomes_once_per_student_and_split(self, swept, config_path,
-                                                       capsys, monkeypatch):
+                                                       capsys, monkeypatch, tmp_path):
+        """On a copy whose sweep_summary.json is gone, so the reports are rebuilt."""
+        run = tmp_path / "run"
+        shutil.copytree(swept, run)
+        (run / "sweep_summary.json").unlink()
         calls = []
         real = cli._pooled_outcomes
 
@@ -805,7 +859,7 @@ class TestResumedSweep:
             return real(path, seeds, split)
 
         monkeypatch.setattr(cli, "_pooled_outcomes", counting)
-        cmd_sweep(load_config(config_path), swept, list(SCHEDULERS))
+        cmd_sweep(load_config(config_path), run, list(SCHEDULERS))
         capsys.readouterr()
         assert len(calls) == len(set(calls)) == len(SCHEDULERS) * 3 == 27
 
@@ -820,6 +874,19 @@ class TestResumedSweep:
                         out_prefix=tmp_path / path.stem)
             assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
         capsys.readouterr()
+
+    def test_moved_run_directory_rebuilds_tables_naming_it(self, swept, config_path,
+                                                           tmp_path, capsys):
+        """The stored tables name the student directories as the sweep that
+        built them spelled them; under another --out they are rebuilt."""
+        run = tmp_path / "moved"
+        shutil.copytree(swept, run)
+        cmd_sweep(load_config(config_path), run, list(SCHEDULERS))
+        capsys.readouterr()
+        for path in (run / "compare").glob("*.txt"):
+            a, b = path.stem.split("_vs_")
+            assert path.read_text().splitlines()[:2] == [
+                f"A = {a} ({run / 'students' / a})", f"B = {b} ({run / 'students' / b})"]
 
     def test_summary_table_shows_p_values_and_time_ratios(self, swept):
         matrix = json.loads((swept / "sweep_summary.json").read_text())
@@ -836,6 +903,105 @@ class TestResumedSweep:
                     *(f"{vs['p_values'][s]:.3g}" for s in splits),
                     f"{vs['time_ratio']['mean']:.2f}"]
                 assert block[row["scheduler"]] == expected, (b, row["scheduler"])
+
+
+class TestSweepMarker:
+    """sweep_summary.json marks a sweep's reports complete: whatever could
+    make them stale removes it, and a sweep without a valid one rebuilds
+    every report. Each sweep runs on the relative path run/, so that its
+    reports name the same student directories wherever it runs."""
+
+    SCHEDULERS = ["random", "length", "rarity"]
+
+    @pytest.fixture()
+    def sweep(self, tmp_path, config_path, monkeypatch, capsys):
+        """Sweep ``schedulers`` into ``tmp_path/name/run``; returns that
+        directory's files and the sweep's stdout."""
+        config = load_config(config_path)
+
+        def sweep(name, schedulers=self.SCHEDULERS):
+            (tmp_path / name).mkdir(exist_ok=True)
+            monkeypatch.chdir(tmp_path / name)
+            capsys.readouterr()
+            cmd_sweep(config, Path("run"), schedulers)
+            return tree(Path("run")), capsys.readouterr().out
+        return sweep
+
+    def test_student_on_other_scores_removes_it(self, tmp_path, config_path, sweep,
+                                                monkeypatch):
+        """The marker goes when student --scores retrains the length cells;
+        after a student on the run's own teacher, the next sweep rebuilds
+        every report to the first sweep's bytes."""
+        config = load_config(config_path)
+        first, stdout = sweep("run")
+        run = Path("run")
+        alt = negated_scores(run / "teacher" / "scores_length.jsonl", tmp_path / "alt.jsonl")
+        cmd_student(config, run, "length", scores_path=alt)
+        assert not list(run.glob("sweep_summary.*"))
+        cmd_student(config, run, "length")
+        assert not list(run.glob("sweep_summary.*"))
+        calls = counting_ar(monkeypatch)
+        assert sweep("run") == (first, stdout)
+        assert len(calls) == 2 * 3  # length and rarity vs random, 3 splits each
+
+    @pytest.mark.parametrize("writer, name", [("write_json", "sweep_summary.json"),
+                                              ("write_text", "sweep_summary.txt")])
+    def test_failed_summary_write_leaves_no_marker(self, sweep, monkeypatch, writer, name):
+        """A sweep with another order replaces a valid marker's reports; its
+        sweep_summary.json or .txt write raises, so no marker is left for
+        either order to trust, and the rerun writes a fresh sweep's bytes."""
+        sweep("run")
+        order = ["rarity", "random", "length"]
+        write = getattr(cli.artifacts, writer)
+
+        def failing(path, payload):
+            if Path(path).name == name:
+                raise OSError("disk full")
+            write(path, payload)
+        monkeypatch.setattr(cli.artifacts, writer, failing)
+        with pytest.raises(OSError):
+            sweep("run", order)
+        assert not Path("run", "sweep_summary.json").exists()
+        assert not list(Path("run").rglob(".*.tmp"))
+        monkeypatch.setattr(cli.artifacts, writer, write)
+        assert sweep("run", order) == sweep("fresh", order)
+
+    @pytest.mark.parametrize("schedulers", [["rarity", "random", "length"],
+                                            ["random", "rarity"], ["length"]],
+                             ids=["reordered", "shorter", "no-baseline"])
+    def test_other_scheduler_list_rebuilds(self, sweep, schedulers):
+        """Every file a fresh sweep of the other list writes has its bytes,
+        and the sweeps print the same."""
+        sweep("run")
+        files, stdout = sweep("run", schedulers)
+        fresh, fresh_stdout = sweep("fresh", schedulers)
+        assert {rel: files[rel] for rel in fresh} == fresh
+        assert stdout == fresh_stdout
+
+    @pytest.mark.parametrize("report", ["compare/length_vs_random.txt",
+                                        "compare/length_vs_random.json", "sweep_summary.txt"])
+    def test_deleted_report_is_rebuilt(self, sweep, monkeypatch, report):
+        first = sweep("run")
+        Path("run", report).unlink()
+        calls = counting_ar(monkeypatch)
+        assert sweep("run") == first
+        assert calls
+
+    @pytest.mark.parametrize("text", [
+        "[]\n", "{\"schedulers\": \"random\", \"rows\": []}\n",
+        "{\"schedulers\": [\"random\"]}\n", "{\"schedulers\": [\"random\"], \"rows\": {}}\n",
+        "{\"schedulers\": [\"random\"],\n",
+    ], ids=["array", "schedulers-string", "no-rows", "rows-object", "truncated"])
+    def test_malformed_marker_exits_1_naming_it(self, tmp_path, config_path, capsys, text):
+        out = tmp_path / "run"
+        argv = ["sweep", "--config", str(config_path), "--out", str(out),
+                "--schedulers", "random"]
+        assert main(argv) == 0
+        marker = out / "sweep_summary.json"
+        marker.write_text(text)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert f"{marker}:" in capsys.readouterr().err
 
 
 class TestCliEntryPoint:
