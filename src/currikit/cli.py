@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -382,10 +383,11 @@ def _first_record(path: Path) -> dict:
     return first
 
 
-def _read_scores(path: Path, scheduler: str, ids: list[str],
-                 first: dict | None = None) -> difficulty.DifficultyScores:
+def _read_scores(path: Path, scheduler: str, ids: list[str], first: dict | None = None,
+                 td_stats: Callable | None = None) -> difficulty.DifficultyScores:
     """The scores ``scheduler`` orders by, for exactly ``ids`` in that order,
-    from a dynamics-stats file or a scores file (first record: ``first``)."""
+    from a dynamics-stats file or a scores file (first record: ``first``);
+    ``td_stats(path)``, when given, parses a dynamics-stats file."""
     spec = _SCHEDULER_TABLE[scheduler]
     if first is None:
         first = _first_record(path)
@@ -395,7 +397,8 @@ def _read_scores(path: Path, scheduler: str, ids: list[str],
                 f"scheduler {scheduler!r} needs a {spec.teacher!r} scores file, "
                 "not dynamics stats"
             )
-        return difficulty.from_td(dynamics.read_td_stats(path, ids), spec.score)
+        stats = td_stats(path) if td_stats else dynamics.read_td_stats(path, ids)
+        return difficulty.from_td(stats, spec.score)
     if "metric_name" not in first:
         raise ValidationError(f"{path}: neither a dynamics-stats nor a scores file")
     scores = difficulty.read_scores(path, ids, header=first)
@@ -483,16 +486,17 @@ class _Cell(NamedTuple):
 
 
 def _plan_cells(config: dict, scheduler: str, corpora: dict[str, Corpus], seeds: list[int],
-                path: Path | None, scores_sha256: str | None) -> list[_Cell]:
+                path: Path | None, scores_sha256: str | None, first_record: Callable,
+                td_stats: Callable) -> list[_Cell]:
     """A cell per seed under ``scheduler``; its scores file ``path`` (None
     for random), whose sha256 is ``scores_sha256``, is read once, before
-    anything trains."""
+    anything trains, through ``first_record`` and, for dynamics stats, ``td_stats``."""
     spec = _SCHEDULER_TABLE[scheduler]
     train_corpus = corpora["train"]
     scores = annealing_epochs = None
     if path is not None:
-        first = _first_record(path)
-        scores = _read_scores(path, scheduler, train_corpus.ids(), first)
+        first = first_record(path)
+        scores = _read_scores(path, scheduler, train_corpus.ids(), first, td_stats)
         if spec.family == "annealing":
             annealing_epochs = _annealing_epochs(first, path, scores)
     cells = []
@@ -547,8 +551,8 @@ def _run_cells(config: dict, out_dir: Path, schedulers: list[str],
 
     A cell is complete when its metrics.json records as ``scores_sha256``
     the sha256 of the file its plan would read now, ``scores_path`` or its
-    teacher artifact (each hashed once), or null for random, which reads
-    none. Every other cell is missing: all are
+    teacher artifact (each hashed once and parsed once), or null for random,
+    which reads none. Every other cell is missing: all are
     planned, then trained as one ``_train_cells`` call on ``corpora``,
     resolved only then when not given. A scheduler's summary.json is removed
     before its cells train and written when absent, so one that exists was
@@ -570,8 +574,13 @@ def _run_cells(config: dict, out_dir: Path, schedulers: list[str],
     missing = {s: [seed for seed in seeds if not complete(s, seed)] for s in schedulers}
     if any(missing.values()):
         corpora = corpora or resolve_corpora(config)
+        train_ids = corpora["train"].ids()
+        # Each teacher file is read once, however many schedulers plan from it.
+        first_record = functools.cache(_first_record)
+        td_stats = functools.cache(lambda path: dynamics.read_td_stats(path, train_ids))
         cells = [cell for s in schedulers if missing[s] for cell in
-                 _plan_cells(config, s, corpora, missing[s], files[s], digests[files[s]])]
+                 _plan_cells(config, s, corpora, missing[s], files[s], digests[files[s]],
+                             first_record, td_stats)]
         _remove_sweep_summary(out_dir)
         for s in schedulers:
             if missing[s]:

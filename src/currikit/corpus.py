@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .artifacts import check, read_json, write_json, write_jsonl
-from .curricula import cumulative, weighted_draw
+from .curricula import cumulative
 
 DEFAULT_HASH_DIM = 2 ** 18
 
@@ -410,28 +410,34 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Corpus, Corpus, Corpus, Corpus]
     vocab = _SYNTH_WORDS.tolist()  # the four splits' vocabulary
 
     def draw_split(prefix, n, centers):
-        """Ids, labels, unit-norm feature rows and word indices of n examples."""
-        rows = np.zeros((n, dim))
-        words = []
-        for i in range(n):
-            label = i % C
-            point = centers[label] + rng.normal(size=dim)
-            # Zipf-ish words, rolled per class so classes differ in word usage.
-            picks = weighted_draw(rng, _SYNTH_CDF, int(rng.integers(4, 16))) + 7 * label
-            words.append(picks % _SYNTH_VOCAB)
-            norm = np.linalg.norm(point)
-            if norm:
-                rows[i] = point / norm
+        """Ids, labels, unit-norm feature rows, word indices and word offsets
+        of n examples. Only the draws run per example, in stream order."""
+        labels = np.arange(n) % C
+        points = np.empty((n, dim))
+        uniforms = []
+        for point in points:
+            rng.standard_normal(out=point)
+            uniforms.append(rng.random(int(rng.integers(4, 16))))
+        points += centers[labels]
+        # np.linalg.norm's sum, one dot per row: a batched sum groups the
+        # terms differently and changes bits. Zero-norm rows stay zero.
+        norms = np.sqrt([point.dot(point) for point in points])[:, None]
+        rows = np.divide(points, norms, out=np.zeros_like(points), where=norms != 0)
+        offsets = np.cumsum([0, *map(len, uniforms)], dtype=np.int64)
+        # weighted_draw's Zipf-ish words, rolled per class to differ in usage.
+        words = (_SYNTH_CDF.searchsorted(np.concatenate(uniforms), side="right")
+                 + 7 * np.repeat(labels, np.diff(offsets))) % _SYNTH_VOCAB
         ids = [f"{prefix}-{i:06d}" for i in range(n)]
-        return ids, np.arange(n) % C, rows, words
+        return ids, labels, rows, words, offsets
 
-    def build(split_name, ids, labels, rows, words):
+    def build(split_name, ids, labels, rows, words, offsets):
         # Every word is one lowercase \w+ token, so the word indices are the
         # tokenization of their join; each segment b is empty.
+        names = _SYNTH_WORDS[words].tolist()
+        bounds = offsets.tolist()
         return Corpus(ids, labels, sparse.csr_matrix(rows),
-                      [(" ".join(_SYNTH_WORDS[w].tolist()), None) for w in words],
-                      vocab, np.concatenate(words).astype(np.int32),
-                      np.repeat(np.cumsum([0, *map(len, words)], dtype=np.int64), 2)[1:],
+                      [(" ".join(names[a:b]), None) for a, b in zip(bounds, bounds[1:])],
+                      vocab, words.astype(np.int32), np.repeat(offsets, 2)[1:],
                       C, split_name, list(label_names))
 
     train = draw_split("train", spec.train_size, means)

@@ -360,6 +360,17 @@ class TestStudentCommand:
             cmd_student(config, run_dir, "length",
                         scores_path=run_dir / "teacher" / "td_stats.jsonl")
 
+    @pytest.mark.parametrize("scheduler, teacher", [("cr_anneal", "cross-review"),
+                                                    ("length", "length"), ("ppl", "ppl")])
+    def test_dynamics_stats_for_another_teacher_exit_1(self, run_dir, config_path, capsys,
+                                                       scheduler, teacher):
+        code = main(["student", "--config", str(config_path), "--out", str(run_dir),
+                     "--scheduler", scheduler,
+                     "--scores", str(run_dir / "teacher" / "td_stats.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: scheduler {scheduler!r} needs a "
+                                           f"{teacher!r} scores file, not dynamics stats\n")
+
     @pytest.mark.parametrize("scheduler, metric", [("cr_anneal", "cross-review"),
                                                    ("length", "length")])
     def test_scores_header_read_once(self, tmp_path, config_path, monkeypatch,
@@ -757,6 +768,23 @@ class TestSweepCommand:
         cmd_sweep(load_config(config_path), tmp_path / "sweep", list(SCHEDULERS))
         capsys.readouterr()
         assert len(calls) == 1
+
+    def test_sweep_reads_dynamics_stats_once(self, tmp_path, config_path, capsys,
+                                             monkeypatch):
+        """The four dynamics schedulers plan from one read of td_stats.jsonl's
+        first record and one parse of the file."""
+        calls = {"read_td_stats": [], "read_jsonl": []}
+        for module, name in ((cli.dynamics, "read_td_stats"), (cli.artifacts, "read_jsonl")):
+            def counting(path, *args, real=getattr(module, name), name=name, **kwargs):
+                calls[name].append(Path(path))
+                return real(path, *args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        out = tmp_path / "sweep"
+        cmd_sweep(load_config(config_path), out, list(SCHEDULERS))
+        capsys.readouterr()
+        stats = out / "teacher" / "td_stats.jsonl"
+        assert calls["read_td_stats"] == [stats]
+        assert calls["read_jsonl"].count(stats) == 1
 
     def test_failed_teacher_write_is_not_resumed(self, tmp_path, config_path, capsys,
                                                  monkeypatch):

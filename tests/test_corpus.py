@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -405,13 +405,18 @@ class TestSynthetic:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             self.spec(**{field: value})
 
+    # Up to 20 classes, so the roll of 7 words per class wraps past the 120
+    # words. The pinned example is the README pilot's size at seed 1: its
+    # noise flips read the stream where the four splits' 3,500 examples left it.
     @settings(derandomize=True, deadline=None, max_examples=40)
-    @given(num_classes=st.integers(2, 6), train_size=st.integers(1, 60),
+    @given(num_classes=st.integers(2, 20), train_size=st.integers(1, 60),
            val_size=st.integers(1, 20), test_size=st.integers(1, 20),
-           feature_dim=st.integers(1, 40),
+           feature_dim=st.integers(1, 64),
            class_separation=st.floats(0.1, 5.0),
            label_noise_fraction=st.floats(0.0, 0.49),
            ood_shift=st.sampled_from([0.0, 1.0, 2.5]), seed=st.integers(0, 2 ** 32))
+    @example(num_classes=3, train_size=2000, val_size=500, test_size=500, feature_dim=32,
+             class_separation=3.0, label_noise_fraction=0.1, ood_shift=1.0, seed=1)
     def test_same_bytes_as_reference(self, **fields):
         spec = SynthSpec(**fields)
         for corpus, (ids, labels, matrix, texts, tokens, label_names) in zip(
